@@ -1,6 +1,6 @@
 """nc2ent: convert single-system non-classicality into bipartite entanglement.
 
-Build conversion unitaries from Gram-matrix splittings of a linearly
+Build conversion isometries from Gram-matrix splittings of a linearly
 independent classical set, check that Schmidt rank matches classical rank,
 simulate the bosonic mode-splitting protocol for symmetric coherent states,
 and transform entanglement witnesses into non-classicality witnesses.
@@ -30,8 +30,6 @@ from .conversion import (
     SplitSpec,
     build_conversion,
     classical_rank,
-    convert_density,
-    convert_state,
     default_epsilon,
     epsilon_max,
     make_split,
@@ -79,8 +77,6 @@ from .witness import (
     Witness,
     detect,
     nonclassicality_witness,
-    pull_back,
-    restrict_to_reference,
     swap_style_witness,
 )
 

@@ -118,10 +118,9 @@ def cmd_convert(states_path, epsilon, input_text, input_file, normalize, out):
         epsilon = conversion.default_epsilon(cs)
     try:
         split = conversion.make_split(cs, epsilon)
+        output = conversion.build_conversion(cs, split).convert(psi)
     except ValueError as exc:
         raise click.ClickException(str(exc))
-    conv = conversion.build_conversion(cs, split)
-    output = conv.convert(psi)
     sd = linalg.schmidt_decompose(output, cs.dim, cs.dim)
     _dump_json({
         "schema": 1,
@@ -266,13 +265,17 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
 @click.option("--normalize", is_flag=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
-    """Build a projector witness from a converted target state, pull it back
-    to a non-classicality witness, and evaluate it."""
+    """Build a projector witness from a converted target state, compress it
+    through the conversion isometry to a non-classicality witness, and
+    evaluate it."""
     cs = load_state_set(states_path, normalize=normalize)
     if epsilon is None:
         epsilon = conversion.default_epsilon(cs)
-    split = conversion.make_split(cs, epsilon, boundary_ok=True)
-    conv = conversion.build_conversion(cs, split)
+    try:
+        split = conversion.make_split(cs, epsilon, boundary_ok=True)
+        conv = conversion.build_conversion(cs, split)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     phi = conv.convert(_parse_vector(target_state, cs.dim))
     w = witness.swap_style_witness(cs.dim, cs.dim, phi)
     w_tilde = witness.nonclassicality_witness(w, conv)

@@ -1,21 +1,28 @@
 """Discrete non-classicality conversion: split the Gram matrix of a linearly
-independent classical set into two positive factors, synthesize the unitary
-that sends each classical state to a product state, and check that the
-Schmidt rank of converted states equals the number of classical terms the
-input needs (its classical rank)."""
+independent classical set into two positive factors, build the isometry
+V = B A^-1 that sends each classical state |c_i> (columns of A) to the
+product state |d_i> (x) |e_i> (columns of B), and check that the Schmidt rank
+of converted states equals the number of classical terms the input needs (its
+classical rank). A unitary on the bipartite space that acts as V on
+C^D (x) |ref> is completed only when asked for."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     GramMatrix,
+    GramMismatchError,
     Operator,
+    PSD_TOL,
     RANK_RTOL,
+    UNITARY_TOL,
     StateVector,
+    basis_state,
     factor_gram,
     gram_of,
     hadamard,
@@ -26,7 +33,6 @@ from .linalg import (
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
 SPLIT_TOL = 1e-10          # reproduction of the classical Gram by the factor product
-EPS_BISECT_RTOL = 1e-10
 EPS_CAP = 1e6              # beyond this the feasible range is reported as infinite
 
 
@@ -78,30 +84,38 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Conversion:
-    """Conversion unitary on the bipartite output space together with the
-    reference-state embedding |psi> -> |psi> (x) |ref> of the input space."""
+    """Conversion isometry V: C^D -> C^D (x) C^D, together with the reference
+    state of the ancilla. V is the action on C^D (x) |ref> of any conversion
+    unitary; one such unitary is completed on demand."""
 
-    unitary: Operator
+    isometry: Operator
     reference: StateVector
-    dim: int
 
-    def embed(self, psi: StateVector) -> np.ndarray:
-        if psi.dim != self.dim:
-            raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
-        return np.kron(psi.amplitudes, self.reference.amplitudes)
+    @property
+    def dim(self) -> int:
+        return self.isometry.cols
+
+    @cached_property
+    def unitary(self) -> Operator:
+        """A unitary on C^D (x) C^D that maps |k> (x) |ref> onto V|k>."""
+        d = self.dim
+        from_states = [basis_state(d, k).tensor(self.reference) for k in range(d)]
+        to_states = [StateVector(col) for col in self.isometry.matrix.T]
+        return synthesize_unitary(from_states, to_states)
 
     def convert(self, psi: StateVector) -> StateVector:
         """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
-        return StateVector(self.unitary.matrix @ self.embed(psi))
+        if psi.dim != self.dim:
+            raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
+        return StateVector(self.isometry.matrix @ psi.amplitudes)
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
-        embedded = np.kron(rho, self.reference.projector())
-        u = self.unitary.matrix
-        return u @ embedded @ u.conj().T
+        v = self.isometry.matrix
+        return v @ rho @ v.conj().T
 
 
 def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
@@ -124,29 +138,15 @@ def scaled_overlap_entries(gram: GramMatrix, factor: float) -> np.ndarray:
 
 def epsilon_max(cs: ClassicalSet) -> float:
     """Supremum of eps for which scaling the classical overlaps by (1+eps)
-    keeps the Gram positive definite.
-
-    Located by bisection on the minimum-eigenvalue sign to relative tolerance
-    1e-10; returns inf when the scaled Gram stays positive definite up to
-    eps = 1e6 (e.g. orthogonal classical states).
-    """
-    def min_eig(eps: float) -> float:
-        m = scaled_overlap_entries(cs.gram, 1.0 + eps)
-        return float(np.linalg.eigvalsh(m)[0])
-
-    lo, hi = 0.0, 1.0
-    while min_eig(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > EPS_CAP:
-            return math.inf
-    while hi - lo > EPS_BISECT_RTOL * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if min_eig(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    keeps the minimum eigenvalue of the scaled Gram (1+eps)G - eps I, which
+    is 1 - (1+eps)(1 - lambda_min(G)), above the independence floor 1e-10:
+    (lambda_min(G) - 1e-10) / (1 - lambda_min(G)). Returns inf when that
+    exceeds 1e6 (e.g. orthogonal classical states)."""
+    lam = cs.gram.min_eigenvalue()
+    room = lam - INDEPENDENCE_TOL
+    if room > EPS_CAP * (1.0 - lam):
+        return math.inf
+    return room / (1.0 - lam)
 
 
 def default_epsilon(cs: ClassicalSet) -> float:
@@ -167,16 +167,15 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = cs.dim
     mu = 1.0 / (1.0 + epsilon)
-    m = scaled_overlap_entries(cs.gram, 1.0 + epsilon)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    floor = -1e-10 if boundary_ok else INDEPENDENCE_TOL
-    if min_eig < floor:
+    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - cs.gram.min_eigenvalue())  # as in epsilon_max
+    feasible = min_eig >= -PSD_TOL if boundary_ok else min_eig > INDEPENDENCE_TOL
+    if not feasible:
         raise ValueError(
             f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
             f"{min_eig:.3e} (feasible range is eps < {epsilon_max(cs):.6g})"
         )
     gram_d = uniform_overlap_gram(mu, d)
-    gram_e = GramMatrix(m)
+    gram_e = GramMatrix(scaled_overlap_entries(cs.gram, 1.0 + epsilon))
     d_states = tuple(factor_gram(gram_d))
     e_states = tuple(factor_gram(gram_e))
     product = hadamard(gram_d, gram_e)
@@ -186,15 +185,25 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
                      d_states=d_states, e_states=e_states)
 
 
+def _positive_frame(columns: np.ndarray) -> np.ndarray:
+    """Q of the thin QR factorization, with phases moved so that R has a
+    positive diagonal; two families with one Gram R^dag R then share R."""
+    q, r = np.linalg.qr(columns)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
 def build_conversion(cs: ClassicalSet, split: SplitSpec,
                      reference: StateVector | None = None) -> Conversion:
-    """Synthesize the conversion unitary mapping |c_i> (x) |ref> to
-    |d_i> (x) |e_i> for every classical state.
+    """Build the conversion isometry V = B A^-1, where the columns of A are the
+    classical states |c_i> and the columns of B the products |d_i> (x) |e_i>.
 
-    The Grams of the two families match by construction (the reference
-    contributes a constant factor 1, and the product-family Gram is the
-    entrywise product of the factor Grams), so a unitary exists. The default
-    reference is the first classical state.
+    Both families share the classical Gram (the product-family Gram is the
+    entrywise product of the factor Grams), so A = Q_A R and B = Q_B R with
+    one triangular R, and V = Q_B Q_A^dag. Built from the orthonormal frames,
+    V is an isometry to roundoff however small lambda_min(G) is; a V that
+    misses some |d_i> (x) |e_i> by more than 1e-10 raises GramMismatchError.
+    The default reference is the first classical state.
     """
     if reference is None:
         reference = cs.states[0]
@@ -202,10 +211,15 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec,
         raise ValueError(f"reference has dimension {reference.dim}, expected {cs.dim}")
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
-    from_states = [c.tensor(reference) for c in cs.states]
-    to_states = [d.tensor(e) for d, e in zip(split.d_states, split.e_states)]
-    unitary = synthesize_unitary(from_states, to_states)
-    return Conversion(unitary=unitary, reference=reference, dim=cs.dim)
+    a = np.column_stack([c.amplitudes for c in cs.states])
+    b = np.column_stack([d.tensor(e).amplitudes
+                         for d, e in zip(split.d_states, split.e_states)])
+    v = _positive_frame(b) @ _positive_frame(a).conj().T
+    residual = float(np.max(np.abs(v @ a - b)))
+    if residual > UNITARY_TOL:
+        raise GramMismatchError(
+            f"conversion misses the product states by {residual:.3e}; the Grams differ")
+    return Conversion(isometry=Operator(v), reference=reference)
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
@@ -218,14 +232,6 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
     coeffs = np.linalg.solve(basis, psi.amplitudes)
     mags = np.abs(coeffs)
     return int(np.sum(mags > RANK_RTOL * mags.max()))
-
-
-def convert_state(conv: Conversion, psi: StateVector) -> StateVector:
-    return conv.convert(psi)
-
-
-def convert_density(conv: Conversion, rho: np.ndarray) -> np.ndarray:
-    return conv.convert_density(rho)
 
 
 def random_classical_set(dim: int, rng: np.random.Generator,

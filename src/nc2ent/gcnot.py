@@ -63,7 +63,7 @@ def gcnot_classical_pair(theta: float) -> ClassicalSet:
 
 
 def build_gcnot(params: GcnotParams) -> tuple[Conversion, SplitSpec]:
-    """Conversion unitary for the classical pair at the given parameters;
+    """Conversion for the classical pair at the given parameters;
     boundary values (eps = 0, or a saturated overlap bound) are allowed."""
     cs = gcnot_classical_pair(params.theta)
     split = make_split(cs, params.epsilon, boundary_ok=True)
@@ -81,7 +81,7 @@ def _expand_in_pair(theta: float, state: StateVector) -> tuple[complex, complex]
 
 def _closed_output(params: GcnotParams, state: StateVector) -> StateVector:
     """Two-term output state built directly from the factor overlaps
-    mu = 1/(1+eps) and (1+eps)cos(theta), bypassing unitary synthesis."""
+    mu = 1/(1+eps) and (1+eps)cos(theta), bypassing the conversion."""
     w0, w1 = _expand_in_pair(params.theta, state)
     x = params.mu
     y = (1.0 + params.epsilon) * math.cos(params.theta)
@@ -96,7 +96,7 @@ def _closed_output(params: GcnotParams, state: StateVector) -> StateVector:
 def output_entanglement(params: GcnotParams, state: StateVector, method: str = "unitary") -> float:
     """Entropy of entanglement (ebits) of the converted 2-dimensional input.
 
-    method="unitary" synthesizes the full conversion unitary and applies it;
+    method="unitary" builds the conversion isometry and applies it;
     method="closed" uses the equivalent direct two-term construction (same
     result, much faster inside sweeps).
     """

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import NORM_TOL
 from .symmetric import (
     SymmetricState,
     occupation_basis,
@@ -20,7 +21,6 @@ from .symmetric import (
     _check_caps,
 )
 
-NORM_TOL = 1e-12
 MODE_PAIR_TOL = 1e-12     # |r|^2 + |t|^2 = 1
 MIN_SECTOR_PROB = 1e-15
 MAX_TWO_MODE_DIM = 20000  # guards the dense sector-rotation matrix

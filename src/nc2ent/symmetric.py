@@ -10,12 +10,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Operator, StateVector, negativity, schmidt_decompose, entanglement_entropy
+from .linalg import (NORM_TOL, Operator, StateVector, entanglement_entropy, negativity,
+                     schmidt_decompose)
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
-NORM_TOL = 1e-12
-UNITARY_TOL = 1e-12
+SU_UNITARY_TOL = 1e-12     # U^dag U = I for single-particle transformations
 ISOMETRY_TOL = 1e-10
 
 
@@ -73,7 +73,7 @@ class SuUnitary:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 2:
             raise ValueError("need at least 2 levels")
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > UNITARY_TOL:
+        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > SU_UNITARY_TOL:
             raise ValueError("matrix is not unitary within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

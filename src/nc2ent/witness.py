@@ -1,7 +1,7 @@
 """Witness machinery: projector-style entanglement witnesses on the bipartite
-output space, their pull-back through a conversion unitary, and the
-restriction to the reference subspace that turns them into single-system
-non-classicality witnesses."""
+output space, and their compression V^dag W V through a conversion isometry V
+into single-system non-classicality witnesses with the same expectation
+values."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversion import Conversion
-from .linalg import StateVector, schmidt_decompose
+from .linalg import HERMITIAN_TOL, StateVector, schmidt_decompose
 
-HERMITIAN_TOL = 1e-12
 DETECT_TOL = 1e-10
 
 
@@ -50,34 +49,6 @@ def swap_style_witness(dim_a: int, dim_b: int, phi: StateVector) -> Witness:
     return Witness(operator=op, label=f"projector witness (lambda1^2 = {lam1**2:.6g})")
 
 
-def pull_back(w: Witness, conv: Conversion) -> np.ndarray:
-    """Conjugate a witness on the output space back through the conversion:
-    W' = Lambda^dag W Lambda, acting on the embedded input (x) reference space."""
-    u = conv.unitary.matrix
-    if w.dim != u.shape[0]:
-        raise ValueError(f"witness dimension {w.dim} does not match conversion dimension {u.shape[0]}")
-    return u.conj().T @ w.operator @ u
-
-
-def restrict_to_reference(w_pulled: np.ndarray, reference: StateVector) -> Witness:
-    """Compress the pulled-back witness onto the reference slot of the
-    ancilla: (1 (x) <ref|) W' (1 (x) |ref>), leaving an observable on the
-    input space alone."""
-    w_pulled = np.asarray(w_pulled, dtype=complex)
-    total = w_pulled.shape[0]
-    d_ref = reference.dim
-    if w_pulled.ndim != 2 or w_pulled.shape[0] != w_pulled.shape[1] or total % d_ref:
-        raise ValueError(
-            f"operator of shape {w_pulled.shape} is incompatible with reference dimension {d_ref}"
-        )
-    d_in = total // d_ref
-    blocks = w_pulled.reshape(d_in, d_ref, d_in, d_ref)
-    ref = reference.amplitudes
-    restricted = np.einsum("a,iajb,b->ij", ref.conj(), blocks, ref)
-    restricted = 0.5 * (restricted + restricted.conj().T)  # scrub roundoff asymmetry
-    return Witness(operator=restricted, label="restricted non-classicality witness")
-
-
 def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
     """Expectation value Tr(W rho) and whether it certifies detection
     (value below -1e-10)."""
@@ -89,5 +60,12 @@ def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
 
 
 def nonclassicality_witness(w: Witness, conv: Conversion) -> Witness:
-    """Full pipeline W -> W' -> restricted witness on the input space."""
-    return restrict_to_reference(pull_back(w, conv), conv.reference)
+    """Compress an output-space witness through the conversion isometry:
+    V^dag W V, an observable on the input space with Tr(W~ rho) equal to
+    Tr(W V rho V^dag)."""
+    v = conv.isometry.matrix
+    if w.dim != v.shape[0]:
+        raise ValueError(f"witness dimension {w.dim} does not match conversion dimension {v.shape[0]}")
+    restricted = v.conj().T @ w.operator @ v
+    restricted = 0.5 * (restricted + restricted.conj().T)  # scrub roundoff asymmetry
+    return Witness(operator=restricted, label="restricted non-classicality witness")

@@ -201,6 +201,33 @@ def test_witness_pipeline(runner, tmp_path):
     assert doc["min_classical_value"] >= -1e-10
 
 
+# ------------------------------------------------------------- input errors
+
+def _witness_epsilon_beyond_range(tmp_path):
+    states = gcnot_file(tmp_path, math.acos(0.28))  # eps_max = 1/0.28 - 1
+    return ["witness", "--states", states, "--epsilon", "50",
+            "--target-state", "1,0", "--test-state", "1,0"]
+
+
+def _convert_input_dimension_mismatch(tmp_path):
+    states = gcnot_file(tmp_path)
+    three_dim = write_state_set(tmp_path / "input.json", [[1.0, 0.0, 0.0]])
+    return ["convert", "--states", states, "--input-file", three_dim]
+
+
+@pytest.mark.parametrize("make_args", [
+    _witness_epsilon_beyond_range,
+    _convert_input_dimension_mismatch,
+])
+def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
+    result = runner.invoke(main, make_args(tmp_path))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "Traceback" not in result.output
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_suite_passes(runner):

@@ -20,6 +20,7 @@ from nc2ent.linalg import (
     StateVector,
     basis_state,
     entanglement_entropy,
+    factor_gram,
     negativity,
     random_state,
     schmidt_decompose,
@@ -83,6 +84,27 @@ def test_epsilon_max_pi_over_three_is_one():
 
 def test_epsilon_max_orthogonal_is_infinite():
     assert math.isinf(epsilon_max(orthonormal_set(3)))
+
+
+def uniform_overlap_set(lam_min: float, dim: int) -> ClassicalSet:
+    """Classical set whose Gram has minimum eigenvalue lam_min."""
+    return ClassicalSet(states=tuple(factor_gram(uniform_overlap_gram(1.0 - lam_min, dim))))
+
+
+@pytest.mark.parametrize("dim, lam_min", [(3, 1.1e-10), (3, 1.9e-10), (2, 1.5e-10), (4, 1.5e-10)])
+def test_default_epsilon_feasible_near_independence_floor(dim, lam_min):
+    cs = uniform_overlap_set(lam_min, dim)
+    split = make_split(cs, default_epsilon(cs))
+    product = split.gram_d.entries * split.gram_e.entries
+    assert np.max(np.abs(product - cs.gram.entries)) < 1e-10
+
+
+@pytest.mark.parametrize("lam_min", [1e-7, 5e-8])
+def test_make_split_feasible_just_below_epsilon_max(lam_min):
+    # 0.999 eps_max leaves about 1e-3 lam_min above the floor, so the floor
+    # and epsilon_max must agree to better than that
+    cs = uniform_overlap_set(lam_min, 3)
+    make_split(cs, 0.999 * epsilon_max(cs))
 
 
 # ------------------------------------------------------------------ make_split
@@ -157,6 +179,29 @@ def test_conversion_unitarity():
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
         u = conv.unitary.matrix
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim * dim))) < 1e-10
+
+
+def test_completed_unitary_agrees_with_isometry():
+    rng = np.random.default_rng(33)
+    for dim in (2, 3, 5):
+        cs = random_classical_set(dim, rng)
+        conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+        for _ in range(5):
+            psi = random_state(dim, rng)
+            via_unitary = conv.unitary.matrix @ np.kron(psi.amplitudes, conv.reference.amplitudes)
+            assert np.max(np.abs(via_unitary - conv.convert(psi).amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("dim, lam_min", [(4, 1e-5), (8, 1e-5), (4, 1e-7), (8, 1e-7)])
+def test_conversion_of_ill_conditioned_set(dim, lam_min):
+    # an interpolating V = B A^-1 amplifies Gram roundoff by 1/lam_min and fails here
+    cs = uniform_overlap_set(lam_min, dim)
+    split = make_split(cs, default_epsilon(cs))
+    conv = build_conversion(cs, split)
+    for c, d, e in zip(cs.states, split.d_states, split.e_states):
+        assert np.max(np.abs(conv.convert(c).amplitudes - d.tensor(e).amplitudes)) < 1e-10
+    psi = random_state(dim, np.random.default_rng(34))
+    assert abs(np.linalg.norm(conv.convert(psi).amplitudes) - 1.0) < 1e-12
 
 
 def test_conversion_large_epsilon_approaches_controlled_displacement():

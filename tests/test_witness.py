@@ -10,8 +10,6 @@ from nc2ent.witness import (
     Witness,
     detect,
     nonclassicality_witness,
-    pull_back,
-    restrict_to_reference,
     swap_style_witness,
 )
 
@@ -53,37 +51,7 @@ def test_witness_nonnegative_on_random_products():
     assert worst >= -1e-10
 
 
-# ------------------------------------------------------------------- pull_back
-
-def test_pull_back_through_identity():
-    cs, conv = gcnot_setup()
-    w = swap_style_witness(2, 2, bell())
-    eye_conv = type(conv)(unitary=type(conv.unitary)(np.eye(4)), reference=conv.reference, dim=2)
-    assert np.allclose(pull_back(w, eye_conv), w.operator)
-
-
-def test_pull_back_preserves_spectrum():
-    cs, conv = gcnot_setup()
-    w = swap_style_witness(2, 2, bell())
-    before = np.linalg.eigvalsh(w.operator)
-    after = np.linalg.eigvalsh(pull_back(w, conv))
-    assert np.allclose(before, after, atol=1e-12)
-
-
-def test_pull_back_cyclicity():
-    rng = np.random.default_rng(91)
-    cs, conv = gcnot_setup()
-    w = swap_style_witness(2, 2, conv.convert(basis_state(2, 0)))
-    wp = pull_back(w, conv)
-    for _ in range(20):
-        rho_in = random_state(2, rng).projector()
-        embedded = np.kron(rho_in, conv.reference.projector())
-        lhs = np.trace(wp @ embedded)
-        rhs = np.trace(w.operator @ conv.convert_density(rho_in))
-        assert abs(lhs - rhs) < 1e-10
-
-
-# ------------------------------------------------------- restrict_to_reference
+# ----------------------------------------------------- nonclassicality_witness
 
 def test_gcnot_pipeline_detects_plus_state_not_classical():
     cs, conv = gcnot_setup()
@@ -113,7 +81,7 @@ def test_classical_states_safe_for_random_set():
 def test_psd_witness_restricts_to_psd():
     _, conv = gcnot_setup()
     w = Witness(np.eye(4) * 0.7)
-    restricted = restrict_to_reference(pull_back(w, conv), conv.reference)
+    restricted = nonclassicality_witness(w, conv)
     assert np.linalg.eigvalsh(restricted.operator)[0] > -1e-12
 
 
