@@ -30,41 +30,51 @@ def _complex_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_array(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    arr = np.asarray(pairs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
+        raise ValueError("amplitudes must be a list of finite [re, im] pairs")
+    return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _read_json(path: str, *keys: str) -> dict:
+    """Parse a JSON object from a file, naming the file when the text is not
+    JSON or when one of the required keys is missing."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"{path}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise click.ClickException(f"{path}: expected a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise click.ClickException(f"{path}: missing key {key!r}")
+    return doc
 
 
 def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSet:
     """Read a classical state set from a JSON state-set file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path, "dimension", "states")
     dim = int(doc["dimension"])
-    rows = doc["states"]
     states = []
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise click.ClickException(f"state {i} has {len(row)} entries, expected {dim}")
+    for i, row in enumerate(doc["states"]):
         vec = _pairs_to_array(row)
+        if vec.size != dim:
+            raise click.ClickException(f"state {i} has {vec.size} entries, expected {dim}")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > STATE_NORM_TOL and not normalize:
             raise click.ClickException(
                 f"state {i} has norm {norm!r}; pass --normalize to accept unnormalized input"
             )
         states.append(linalg.StateVector.normalized(vec))
-    try:
-        return conversion.ClassicalSet(states=tuple(states))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    return conversion.ClassicalSet(states=tuple(states))
 
 
 def _parse_vector(text: str, dim: int) -> linalg.StateVector:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise click.ClickException(f"expected {dim} comma-separated amplitudes, got {len(parts)}")
-    try:
-        vec = np.array([complex(p) for p in parts], dtype=complex)
-    except ValueError as exc:
-        raise click.ClickException(f"cannot parse amplitude: {exc}")
-    return linalg.StateVector.normalized(vec)
+    return linalg.StateVector.normalized(np.array([complex(p) for p in parts], dtype=complex))
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -87,7 +97,21 @@ def _dump_json(doc: dict, out: str | None) -> None:
         click.echo(text)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a bad option value or a ValueError from the
+    library ends the command with a one-line error, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.BadParameter as exc:
+            exc.ctx = None  # without a context, click prints only the error line
+            raise
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Convert single-system non-classicality into bipartite entanglement."""
 
@@ -111,16 +135,14 @@ def cmd_convert(states_path, epsilon, input_text, input_file, normalize, out):
     if input_text is not None:
         psi = _parse_vector(input_text, cs.dim)
     else:
-        with open(input_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        psi = linalg.StateVector.normalized(_pairs_to_array(doc["states"][0]))
+        rows = _read_json(input_file, "states")["states"]
+        if not rows:
+            raise click.ClickException(f"{input_file}: no states")
+        psi = linalg.StateVector.normalized(_pairs_to_array(rows[0]))
     if epsilon is None:
         epsilon = conversion.default_epsilon(cs)
-    try:
-        split = conversion.make_split(cs, epsilon)
-        output = conversion.build_conversion(cs, split).convert(psi)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    split = conversion.make_split(cs, epsilon)
+    output = conversion.build_conversion(cs, split).convert(psi)
     sd = linalg.schmidt_decompose(output, cs.dim, cs.dim)
     _dump_json({
         "schema": 1,
@@ -175,7 +197,7 @@ def cmd_sweep(theta_range, mu_range, input_bit, degrees, out):
               help="Transmission magnitude; derived from --r when omitted.")
 @click.option("--phase", type=float, default=0.0, show_default=True,
               help="Phase of the transmission amplitude t.")
-@click.option("--runs", type=int, default=1000, show_default=True)
+@click.option("--runs", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--max-rounds", type=int, default=1, show_default=True,
               help="Rounds per run before giving up (1 = single-shot statistics).")
 @click.option("--seed", type=int, envvar="NC2ENT_SEED", default=0, show_default=True)
@@ -189,8 +211,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     """Monte-Carlo the tunnel-count-repeat protocol and summarize success
     statistics and post-selected fidelities."""
     if config_file is not None:
-        with open(config_file, encoding="utf-8") as fh:
-            cfg_doc = json.load(fh)
+        cfg_doc = _read_json(config_file)
         r_mag = float(cfg_doc.get("r", r_mag))
         t_mag = cfg_doc.get("t", t_mag)
         phase = float(cfg_doc.get("phase", phase))
@@ -206,18 +227,14 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     if t_mag is not None and abs(r_mag**2 + float(t_mag) ** 2 - 1.0) > 1e-9:
         raise click.ClickException(f"|r|^2 + |t|^2 = {r_mag**2 + float(t_mag)**2!r} must equal 1")
     if input_file is not None:
-        with open(input_file, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(input_file, "K", "N", "amplitudes")
         if (int(doc["K"]), int(doc["N"])) != (k, n):
             raise click.ClickException("input file sector does not match --levels/--particles")
         state = symmetric.SymmetricState.normalized(k, n, _pairs_to_array(doc["amplitudes"]))
     else:
         state = symmetric.coherent_state(symmetric.SuUnitary(np.eye(k)), n)
-    try:
-        base_cfg = modesplit.ProtocolConfig.from_magnitudes(
-            r_mag, phase, target=(n_x, n_y), max_rounds=max_rounds)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    base_cfg = modesplit.ProtocolConfig.from_magnitudes(
+        r_mag, phase, target=(n_x, n_y), max_rounds=max_rounds)
 
     successes = 0
     total_rounds = 0
@@ -271,11 +288,8 @@ def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
     cs = load_state_set(states_path, normalize=normalize)
     if epsilon is None:
         epsilon = conversion.default_epsilon(cs)
-    try:
-        split = conversion.make_split(cs, epsilon, boundary_ok=True)
-        conv = conversion.build_conversion(cs, split)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    split = conversion.make_split(cs, epsilon, boundary_ok=True)
+    conv = conversion.build_conversion(cs, split)
     phi = conv.convert(_parse_vector(target_state, cs.dim))
     w = witness.swap_style_witness(cs.dim, cs.dim, phi)
     w_tilde = witness.nonclassicality_witness(w, conv)

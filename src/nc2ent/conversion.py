@@ -26,6 +26,7 @@ from .linalg import (
     factor_gram,
     gram_of,
     hadamard,
+    positive_frame,
     random_state,
     schmidt_decompose,
     synthesize_unitary,
@@ -55,10 +56,10 @@ class ClassicalSet:
                 f"need exactly {dim} states in dimension {dim}, got {len(states)}"
             )
         gram = gram_of(list(states))
-        if gram.min_eigenvalue() <= INDEPENDENCE_TOL:
+        lam = gram.min_eigenvalue()
+        if lam <= INDEPENDENCE_TOL:
             raise ValueError(
-                "classical states are not linearly independent "
-                f"(min Gram eigenvalue {gram.min_eigenvalue():.3e})"
+                f"classical states are not linearly independent (min Gram eigenvalue {lam:.3e})"
             )
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "gram", gram)
@@ -185,14 +186,6 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
                      d_states=d_states, e_states=e_states)
 
 
-def _positive_frame(columns: np.ndarray) -> np.ndarray:
-    """Q of the thin QR factorization, with phases moved so that R has a
-    positive diagonal; two families with one Gram R^dag R then share R."""
-    q, r = np.linalg.qr(columns)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
-
-
 def build_conversion(cs: ClassicalSet, split: SplitSpec,
                      reference: StateVector | None = None) -> Conversion:
     """Build the conversion isometry V = B A^-1, where the columns of A are the
@@ -214,7 +207,7 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec,
     a = np.column_stack([c.amplitudes for c in cs.states])
     b = np.column_stack([d.tensor(e).amplitudes
                          for d, e in zip(split.d_states, split.e_states)])
-    v = _positive_frame(b) @ _positive_frame(a).conj().T
+    v = positive_frame(b) @ positive_frame(a).conj().T
     residual = float(np.max(np.abs(v @ a - b)))
     if residual > UNITARY_TOL:
         raise GramMismatchError(
@@ -267,7 +260,7 @@ class RankEqualityReport:
     passes: int
     failures: list[dict]
     max_gram_residual: float
-    max_unitarity_residual: float
+    max_isometry_residual: float
 
     @property
     def all_passed(self) -> bool:
@@ -283,8 +276,8 @@ def verify_rank_equality(cs: ClassicalSet, conv: Conversion, trials: int = 100,
     d = cs.dim
     failures: list[dict] = []
     passes = 0
-    u = conv.unitary.matrix
-    unit_res = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    v = conv.isometry.matrix
+    iso_res = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
     converted = [conv.convert(c) for c in cs.states]
     gram_res = float(np.max(np.abs(gram_of(converted).entries - cs.gram.entries)))
     for trial in range(trials):
@@ -299,4 +292,4 @@ def verify_rank_equality(cs: ClassicalSet, conv: Conversion, trials: int = 100,
                              "classical_rank": r_c, "schmidt_rank": sd.rank})
     return RankEqualityReport(trials=trials, passes=passes, failures=failures,
                               max_gram_residual=gram_res,
-                              max_unitarity_residual=unit_res)
+                              max_isometry_residual=iso_res)

@@ -1,6 +1,6 @@
-"""Dense complex linear algebra core: state vectors, Gram matrices, unitary
-synthesis from inner-product constraints, and bipartite entanglement
-diagnostics (Schmidt decomposition, entropy, negativity)."""
+"""Dense complex linear algebra core: state vectors, Gram matrices, positive
+QR frames and the unitary synthesis built on them, and bipartite
+entanglement diagnostics (Schmidt decomposition, entropy, negativity)."""
 
 from __future__ import annotations
 
@@ -104,6 +104,7 @@ class GramMatrix:
     """Overlap table of a normalized state family: Hermitian, PSD, unit diagonal."""
 
     entries: np.ndarray
+    _min_eig: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.entries, dtype=complex)
@@ -113,16 +114,19 @@ class GramMatrix:
             raise ValueError("Gram matrix is not Hermitian within tolerance")
         if np.max(np.abs(np.diag(g) - 1.0)) > UNIT_DIAG_TOL:
             raise ValueError("Gram matrix does not have unit diagonal")
-        if np.linalg.eigvalsh(g)[0] < -PSD_TOL:
+        min_eig = float(np.linalg.eigvalsh(g)[0])
+        if min_eig < -PSD_TOL:
             raise ValueError("Gram matrix is not positive semidefinite")
         object.__setattr__(self, "entries", _frozen(g))
+        object.__setattr__(self, "_min_eig", min_eig)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
+        """Smallest eigenvalue, computed once by the PSD check."""
+        return self._min_eig
 
 
 @dataclass(frozen=True)
@@ -225,55 +229,27 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
     return [StateVector(c[:, i]) for i in range(g.n)]
 
 
-def _orthonormalize(vectors: np.ndarray, pivots: list[int] | None = None):
-    """Gram-Schmidt in index order. With pivots=None, reveal the rank at the
-    relative threshold RANK_RTOL and return (frame, pivots); otherwise reuse
-    the given pivot decisions so two equal-Gram families produce frames with
-    identical expansion coefficients.
-    """
-    dim, n = vectors.shape
-    scale = max(float(np.max(np.linalg.norm(vectors, axis=0))), 1.0)
-    frame: list[np.ndarray] = []
-    chosen: list[int] = []
-    for i in range(n):
-        v = vectors[:, i].copy()
-        for q in frame:
-            v -= np.vdot(q, v) * q
-        if pivots is None:
-            if np.linalg.norm(v) > RANK_RTOL * scale:
-                frame.append(v / np.linalg.norm(v))
-                chosen.append(i)
-        elif i in pivots:
-            norm = np.linalg.norm(v)
-            if norm == 0:
-                raise GramMismatchError("family ranks disagree; Gram matrices differ")
-            frame.append(v / norm)
-            chosen.append(i)
-    q = np.column_stack(frame) if frame else np.zeros((dim, 0), dtype=complex)
-    return q, chosen
-
-
-def _complete_frame(q: np.ndarray) -> np.ndarray:
-    """Deterministically extend orthonormal columns q to a full basis, using
-    the eigenvectors of the orthogonal-complement projector."""
-    dim, r = q.shape
-    if r == dim:
-        return q
-    proj = np.eye(dim, dtype=complex) - q @ q.conj().T
-    w, v = np.linalg.eigh(proj)
-    comp = v[:, w > 0.5]
-    return np.hstack([q, comp])
+def positive_frame(columns: np.ndarray) -> np.ndarray:
+    """Q of the thin QR factorization, with phases moved so that R has a
+    positive diagonal; two families with one Gram R^dag R then share R.
+    Dependent columns (some |R_ii| <= RANK_RTOL max |R_jj|) raise ValueError."""
+    q, r = np.linalg.qr(columns)
+    diag = np.diag(r)
+    mags = np.abs(diag)
+    if columns.shape[1] > columns.shape[0] or mags.min() <= RANK_RTOL * mags.max():
+        raise ValueError("the family is linearly dependent; need independent states")
+    return q * (diag / mags)
 
 
 def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVector]) -> Operator:
     """Build a unitary mapping each from_state onto the matching to_state.
 
-    Such a unitary exists iff both families share one Gram matrix; a mismatch
-    beyond 1e-8 raises GramMismatchError. When the target space is larger,
-    the source vectors are embedded by zero padding and the result is a
-    unitary on the larger space. Both families are orthonormalized in index
-    order with shared pivoting, the frames are mapped onto each other, and
-    the orthogonal complements are completed deterministically.
+    Both families must be linearly independent (else ValueError) and share
+    one Gram matrix (a mismatch beyond 1e-8 raises GramMismatchError). Source
+    vectors are zero-padded to the target dimension. With A = Q_from R and
+    B = Q_to R from the positive QR frames, the unitary is
+    [Q_to | C_to][Q_from | C_from]^dag, each complement C being the trailing
+    columns of a complete QR factorization of its frame.
     """
     if len(from_states) != len(to_states) or not from_states:
         raise ValueError("need two equal-length nonempty state families")
@@ -293,11 +269,11 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
     a[:dim_from, :] = np.column_stack([s.amplitudes for s in from_states])
     b = np.column_stack([s.amplitudes for s in to_states])
 
-    q_from, pivots = _orthonormalize(a)
-    q_to, _ = _orthonormalize(b, pivots=pivots)
-    full_from = _complete_frame(q_from)
-    full_to = _complete_frame(q_to)
-    u = Operator(full_to @ full_from.conj().T)
+    frames = []
+    for q in (positive_frame(a), positive_frame(b)):
+        complement = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
+        frames.append(np.hstack([q, complement]))
+    u = Operator(frames[1] @ frames[0].conj().T)
     if not u.is_unitary():
         raise GramMismatchError("synthesized map failed the unitarity check")
     return u

@@ -215,9 +215,80 @@ def _convert_input_dimension_mismatch(tmp_path):
     return ["convert", "--states", states, "--input-file", three_dim]
 
 
+def _convert_states_without_states(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_states_without_dimension(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"schema": 1, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_truncated_state_set(tmp_path):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"schema": 1, "dimension": 2, "states": [[[1, 0],')
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_scalar_rows(tmp_path):
+    path = tmp_path / "scalars.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2, "states": [[1, 0], [0, 1]]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_input_file_without_states(tmp_path):
+    states = gcnot_file(tmp_path)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2}))
+    return ["convert", "--states", states, "--input-file", str(path)]
+
+
+def _modesplit_input_file_without_n(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": 1, "K": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]}))
+    return ["modesplit", "--input-file", str(path), "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_truncated_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"r": 0.6, "t":')
+    return ["modesplit", "--config", str(path), "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_levels_beyond_cap(tmp_path):
+    return ["modesplit", "-K", "7", "-N", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_target_not_partitioning_n(tmp_path):
+    return ["modesplit", "-K", "2", "-N", "3", "--target", "2:2",
+            "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_negative_runs(tmp_path):
+    return ["modesplit", "--runs", "-1", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _sweep_theta_range_through_zero(tmp_path):
+    return ["sweep", "--theta-range", "0:3.2:4", "--out", str(tmp_path / "s.csv")]
+
+
 @pytest.mark.parametrize("make_args", [
     _witness_epsilon_beyond_range,
     _convert_input_dimension_mismatch,
+    _convert_states_without_states,
+    _convert_states_without_dimension,
+    _convert_truncated_state_set,
+    _convert_scalar_rows,
+    _convert_input_file_without_states,
+    _modesplit_input_file_without_n,
+    _modesplit_truncated_config,
+    _modesplit_levels_beyond_cap,
+    _modesplit_target_not_partitioning_n,
+    _modesplit_negative_runs,
+    _sweep_theta_range_through_zero,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     result = runner.invoke(main, make_args(tmp_path))

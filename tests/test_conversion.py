@@ -183,7 +183,7 @@ def test_conversion_unitarity():
 
 def test_completed_unitary_agrees_with_isometry():
     rng = np.random.default_rng(33)
-    for dim in (2, 3, 5):
+    for dim in (2, 3, 5, 16):
         cs = random_classical_set(dim, rng)
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
         for _ in range(5):
@@ -298,7 +298,7 @@ def test_rank_equality_random_sets():
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
         report = verify_rank_equality(cs, conv, trials=40, seed=int(rng.integers(2**32)))
         assert report.all_passed, report.failures
-        assert report.max_unitarity_residual < 1e-10
+        assert report.max_isometry_residual < 1e-10
         assert report.max_gram_residual < 1e-10
 
 

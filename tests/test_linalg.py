@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nc2ent.linalg import (
     GramMatrix,
@@ -195,6 +196,35 @@ def test_synthesize_property_equal_grams_map_exactly():
         assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(n + 2))) < 1e-10
         for s, t in zip(states, targets):
             assert np.max(np.abs(u.matrix @ s.amplitudes - t.amplitudes)) < 1e-8
+
+
+def test_synthesize_rejects_dependent_families():
+    e0, e1 = basis_state(3, 0), basis_state(3, 1)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        synthesize_unitary([e0, e0], [e1, e1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), pad=st.integers(0, 3),
+       log_lam=st.floats(-6.0, -1.0), seed=st.integers(0, 2**32 - 1))
+def test_synthesize_ill_conditioned_families(n, pad, log_lam, seed):
+    rng = np.random.default_rng(seed)
+    # shift a random Gram's spectrum by s, then rescale to unit diagonal:
+    # the smallest eigenvalue (lam0 + s) / (1 + s) is then lam
+    lam = 10.0 ** log_lam
+    g0 = gram_of([random_state(n, rng) for _ in range(n)])
+    shift = (lam - g0.min_eigenvalue()) / (1.0 - lam)
+    gram = GramMatrix((g0.entries + shift * np.eye(n)) / (1.0 + shift))
+    states = factor_gram(gram)
+    dim = n + pad
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    padded = [np.concatenate([s.amplitudes, np.zeros(pad)]) for s in states]
+    targets = [StateVector(q @ a) for a in padded]
+    u = synthesize_unitary(states, targets).matrix
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-10
+    for a, t in zip(padded, targets):
+        assert np.max(np.abs(u @ a - t.amplitudes)) < 1e-10
 
 
 # ---------------------------------------------------------- schmidt_decompose
