@@ -41,7 +41,6 @@ from .conversion import (
 from .gcnot import (
     GcnotParams,
     beamsplitter_params,
-    build_gcnot,
     cnot_equivalence_probe,
     coherent_overlap,
     gcnot_classical_pair,

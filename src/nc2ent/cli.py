@@ -23,6 +23,9 @@ from . import conversion, gcnot, linalg, modesplit, symmetric, witness
 from .verify import SUITES, TOLERANCES, run_suites
 
 STATE_NORM_TOL = 1e-9
+FIELD_TYPES = {"dimension": int, "K": int, "N": int, "max_rounds": int, "seed": int, "states": list,
+               "amplitudes": list, "target": (str, list), "r": (int, float), "phase": (int, float),
+               "t": (int, float, type(None))}  # JSON field -> the types json.load may give it
 
 
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
@@ -30,7 +33,10 @@ def _complex_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def _pairs_to_array(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or strings and objects in them
+        arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
         raise ValueError("amplitudes must be a list of finite [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
@@ -38,7 +44,8 @@ def _pairs_to_array(pairs) -> np.ndarray:
 
 def _read_json(path: str, *keys: str) -> dict:
     """Parse a JSON object from a file, naming the file when the text is not
-    JSON or when one of the required keys is missing."""
+    JSON, when one of the required keys is missing, or when a known field
+    (FIELD_TYPES) has the wrong type."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -49,13 +56,16 @@ def _read_json(path: str, *keys: str) -> dict:
     for key in keys:
         if key not in doc:
             raise click.ClickException(f"{path}: missing key {key!r}")
+    for key, value in doc.items():
+        if key in FIELD_TYPES and (isinstance(value, bool) or not isinstance(value, FIELD_TYPES[key])):
+            raise ValueError(f"{path}: key {key!r} has the wrong type ({type(value).__name__})")
     return doc
 
 
 def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSet:
     """Read a classical state set from a JSON state-set file."""
     doc = _read_json(path, "dimension", "states")
-    dim = int(doc["dimension"])
+    dim = doc["dimension"]
     states = []
     for i, row in enumerate(doc["states"]):
         vec = _pairs_to_array(row)
@@ -216,10 +226,10 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
         t_mag = cfg_doc.get("t", t_mag)
         phase = float(cfg_doc.get("phase", phase))
         target = cfg_doc.get("target", target)
-        if isinstance(target, (list, tuple)):
-            target = ":".join(str(int(p)) for p in target)
-        max_rounds = int(cfg_doc.get("max_rounds", max_rounds))
-        seed = int(cfg_doc.get("seed", seed))
+        if isinstance(target, list):
+            target = ":".join(str(p) for p in target)
+        max_rounds = cfg_doc.get("max_rounds", max_rounds)
+        seed = cfg_doc.get("seed", seed)
     try:
         n_x, n_y = (int(p) for p in target.split(":"))
     except ValueError:
@@ -228,7 +238,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
         raise click.ClickException(f"|r|^2 + |t|^2 = {r_mag**2 + float(t_mag)**2!r} must equal 1")
     if input_file is not None:
         doc = _read_json(input_file, "K", "N", "amplitudes")
-        if (int(doc["K"]), int(doc["N"])) != (k, n):
+        if (doc["K"], doc["N"]) != (k, n):
             raise click.ClickException("input file sector does not match --levels/--particles")
         state = symmetric.SymmetricState.normalized(k, n, _pairs_to_array(doc["amplitudes"]))
     else:
@@ -239,26 +249,28 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     successes = 0
     total_rounds = 0
     min_fidelity = None
+    traces = []  # written only once every run has finished, so a rejected job keeps an old file
     seq = np.random.SeedSequence(seed)
+    for run, child in enumerate(seq.spawn(runs)):
+        cfg = modesplit.ProtocolConfig(r=base_cfg.r, t=base_cfg.t, target=base_cfg.target,
+                                       max_rounds=max_rounds,
+                                       seed=int(child.generate_state(1)[0]))
+        res = modesplit.run_protocol(state, cfg)
+        if res.succeeded:
+            successes += 1
+            total_rounds += res.rounds
+            if min_fidelity is None or res.fidelity < min_fidelity:
+                min_fidelity = res.fidelity
+        traces.append(json.dumps({
+            "run": run,
+            "succeeded": res.succeeded,
+            "rounds": res.rounds,
+            "outcomes": [list(o) for o in res.outcomes],
+            "probabilities": list(res.probabilities),
+            "fidelity": res.fidelity,
+        }, sort_keys=True) + "\n")
     with open(out, "w", encoding="utf-8") as fh:
-        for run, child in enumerate(seq.spawn(runs)):
-            cfg = modesplit.ProtocolConfig(r=base_cfg.r, t=base_cfg.t, target=base_cfg.target,
-                                           max_rounds=max_rounds,
-                                           seed=int(child.generate_state(1)[0]))
-            res = modesplit.run_protocol(state, cfg)
-            if res.succeeded:
-                successes += 1
-                total_rounds += res.rounds
-                if min_fidelity is None or res.fidelity < min_fidelity:
-                    min_fidelity = res.fidelity
-            fh.write(json.dumps({
-                "run": run,
-                "succeeded": res.succeeded,
-                "rounds": res.rounds,
-                "outcomes": [list(o) for o in res.outcomes],
-                "probabilities": list(res.probabilities),
-                "fidelity": res.fidelity,
-            }, sort_keys=True) + "\n")
+        fh.writelines(traces)
     expected = abs(modesplit.binomial_sector_amplitude(n, n_x, base_cfg.r, base_cfg.t)) ** 2
     click.echo(json.dumps({
         "schema": 1,

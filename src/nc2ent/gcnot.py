@@ -1,6 +1,6 @@
 """Two-state conversion family (generalized CNOT): classical pair with
 overlap cos(theta), the entanglement surface over the splitting parameter,
-the optimal-splitting search, the CNOT non-equivalence probe, and the
+the closed-form optimal splitting, the CNOT non-equivalence probe, and the
 identification with an optical beamsplitter acting on coherent states."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversion import ClassicalSet, Conversion, SplitSpec, build_conversion, make_split
+from .conversion import INDEPENDENCE_TOL, ClassicalSet, build_conversion, make_split
 from .linalg import StateVector, basis_state, entanglement_entropy, schmidt_decompose
 
 FEAS_TOL = 1e-12
@@ -28,9 +28,21 @@ def mu_to_epsilon(mu: float) -> float:
     return 1.0 / mu - 1.0
 
 
+def _check_theta(theta) -> None:
+    """Raise unless every theta lies strictly inside (0, pi) and keeps the
+    classical pair independent: its smallest Gram eigenvalue 1 - |cos theta|
+    must exceed INDEPENDENCE_TOL, as ClassicalSet requires."""
+    thetas = np.ravel(np.asarray(theta, dtype=float))
+    bad = thetas[~((thetas > 0.0) & (thetas < math.pi) & (1.0 - np.abs(np.cos(thetas)) > INDEPENDENCE_TOL))]
+    if bad.size:
+        raise ValueError(f"theta must lie in (0, pi) with 1 - |cos theta| > {INDEPENDENCE_TOL:g}, "
+                         f"got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class GcnotParams:
-    """Classical-pair angle theta in (0, pi) and splitting parameter eps >= 0,
+    """Classical-pair angle theta in (0, pi), with the pair above the
+    independence floor, and splitting parameter eps >= 0,
     feasible when (1+eps)|cos theta| <= 1 (equality admitted for boundary
     probing, as is eps = 0)."""
 
@@ -38,9 +50,8 @@ class GcnotParams:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
-        if self.epsilon < 0.0:
+        _check_theta(self.theta)
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if (1.0 + self.epsilon) * abs(math.cos(self.theta)) > 1.0 + FEAS_TOL:
             raise ValueError(
@@ -55,103 +66,80 @@ class GcnotParams:
 
 def gcnot_classical_pair(theta: float) -> ClassicalSet:
     """The two classical states cos(theta/2)|0> +/- sin(theta/2)|1>, whose
-    mutual overlap is cos(theta). Degenerate at the interval endpoints."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie strictly inside (0, pi), got {theta}")
+    mutual overlap is cos(theta). Rejected where 1 - |cos theta| reaches the
+    independence floor, which includes the interval endpoints."""
+    _check_theta(theta)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return ClassicalSet(states=(StateVector([c, s]), StateVector([c, -s])))
 
 
-def build_gcnot(params: GcnotParams) -> tuple[Conversion, SplitSpec]:
-    """Conversion for the classical pair at the given parameters;
-    boundary values (eps = 0, or a saturated overlap bound) are allowed."""
-    cs = gcnot_classical_pair(params.theta)
-    split = make_split(cs, params.epsilon, boundary_ok=True)
-    return build_conversion(cs, split), split
-
-
-def _expand_in_pair(theta: float, state: StateVector) -> tuple[complex, complex]:
-    """Coefficients (w0, w1) with state = w0|c0> + w1|c1>."""
-    a, b = state.amplitudes
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    half_sum = a / (2.0 * c)
-    half_diff = b / (2.0 * s)
+def _expand_in_pair(theta, amplitudes):
+    """Coefficients (w0, w1) with a|0> + b|1> = w0|c0> + w1|c1> for the
+    amplitudes (a, b), which may be arrays broadcasting with theta."""
+    if len(amplitudes) != 2:
+        raise ValueError(f"input must be 2-dimensional, got dim {len(amplitudes)}")
+    a, b = amplitudes
+    half_sum = a / (2.0 * np.cos(theta / 2.0))
+    half_diff = b / (2.0 * np.sin(theta / 2.0))
     return half_sum + half_diff, half_sum - half_diff
 
 
-def _closed_output(params: GcnotParams, state: StateVector) -> StateVector:
-    """Two-term output state built directly from the factor overlaps
-    mu = 1/(1+eps) and (1+eps)cos(theta), bypassing the conversion."""
-    w0, w1 = _expand_in_pair(params.theta, state)
-    x = params.mu
-    y = (1.0 + params.epsilon) * math.cos(params.theta)
-    d0 = np.array([1.0, 0.0], dtype=complex)
-    d1 = np.array([x, math.sqrt(max(1.0 - x * x, 0.0))], dtype=complex)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([y, math.sqrt(max(1.0 - y * y, 0.0))], dtype=complex)
-    out = w0 * np.kron(d0, e0) + w1 * np.kron(d1, e1)
-    return StateVector.normalized(out)
+def _pair_ebits(theta, mu, w0, w1):
+    """Entropy of entanglement (ebits) of the normalized input w0|c0> + w1|c1>
+    after the conversion at mu = 1/(1+eps), elementwise over broadcast arrays.
+
+    The output w0 d0(x)e0 + w1 d1(x)e1, with <d0|d1> = mu and <e0|e1> =
+    cos(theta)/mu, has concurrence C = 2|w0 w1| sqrt((1 - mu^2)(mu^2 - cos^2 theta))/mu.
+    For |cos theta| >= 1/2, mu^2 - cos^2 theta is taken as sin^2 theta - (1 - mu^2),
+    since cos theta has lost the digits of 1 - |cos theta|. The reduced state's
+    eigenvalues are p = (1 + sqrt(1 - C^2))/2 and q = C^2/(4p), with log p as
+    log1p(-q), so that small entropies keep their digits.
+    """
+    c = np.abs(np.cos(theta))
+    gap = np.where(c < 0.5, (mu - c) * (mu + c), np.sin(theta) ** 2 - (1.0 - mu) * (1.0 + mu))
+    conc = 2.0 * np.abs(w0 * w1) * np.sqrt((1.0 - mu) * (1.0 + mu) * np.maximum(gap, 0.0)) / mu
+    conc2 = np.minimum(conc, 1.0) ** 2
+    p = 0.5 * (1.0 + np.sqrt(1.0 - conc2))
+    q = conc2 / (4.0 * p)
+    return -p * np.log1p(-q) / math.log(2.0) - q * np.log2(np.where(q > 0.0, q, 1.0))
 
 
 def output_entanglement(params: GcnotParams, state: StateVector, method: str = "unitary") -> float:
     """Entropy of entanglement (ebits) of the converted 2-dimensional input.
 
-    method="unitary" builds the conversion isometry and applies it;
-    method="closed" uses the equivalent direct two-term construction (same
-    result, much faster inside sweeps).
+    method="unitary" builds the conversion isometry, allowing the boundary
+    values eps = 0 and a saturated overlap bound, and applies it;
+    method="closed" evaluates the closed-form concurrence of the two-term
+    output (same result, no conversion or SVD).
     """
-    if state.dim != 2:
-        raise ValueError(f"input must be 2-dimensional, got dim {state.dim}")
     if method == "unitary":
-        conv, _ = build_gcnot(params)
-        out = conv.convert(state)
-    elif method == "closed":
-        out = _closed_output(params, state)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return entanglement_entropy(schmidt_decompose(out, 2, 2))
+        cs = gcnot_classical_pair(params.theta)
+        conv = build_conversion(cs, make_split(cs, params.epsilon, boundary_ok=True))
+        return entanglement_entropy(schmidt_decompose(conv.convert(state), 2, 2))
+    if method == "closed":
+        return float(_pair_ebits(params.theta, params.mu, *_expand_in_pair(params.theta, state.amplitudes)))
+    raise ValueError(f"unknown method {method!r}")
 
 
-def _feasible_mu_range(theta: float) -> tuple[float, float]:
-    lo = max(abs(math.cos(theta)), MU_FLOOR)
-    return lo, 1.0
+def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
+    """Splitting parameter maximizing the output entanglement for one input,
+    in closed form. Returns (eps_opt, ebits_max).
 
-
-def optimal_epsilon(theta: float, state: StateVector,
-                    grid_points: int = 512, mu_tol: float = 1e-8) -> tuple[float, float]:
-    """Splitting parameter maximizing the output entanglement for one input.
-
-    Scans a 512-point grid over the compactified parameter mu = 1/(1+eps) to
-    bracket the maximum (guarding against local maxima), then refines by
-    golden-section search to mu_tol. Returns (eps_opt, ebits_max).
+    With state = w0|c0> + w1|c1>, the output concurrence
+    2|w0 w1| sqrt(1 - mu^2) sqrt(1 - cos^2(theta)/mu^2) peaks at
+    mu* = sqrt|cos theta| for every input, at C* = 2|w0 w1| (1 - |cos theta|),
+    and the entropy grows with C. mu* is floored at MU_FLOOR (the eps -> inf
+    limit at theta = pi/2), and the best of it and its two neighbouring floats
+    is taken: near the independence floor one ulp of mu moves the entropy by
+    ~1e-12. A classical input (w0 w1 = 0) gives 0 ebits.
     """
-    lo, hi = _feasible_mu_range(theta)
-
-    def objective(mu: float) -> float:
-        params = GcnotParams(theta=theta, epsilon=mu_to_epsilon(mu))
-        return output_entanglement(params, state, method="closed")
-
-    grid = np.linspace(lo, hi, grid_points)
-    values = [objective(m) for m in grid]
-    best = int(np.argmax(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > mu_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    mu_opt = 0.5 * (a + b)
-    return mu_to_epsilon(mu_opt), objective(mu_opt)
+    _check_theta(theta)
+    cos = abs(math.cos(theta))
+    mu = max(math.sqrt(cos), MU_FLOOR)
+    mus = np.clip(np.nextafter(mu, [0.0, mu, 2.0]), max(cos, MU_FLOOR), 1.0)
+    ebits = _pair_ebits(theta, mus, *_expand_in_pair(theta, state.amplitudes))
+    best = int(np.argmax(ebits))
+    return mu_to_epsilon(float(mus[best])), float(ebits[best])
 
 
 @dataclass(frozen=True)
@@ -163,22 +151,23 @@ class SweepRow:
 
 
 def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRow], list[tuple[float, float]]]:
-    """Entanglement surface over a (theta, mu) grid for one input state.
+    """Entanglement surface over a (theta, mu) grid for one input state,
+    evaluated in closed form over the whole grid at once.
 
-    Returns the feasible rows, and the list of (theta, mu) cells skipped
-    because the overlap bound (1+eps)|cos theta| <= 1 fails there.
+    Returns the feasible rows, theta-major in grid order, and the list of
+    (theta, mu) cells skipped because mu lies outside (0, 1] or the overlap
+    bound (1+eps)|cos theta| <= 1 fails there. A feasible cell whose theta
+    GcnotParams rejects raises ValueError.
     """
-    rows: list[SweepRow] = []
-    skipped: list[tuple[float, float]] = []
-    for theta in theta_grid:
-        for mu in mu_grid:
-            if not 0.0 < mu <= 1.0 or mu * (1.0 + FEAS_TOL) < abs(math.cos(theta)):
-                skipped.append((float(theta), float(mu)))
-                continue
-            eps = mu_to_epsilon(float(mu))
-            params = GcnotParams(theta=float(theta), epsilon=eps)
-            ebits = output_entanglement(params, state, method="closed")
-            rows.append(SweepRow(theta=float(theta), mu=float(mu), epsilon=eps, ebits=ebits))
+    thetas, mus = np.meshgrid(np.asarray(theta_grid, float), np.asarray(mu_grid, float), indexing="ij")
+    thetas, mus = thetas.ravel(), mus.ravel()
+    feasible = (mus > 0.0) & (mus <= 1.0) & ~(mus * (1.0 + FEAS_TOL) < np.abs(np.cos(thetas)))
+    theta_ok, mu_ok = thetas[feasible], mus[feasible]
+    _check_theta(theta_ok)
+    ebits = _pair_ebits(theta_ok, mu_ok, *_expand_in_pair(theta_ok, state.amplitudes))
+    rows = [SweepRow(theta=t, mu=m, epsilon=e, ebits=s) for t, m, e, s in
+            zip(theta_ok.tolist(), mu_ok.tolist(), (1.0 / mu_ok - 1.0).tolist(), ebits.tolist())]
+    skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
 
 
@@ -189,16 +178,10 @@ def maximal_input_count(theta: float, epsilon: float, n_points: int = 1024,
     least `threshold` ebits at the given parameters. Returns the count, the
     angles that reached it, and all sampled entropies."""
     params = GcnotParams(theta=theta, epsilon=epsilon)
-    angles = [k * math.pi / n_points for k in range(n_points)]
-    entropies = []
-    hits = []
-    for t in angles:
-        state = StateVector([math.cos(t), math.sin(t)])
-        ebits = output_entanglement(params, state, method="closed")
-        entropies.append(ebits)
-        if ebits >= threshold:
-            hits.append(t)
-    return len(hits), hits, entropies
+    angles = np.arange(n_points) * math.pi / n_points
+    entropies = _pair_ebits(theta, params.mu, *_expand_in_pair(theta, (np.cos(angles), np.sin(angles))))
+    hits = angles[entropies >= threshold].tolist()
+    return len(hits), hits, entropies.tolist()
 
 
 @dataclass(frozen=True)
@@ -225,14 +208,14 @@ def cnot_equivalence_probe(theta: float, n_points: int = 1024) -> CnotProbeRepor
     favored = basis_state(2, 0) if theta > math.pi / 2.0 else basis_state(2, 1)
     eps_opt, _ = optimal_epsilon(theta, favored)
     count, hits, _ = maximal_input_count(theta, eps_opt, n_points=n_points)
-    params = GcnotParams(theta=theta, epsilon=eps_opt)
+    entropy_zero, entropy_one = _pair_ebits(theta, epsilon_to_mu(eps_opt), *_expand_in_pair(theta, np.eye(2)))
     return CnotProbeReport(
         theta=theta,
         epsilon_opt=eps_opt,
         maximal_count=count,
         maximal_angles=tuple(hits),
-        entropy_zero=output_entanglement(params, basis_state(2, 0), method="closed"),
-        entropy_one=output_entanglement(params, basis_state(2, 1), method="closed"),
+        entropy_zero=float(entropy_zero),
+        entropy_one=float(entropy_one),
     )
 
 
@@ -253,7 +236,7 @@ def beamsplitter_params(overlap: float, epsilon: float) -> tuple[float, float]:
     """
     if not 0.0 < overlap < 1.0:
         raise ValueError(f"overlap must lie in (0, 1), got {overlap}")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     y = math.log(1.0 / (1.0 + epsilon)) / math.log(overlap)
     if y > 1.0 + FEAS_TOL:

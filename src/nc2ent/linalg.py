@@ -4,6 +4,7 @@ entanglement diagnostics (Schmidt decomposition, entropy, negativity)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class StateVector:
     """Unit vector in a finite-dimensional complex space.
 
-    Construction rejects unnormalized input (norm must be 1 within 1e-12);
-    use :meth:`normalized` to build from raw amplitudes.
+    Construction rejects non-finite amplitudes and unnormalized input (norm
+    must be 1 within 1e-12); use :meth:`normalized` to build from raw
+    amplitudes.
     """
 
     amplitudes: np.ndarray
@@ -49,7 +51,10 @@ class StateVector:
         if amps.size == 0:
             raise ValueError("state vector must have positive dimension")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails this too
+            bad = amps[~np.isfinite(amps)]
+            if bad.size:
+                raise ValueError(f"state vector has a non-finite amplitude {complex(bad[0])}")
             raise ValueError(
                 f"state vector is not normalized (norm={norm!r}); "
                 "use StateVector.normalized() to normalize explicitly"
@@ -63,7 +68,7 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm)
+        return cls(amps / norm if math.isfinite(norm) else amps)  # the constructor names a NaN or inf
 
     @property
     def dim(self) -> int:

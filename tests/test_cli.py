@@ -246,6 +246,36 @@ def _convert_input_file_without_states(tmp_path):
     return ["convert", "--states", states, "--input-file", str(path)]
 
 
+def _convert_nan_input(tmp_path):
+    return ["convert", "--states", gcnot_file(tmp_path), "--input", "nan,0"]
+
+
+def _convert_dimension_of_wrong_type(tmp_path):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": [2],
+                                "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_state_rows_of_objects(tmp_path):
+    path = tmp_path / "objects.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2,
+                                "states": [[{"re": 1}, {"re": 0}], [[0, 0], [1, 0]]]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _modesplit_config_of_wrong_type(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"r": [0.6], "target": [1, 1]}))
+    return ["modesplit", "--config", str(path), "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_config_target_of_nested_lists(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"target": [1, [1]]}))
+    return ["modesplit", "--config", str(path), "--out", str(tmp_path / "x.jsonl")]
+
+
 def _modesplit_input_file_without_n(tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"schema": 1, "K": 2, "amplitudes": [[1, 0], [0, 0], [0, 0]]}))
@@ -283,6 +313,11 @@ def _sweep_theta_range_through_zero(tmp_path):
     _convert_truncated_state_set,
     _convert_scalar_rows,
     _convert_input_file_without_states,
+    _convert_nan_input,
+    _convert_dimension_of_wrong_type,
+    _convert_state_rows_of_objects,
+    _modesplit_config_of_wrong_type,
+    _modesplit_config_target_of_nested_lists,
     _modesplit_input_file_without_n,
     _modesplit_truncated_config,
     _modesplit_levels_beyond_cap,
@@ -297,6 +332,21 @@ def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
+
+
+def test_nan_input_error_names_the_amplitude(runner, tmp_path):
+    result = runner.invoke(main, _convert_nan_input(tmp_path))
+    assert result.exit_code != 0
+    assert "non-finite amplitude (nan+0j)" in result.output
+
+
+def test_modesplit_rejected_target_keeps_earlier_trace(runner, tmp_path):
+    out = tmp_path / "x.jsonl"
+    out.write_text('{"run": 0}\n')
+    result = runner.invoke(main, ["modesplit", "-K", "2", "-N", "3", "--target", "2:2",
+                                  "--out", str(out)])
+    assert result.exit_code != 0
+    assert out.read_text() == '{"run": 0}\n'
 
 
 # --------------------------------------------------------------------- verify

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from nc2ent.conversion import make_split
+from nc2ent.conversion import INDEPENDENCE_TOL, make_split
 from nc2ent.gcnot import (
+    MU_FLOOR,
     GcnotParams,
     beamsplitter_params,
     cnot_equivalence_probe,
@@ -28,6 +30,13 @@ def test_params_feasibility_bound():
         GcnotParams(theta=math.pi / 3, epsilon=1.001)
     with pytest.raises(ValueError):
         GcnotParams(theta=1.0, epsilon=-0.1)
+
+
+def test_nan_epsilon_rejected():
+    with pytest.raises(ValueError):
+        GcnotParams(theta=math.pi / 2, epsilon=float("nan"))
+    with pytest.raises(ValueError):
+        beamsplitter_params(0.5, float("nan"))
 
 
 def test_mu_epsilon_round_trip():
@@ -145,6 +154,90 @@ def test_mirror_profile_matches_reflection():
         _, e0 = optimal_epsilon(float(theta), basis_state(2, 0))
         _, e1 = optimal_epsilon(math.pi - float(theta), basis_state(2, 1))
         assert abs(e0 - e1) < 1e-9
+
+
+EDGE = 1e-2
+NEAR_ZERO = st.one_of(
+    st.floats(min_value=0.0, max_value=EDGE, exclude_min=True),
+    st.floats(min_value=-12.0, max_value=math.log10(EDGE)).map(lambda e: 10.0 ** e),
+)
+THETAS = st.one_of(
+    st.floats(min_value=0.0, max_value=math.pi, exclude_min=True, exclude_max=True),
+    NEAR_ZERO,
+    NEAR_ZERO.map(lambda d: math.pi - d),
+    st.floats(min_value=-EDGE, max_value=EDGE).map(lambda d: math.pi / 2 + d),
+)
+COMPONENTS = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=THETAS, parts=st.tuples(COMPONENTS, COMPONENTS, COMPONENTS, COMPONENTS))
+def test_closed_form_optimum_properties(theta, parts):
+    amps = np.array([complex(parts[0], parts[1]), complex(parts[2], parts[3])])
+    assume(np.linalg.norm(amps) > 1e-12)
+    state = StateVector.normalized(amps)
+    if not (0.0 < theta < math.pi and 1.0 - abs(math.cos(theta)) > INDEPENDENCE_TOL):
+        # outside (0, pi), or a pair below the independence floor
+        with pytest.raises(ValueError):
+            optimal_epsilon(theta, state)
+        return
+    eps_opt, ebits = optimal_epsilon(theta, state)
+    mu_opt = epsilon_to_mu(eps_opt)
+    floor = max(abs(math.cos(theta)), MU_FLOOR)
+    assert floor <= mu_opt <= 1.0
+    rows, _ = sweep_surface([theta], np.linspace(floor, 1.0, 2001), state)
+    assert ebits >= max(r.ebits for r in rows) - 1e-12
+    try:
+        via_unitary = output_entanglement(GcnotParams(theta=theta, epsilon=eps_opt), state,
+                                          method="unitary")
+    except ValueError:
+        # the conversion exists only above the independence floor of the pair
+        assert 1.0 - abs(math.cos(theta)) <= 2.0 * INDEPENDENCE_TOL
+    else:
+        assert abs(via_unitary - ebits) < 1e-9
+
+
+def test_optimum_is_the_best_float_near_the_independence_floor():
+    # 1 - mu* is about 5e-11 at the floor, where one ulp of mu moves the
+    # entropy by up to ~1e-12, and the grid point (1 + |cos theta|)/2 lies
+    # within roundoff of the exact optimum; the best float must still win
+    state = StateVector.normalized([0.6, 0.8j])
+    near = np.geomspace(1.42e-5, 1e-4, 400)
+    for theta in np.concatenate([near, math.pi - near]):
+        _, ebits = optimal_epsilon(float(theta), state)
+        floor = abs(math.cos(theta))
+        rows, _ = sweep_surface([float(theta)], np.linspace(floor, 1.0, 257), state)
+        assert ebits >= max(r.ebits for r in rows) - 1e-14
+
+
+def test_optimum_at_right_angle_is_finite_and_one_ebit():
+    eps_opt, ebits = optimal_epsilon(math.pi / 2, basis_state(2, 0))
+    assert math.isfinite(eps_opt)
+    assert abs(ebits - 1.0) < 1e-6
+
+
+def test_classical_input_gives_zero_at_optimum():
+    # each classical state expands to w0 w1 = 0, up to roundoff
+    for theta in (1e-3, 0.3, math.pi / 2, 2.5, math.pi - 1e-3):
+        for c in gcnot_classical_pair(theta).states:
+            eps_opt, ebits = optimal_epsilon(theta, c)
+            assert math.isfinite(eps_opt)
+            assert 0.0 <= ebits < 1e-15
+
+
+def test_theta_outside_open_interval_raises():
+    for theta in (0.0, math.pi, -0.5, 4.0, float("nan"), 1e-9, math.pi - 1e-6):
+        with pytest.raises(ValueError):
+            optimal_epsilon(theta, basis_state(2, 0))
+        with pytest.raises(ValueError):
+            maximal_input_count(theta, 0.0)
+        with pytest.raises(ValueError):
+            sweep_surface([theta], [1.0], basis_state(2, 0))
+
+
+def test_optimal_epsilon_rejects_wrong_dimension():
+    with pytest.raises(ValueError):
+        optimal_epsilon(2.0, basis_state(3, 0))
 
 
 # -------------------------------------------------------------- sweep_surface

@@ -33,6 +33,13 @@ def test_state_vector_rejects_unnormalized():
         StateVector([1.0, 1.0])
 
 
+def test_state_vector_rejects_non_finite_amplitudes():
+    for amps in ([float("nan"), 0.0], [float("inf"), 0.0], [1.0, complex(0.0, float("nan"))]):
+        for build in (StateVector, StateVector.normalized):
+            with pytest.raises(ValueError, match="non-finite amplitude"):
+                build(amps)
+
+
 def test_normalized_constructor():
     s = StateVector.normalized([3.0, 4.0])
     assert np.allclose(s.amplitudes, [0.6, 0.8])
