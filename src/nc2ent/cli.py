@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -234,7 +235,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
         n_x, n_y = (int(p) for p in target.split(":"))
     except ValueError:
         raise click.ClickException(f"target must look like NX:NY, got {target!r}")
-    if t_mag is not None and abs(r_mag**2 + float(t_mag) ** 2 - 1.0) > 1e-9:
+    if t_mag is not None and not abs(r_mag**2 + float(t_mag) ** 2 - 1.0) <= 1e-9:  # NaN fails too
         raise click.ClickException(f"|r|^2 + |t|^2 = {r_mag**2 + float(t_mag)**2!r} must equal 1")
     if input_file is not None:
         doc = _read_json(input_file, "K", "N", "amplitudes")
@@ -250,12 +251,17 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     total_rounds = 0
     min_fidelity = None
     traces = []  # written only once every run has finished, so a rejected job keeps an old file
+    outcomes_by_round: list[Counter] = []
     seq = np.random.SeedSequence(seed)
     for run, child in enumerate(seq.spawn(runs)):
         cfg = modesplit.ProtocolConfig(r=base_cfg.r, t=base_cfg.t, target=base_cfg.target,
                                        max_rounds=max_rounds,
                                        seed=int(child.generate_state(1)[0]))
         res = modesplit.run_protocol(state, cfg)
+        for round_no, (n_a, n_b) in enumerate(res.outcomes):
+            if round_no == len(outcomes_by_round):
+                outcomes_by_round.append(Counter())
+            outcomes_by_round[round_no][f"{n_a}:{n_b}"] += 1
         if res.succeeded:
             successes += 1
             total_rounds += res.rounds
@@ -281,6 +287,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
         "single_round_success_probability": expected,
         "mean_rounds_on_success": total_rounds / successes if successes else None,
         "min_fidelity_on_success": min_fidelity,
+        "outcomes_by_round": outcomes_by_round,
         "seed": seed,
     }, sort_keys=True))
 

@@ -1,10 +1,19 @@
 """Two-mode simulation of the physical protocol realizing the particle-number
 splitting isometry: a number-conserving tunneling rotation between modes A
 and B, projective particle counting per mode, post-selection on the target
-sector, and a repeat-until-success loop."""
+sector, and a repeat-until-success loop.
+
+The state is kept as one block per counting outcome (N_A, N_B) on
+Sym^{N_A}(C^K) (x) Sym^{N_B}(C^K); the blocks hold C(N+2K-1, 2K-1) amplitudes
+in all. The tunneling rotation a_j -> r a_jA + t a_jB acts on every internal
+level j on its own and keeps the level's total m = n_jA + n_jB, so a pass is
+one (m+1) x (m+1) matrix per level j and total m, applied to every group of
+amplitudes that differ only in how level j's m particles are split. No matrix
+on the whole two-mode space is built."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -14,46 +23,80 @@ import numpy as np
 from .linalg import NORM_TOL
 from .symmetric import (
     SymmetricState,
-    occupation_basis,
-    occupation_index,
-    splitting_isometry,
+    apply_splitting,
+    dicke_dim,
     symmetric_power_matrix,
     _check_caps,
+    _occupation_pairs,
+    _occupation_ranks,
 )
 
 MODE_PAIR_TOL = 1e-12     # |r|^2 + |t|^2 = 1
 MIN_SECTOR_PROB = 1e-15
-MAX_TWO_MODE_DIM = 20000  # guards the dense sector-rotation matrix
 
 
+@lru_cache(maxsize=None)
 def _sector_keys(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((n_a, n - n_a) for n_a in range(n, -1, -1))
 
 
 @lru_cache(maxsize=None)
-def _sector_layout(k: int, n: int):
-    """Index maps between the flat Dicke basis of Sym^N(C^{2K}) (K levels per
-    mode, A levels first) and per-sector (N_A, N_B) blocks on
-    Sym^{N_A}(C^K) (x) Sym^{N_B}(C^K)."""
-    full = occupation_basis(2 * k, n)
-    if len(full) > MAX_TWO_MODE_DIM:
-        raise ValueError(
-            f"two-mode space dimension {len(full)} exceeds the simulator cap {MAX_TWO_MODE_DIM}"
-        )
-    shapes = {}
-    positions = {key: [] for key in _sector_keys(n)}
-    for flat, occ in enumerate(full):
-        occ_a, occ_b = occ[:k], occ[k:]
-        n_a = sum(occ_a)
-        key = (n_a, n - n_a)
-        i_a = occupation_index(k, n_a)[occ_a]
-        i_b = occupation_index(k, n - n_a)[occ_b]
-        positions[key].append((flat, i_a, i_b))
-    for key in positions:
-        dim_a = len(occupation_basis(k, key[0]))
-        dim_b = len(occupation_basis(k, key[1]))
-        shapes[key] = (dim_a, dim_b)
-    return len(full), shapes, positions
+def _blocks(k: int, n: int) -> tuple[tuple[tuple[int, int], tuple[int, int], slice], ...]:
+    """(sector key, block shape, slice of the concatenated raveled blocks)
+    for every sector, in _sector_keys order."""
+    out, start = [], 0
+    for key in _sector_keys(n):
+        shape = (dicke_dim(k, key[0]), dicke_dim(k, key[1]))
+        out.append((key, shape, slice(start, start + shape[0] * shape[1])))
+        start += shape[0] * shape[1]
+    return tuple(out)
+
+
+def _entries(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations (a, b) of modes A and B for every amplitude of the sector
+    blocks, raveled and concatenated in _sector_keys order."""
+    pairs = [_occupation_pairs(k, n_a, n_b) for n_a, n_b in _sector_keys(n)]
+    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
+
+
+@lru_cache(maxsize=8)
+def _level_indices(k: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """For each level j and level total m, an index array of shape (m+1, R)
+    into the concatenated blocks. Column c lists the m+1 amplitudes that agree
+    on every other level and split level j as n_jA = m, m-1, ..., 0."""
+    a, b = _entries(k, n)
+    radix = (n + 1) ** np.arange(2 * k, dtype=np.int64)
+    code = np.hstack([a, b]) @ radix
+    levels = []
+    for j in range(k):
+        # the code with level j's mode-B particles moved to mode A names the group
+        group = code + b[:, j] * (radix[j] - radix[k + j])
+        order = np.lexsort((-a[:, j], group))
+        total = (a[:, j] + b[:, j])[order]
+        levels.append(tuple(np.ascontiguousarray(order[total == m].reshape(-1, m + 1).T)
+                            for m in range(n + 1)))
+    return tuple(levels)
+
+
+@lru_cache(maxsize=8)
+def _flat_positions(k: int, n: int) -> np.ndarray:
+    """Position of every block amplitude in the flat Dicke basis of
+    Sym^N(C^{2K}) (K levels per mode, A levels first)."""
+    a, b = _entries(k, n)
+    return _occupation_ranks(np.hstack([a, b]))
+
+
+def _weight(block: np.ndarray) -> float:
+    """Squared norm of a block."""
+    return float(np.vdot(block, block).real)
+
+
+def _join(state: "TwoModeState") -> np.ndarray:
+    return np.concatenate([state.sectors[key].reshape(-1) for key in _sector_keys(state.n)])
+
+
+def _split(k: int, n: int, joined: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    return {key: joined[part].reshape(shape) for key, shape, part in _blocks(k, n)}
 
 
 @dataclass(frozen=True)
@@ -67,51 +110,42 @@ class TwoModeState:
 
     def __post_init__(self):
         _check_caps(self.k, self.n)
-        _, shapes, _ = _sector_layout(self.k, self.n)
         blocks = {}
         total = 0.0
-        for key in _sector_keys(self.n):
+        for key, shape, _ in _blocks(self.k, self.n):
             if key not in self.sectors:
                 raise ValueError(f"missing sector {key}")
             block = np.array(np.asarray(self.sectors[key], dtype=complex))
-            if block.shape != shapes[key]:
+            if block.shape != shape:
                 raise ValueError(
-                    f"sector {key} has shape {block.shape}, expected {shapes[key]}"
+                    f"sector {key} has shape {block.shape}, expected {shape}"
                 )
             block.setflags(write=False)
             blocks[key] = block
-            total += float(np.sum(np.abs(block) ** 2))
+            total += _weight(block)
         if abs(math.sqrt(total) - 1.0) > NORM_TOL:
             raise ValueError(f"two-mode state is not normalized (norm={math.sqrt(total)!r})")
         object.__setattr__(self, "sectors", blocks)
 
     def to_flat(self) -> np.ndarray:
-        dim, _, positions = _sector_layout(self.k, self.n)
-        flat = np.empty(dim, dtype=complex)
-        for key, entries in positions.items():
-            block = self.sectors[key]
-            for pos, i_a, i_b in entries:
-                flat[pos] = block[i_a, i_b]
+        """Amplitudes on the flat Dicke basis of Sym^N(C^{2K}), A levels first."""
+        positions = _flat_positions(self.k, self.n)
+        flat = np.empty(positions.size, dtype=complex)
+        flat[positions] = _join(self)
         return flat
 
     @classmethod
     def from_flat(cls, k: int, n: int, flat: np.ndarray) -> "TwoModeState":
-        dim, shapes, positions = _sector_layout(k, n)
+        _check_caps(k, n)
+        positions = _flat_positions(k, n)
         flat = np.asarray(flat, dtype=complex).reshape(-1)
-        if flat.size != dim:
-            raise ValueError(f"flat vector has size {flat.size}, expected {dim}")
-        sectors = {}
-        for key, entries in positions.items():
-            block = np.zeros(shapes[key], dtype=complex)
-            for pos, i_a, i_b in entries:
-                block[i_a, i_b] = flat[pos]
-            sectors[key] = block
-        return cls(k=k, n=n, sectors=sectors)
+        if flat.size != positions.size:
+            raise ValueError(f"flat vector has size {flat.size}, expected {positions.size}")
+        return cls(k=k, n=n, sectors=_split(k, n, flat[positions]))
 
     @classmethod
     def single_sector(cls, k: int, n: int, key: tuple[int, int], block: np.ndarray) -> "TwoModeState":
-        _, shapes, _ = _sector_layout(k, n)
-        sectors = {other: np.zeros(shapes[other], dtype=complex) for other in _sector_keys(n)}
+        sectors = {other: np.zeros(shape, dtype=complex) for other, shape, _ in _blocks(k, n)}
         sectors[key] = np.asarray(block, dtype=complex)
         return cls(k=k, n=n, sectors=sectors)
 
@@ -125,34 +159,41 @@ def inject(state: SymmetricState) -> TwoModeState:
 
 def _check_mode_pair(r: complex, t: complex) -> tuple[complex, complex]:
     r, t = complex(r), complex(t)
+    if not (cmath.isfinite(r) and cmath.isfinite(t)):
+        raise ValueError(f"tunneling amplitudes must be finite, got r={r!r}, t={t!r}")
     if abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) > MODE_PAIR_TOL:
         raise ValueError(f"|r|^2 + |t|^2 must be 1, got {abs(r)**2 + abs(t)**2!r}")
     return r, t
 
 
 @lru_cache(maxsize=16)
-def _tunneling_matrix(k: int, n: int, r: complex, t: complex) -> np.ndarray:
-    """Collective tunneling rotation on Sym^N(C^{2K}): the symmetric power of
-    the single-particle map |j_A> -> r|j_A> + t|j_B>, |j_B> -> t*|j_A> - r*|j_B>,
-    which acts identically on every internal level."""
-    eye = np.eye(k)
-    single = np.block([[r * eye, np.conj(t) * eye],
-                       [t * eye, -np.conj(r) * eye]])
-    return symmetric_power_matrix(single, n)
+def _level_rotations(n: int, r: complex, t: complex) -> tuple[np.ndarray, ...]:
+    """D_m for m = 0..N: the m-th symmetric power of the single-level map
+    [[r, t*], [t, -r*]], on the states (m, 0), (m-1, 1), ..., (0, m) of one
+    internal level in modes (A, B)."""
+    single = np.array([[r, t.conjugate()], [t, -r.conjugate()]])
+    return tuple(symmetric_power_matrix(single, m) for m in range(n + 1))
 
 
 def apply_tunneling(state: TwoModeState, r: complex, t: complex) -> TwoModeState:
-    """Apply the tunneling/beamsplitter rotation between the modes; unitary,
-    so the norm is preserved while amplitude spreads over sectors."""
+    """Apply the tunneling/beamsplitter rotation |j_A> -> r|j_A> + t|j_B>,
+    |j_B> -> t*|j_A> - r*|j_B> between the modes; unitary, so the norm is
+    preserved while amplitude spreads over sectors. It runs one internal
+    level at a time: for each level j and level total m, the matrix D_m mixes
+    every group of m+1 amplitudes that differ only in level j's split."""
     r, t = _check_mode_pair(r, t)
-    matrix = _tunneling_matrix(state.k, state.n, r, t)
-    return TwoModeState.from_flat(state.k, state.n, matrix @ state.to_flat())
+    rotations = _level_rotations(state.n, r, t)
+    joined = _join(state)
+    for per_total in _level_indices(state.k, state.n):
+        for rotation, idx in zip(rotations[1:], per_total[1:]):
+            joined[idx] = rotation @ joined[idx]
+    return TwoModeState(state.k, state.n, _split(state.k, state.n, joined))
 
 
 def sector_probabilities(state: TwoModeState) -> dict[tuple[int, int], float]:
     """Probability of each particle-count outcome (N_A, N_B): the squared
     norm of the sector block. The outcomes sum to 1."""
-    return {key: float(np.sum(np.abs(block) ** 2)) for key, block in state.sectors.items()}
+    return {key: _weight(block) for key, block in state.sectors.items()}
 
 
 def project_sector(state: TwoModeState, n_a: int, n_b: int) -> tuple[np.ndarray, float]:
@@ -162,7 +203,7 @@ def project_sector(state: TwoModeState, n_a: int, n_b: int) -> tuple[np.ndarray,
     if key not in state.sectors:
         raise ValueError(f"no sector {key} for N={state.n}")
     block = state.sectors[key]
-    prob = float(np.sum(np.abs(block) ** 2))
+    prob = _weight(block)
     if prob <= MIN_SECTOR_PROB:
         raise ValueError(f"sector {key} has vanishing probability {prob!r}")
     return block / math.sqrt(prob), prob
@@ -238,12 +279,14 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     populated) is carried into the next tunneling pass unchanged; the
     coherent-label structure is untouched by counting, so on success the
     post-selected state reproduces the splitting isometry output exactly.
+    The fidelity is taken against apply_splitting, which shares no code with
+    the tunneling kernel.
     """
     n_x, n_y = cfg.target
     if n_x + n_y != input_state.n:
         raise ValueError(f"target {cfg.target} does not partition N={input_state.n}")
     rng = np.random.default_rng(cfg.seed)
-    reference = splitting_isometry(input_state.k, input_state.n, n_x, n_y).matrix @ input_state.amplitudes
+    reference = apply_splitting(input_state, n_x, n_y)
 
     state = inject(input_state)
     outcomes: list[tuple[int, int]] = []

@@ -17,6 +17,16 @@ MAX_PARTICLES = 12
 MAX_LEVELS = 6
 SU_UNITARY_TOL = 1e-12     # U^dag U = I for single-particle transformations
 ISOMETRY_TOL = 1e-10
+MAX_DENSE_BYTES = 3 * 2**30  # per dense complex matrix; Sym^6(C^12), timed by benchmarks/reference.py, takes 2.3 GiB
+
+
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """Refuse a dense complex matrix whose estimated size exceeds MAX_DENSE_BYTES,
+    before anything is allocated."""
+    size = 16 * rows * cols
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(f"dense {what} of {rows} x {cols} would take {size / 2**30:.1f} GiB, "
+                         f"over the {MAX_DENSE_BYTES / 2**30:.0f} GiB cap")
 
 
 def _check_caps(k: int, n: int) -> None:
@@ -52,6 +62,26 @@ def occupation_basis(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def occupation_index(k: int, n: int) -> dict[tuple[int, ...], int]:
     return {occ: i for i, occ in enumerate(occupation_basis(k, n))}
+
+
+def _occupation_ranks(occs: np.ndarray) -> np.ndarray:
+    """Position of each row of occs in occupation_basis(K, row sum). The rows
+    before occupation n number sum_{i<K-1} binom(s_i + K-i-2, K-i-1), with s_i
+    the particles in the levels after i."""
+    occs = np.asarray(occs, dtype=np.int64)
+    k = occs.shape[1]
+    after = np.cumsum(occs[:, :0:-1], axis=1)[:, ::-1]
+    binom = np.array([[math.comb(x, y) for y in range(k)]
+                      for x in range(int(after.max(initial=0)) + k)], dtype=np.int64)
+    return sum(binom[after[:, i] + k - i - 2, k - i - 1] for i in range(k - 1))
+
+
+def _occupation_pairs(k: int, n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupations (a, b) of every basis entry of Sym^{N_X}(C^K) (x)
+    Sym^{N_Y}(C^K), a-major, as two int8 arrays of shape (dim_x * dim_y, K)."""
+    a = np.array(occupation_basis(k, n_x), dtype=np.int8)
+    b = np.array(occupation_basis(k, n_y), dtype=np.int8)
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
 def _sqrt_multinomial(n: int, occ: tuple[int, ...]) -> float:
@@ -167,14 +197,15 @@ def symmetric_power_matrix(u: np.ndarray, n: int) -> np.ndarray:
     """Matrix of U^(x)N restricted to Sym^N, in the Dicke basis.
 
     Works by expanding the image of each occupation monomial of creation
-    operators under a_j -> sum_i u_ij a_i; no level-count cap is applied
-    here because the two-mode simulator uses doubled level counts.
+    operators under a_j -> sum_i u_ij a_i. No level-count cap is applied,
+    only the MAX_DENSE_BYTES guard on the result.
     """
     u = np.asarray(u, dtype=complex)
     k = u.shape[0]
+    dim = math.comb(n + k - 1, k - 1)
+    _check_dense(dim, dim, f"symmetric power Sym^{n}(C^{k})")
     basis = occupation_basis(k, n)
     index = occupation_index(k, n)
-    dim = len(basis)
     out = np.zeros((dim, dim), dtype=complex)
     fact_sqrt = {occ: math.sqrt(math.prod(math.factorial(x) for x in occ)) for occ in basis}
     for colno, occ in enumerate(basis):
@@ -203,35 +234,45 @@ def apply_unitary(u: SuUnitary, state: SymmetricState) -> SymmetricState:
     return SymmetricState(state.k, state.n, symmetric_power_matrix(u.matrix, state.n) @ state.amplitudes)
 
 
+def _check_split(k: int, n: int, n_x: int, n_y: int) -> None:
+    _check_caps(k, n)
+    if n_x < 1 or n_y < 1 or n_x + n_y != n:
+        raise ValueError(f"invalid split ({n_x}, {n_y}) of N={n}")
+
+
 @lru_cache(maxsize=32)
-def _splitting_matrix(k: int, n: int, n_x: int, n_y: int) -> np.ndarray:
-    dim_in = dicke_dim(k, n)
-    dim_x = dicke_dim(k, n_x)
-    dim_y = dicke_dim(k, n_y)
-    idx_x = occupation_index(k, n_x)
-    idx_y = occupation_index(k, n_y)
-    out = np.zeros((dim_x * dim_y, dim_in), dtype=complex)
-    total_choose = math.comb(n, n_x)
-    for col, occ in enumerate(occupation_basis(k, n)):
-        for a in occupation_basis(k, n_x):
-            if any(aj > nj for aj, nj in zip(a, occ)):
-                continue
-            b = tuple(nj - aj for nj, aj in zip(occ, a))
-            weight = math.prod(math.comb(nj, aj) for nj, aj in zip(occ, a))
-            row = idx_x[a] * dim_y + idx_y[b]
-            out[row, col] = math.sqrt(weight / total_choose)
-    return out
+def _splitting_gather(k: int, n: int, n_x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The splitting isometry has one nonzero per output entry (a, b): it
+    reads input a + b with weight sqrt(prod_j binom(a_j + b_j, a_j) / binom(N, N_X)).
+    Returns the input index and the weight of every output entry."""
+    a, b = _occupation_pairs(k, n_x, n - n_x)
+    occ = a.astype(np.int64) + b
+    binom = np.array([[math.comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=float)
+    weight = np.sqrt(np.prod(binom[occ, a], axis=1) / math.comb(n, n_x))
+    return _occupation_ranks(occ), weight
+
+
+def apply_splitting(state: SymmetricState, n_x: int, n_y: int) -> np.ndarray:
+    """The splitting isometry applied to a state, as a gather: amplitudes on
+    Sym^{N_X}(C^K) (x) Sym^{N_Y}(C^K), equal to splitting_isometry(...).matrix @ amplitudes."""
+    _check_split(state.k, state.n, n_x, n_y)
+    source, weight = _splitting_gather(state.k, state.n, n_x)
+    return state.amplitudes[source] * weight
 
 
 def splitting_isometry(k: int, n: int, n_x: int, n_y: int) -> Operator:
     """Isometry from Sym^N(C^K) into Sym^{N_X}(C^K) (x) Sym^{N_Y}(C^K) that
     distributes each occupation over the two factors with square-root
     binomial weights; it maps every coherent state |U;N> to the product
-    |U;N_X> (x) |U;N_Y> and preserves all pairwise overlaps."""
-    _check_caps(k, n)
-    if n_x < 1 or n_y < 1 or n_x + n_y != n:
-        raise ValueError(f"invalid split ({n_x}, {n_y}) of N={n}")
-    return Operator(_splitting_matrix(k, n, n_x, n_y))
+    |U;N_X> (x) |U;N_Y> and preserves all pairwise overlaps. Dense, so it is
+    subject to the MAX_DENSE_BYTES guard; apply_splitting needs no matrix."""
+    _check_split(k, n, n_x, n_y)
+    rows, cols = dicke_dim(k, n_x) * dicke_dim(k, n_y), dicke_dim(k, n)
+    _check_dense(rows, cols, f"splitting isometry (K={k}, N={n}) -> ({n_x}, {n_y})")
+    source, weight = _splitting_gather(k, n, n_x)
+    out = np.zeros((rows, cols), dtype=complex)
+    out[np.arange(rows), source] = weight
+    return Operator(out)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,49 @@ def test_modesplit_deterministic_per_seed(runner, tmp_path):
     assert ra.output == rb.output
 
 
+def test_modesplit_outcomes_by_round(runner, tmp_path):
+    args = ["modesplit", "-K", "2", "-N", "3", "--target", "2:1", "--runs", "40",
+            "--max-rounds", "6", "--seed", "3"]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    ra = runner.invoke(main, args + ["--out", str(a)])
+    rb = runner.invoke(main, args + ["--out", str(b)])
+    assert ra.exit_code == 0, ra.output
+    assert ra.output == rb.output
+    by_round = json.loads(ra.output)["outcomes_by_round"]
+    assert sum(by_round[0].values()) == 40
+    for counts in by_round:
+        assert list(counts) == sorted(counts)
+        assert all(key in ("3:0", "2:1", "1:2", "0:3") for key in counts)
+    # a run reaches round i + 1 only if it missed the target in round i
+    for before, after in zip(by_round, by_round[1:]):
+        assert sum(after.values()) == sum(before.values()) - before.get("2:1", 0)
+    traces = [json.loads(line) for line in a.read_text().splitlines()]
+    assert sum(sum(c.values()) for c in by_round) == sum(t["rounds"] for t in traces)
+
+
+def test_modesplit_runs_at_the_documented_cap(runner, tmp_path):
+    # K=6, N=12: 1352078 two-mode amplitudes
+    result = runner.invoke(main, ["modesplit", "-K", "6", "-N", "12", "--target", "6:6",
+                                  "--runs", "1", "--max-rounds", "1",
+                                  "--out", str(tmp_path / "x.jsonl")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output)
+    assert summary["runs"] == 1 and summary["successes"] in (0, 1)
+    assert sum(summary["outcomes_by_round"][0].values()) == 1
+    assert abs(summary["single_round_success_probability"] - math.comb(12, 6) / 2**12) < 1e-12
+
+
+def test_modesplit_above_the_old_dimension_cap(runner, tmp_path):
+    # K=6, N=8: 75582 two-mode amplitudes
+    result = runner.invoke(main, ["modesplit", "-K", "6", "-N", "8", "--target", "4:4",
+                                  "--runs", "5", "--max-rounds", "64",
+                                  "--out", str(tmp_path / "x.jsonl")])
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output)
+    assert summary["successes"] > 0
+    assert summary["min_fidelity_on_success"] >= 1.0 - 1e-9
+
+
 # -------------------------------------------------------------------- witness
 
 def test_witness_pipeline(runner, tmp_path):
@@ -301,6 +344,19 @@ def _modesplit_negative_runs(tmp_path):
     return ["modesplit", "--runs", "-1", "--out", str(tmp_path / "x.jsonl")]
 
 
+def _modesplit_nan_r(tmp_path):
+    return ["modesplit", "--r", "nan", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_nan_phase(tmp_path):
+    return ["modesplit", "--phase", "nan", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_nan_t(tmp_path):
+    return ["modesplit", "--r", "0.6", "--t", "nan", "--runs", "2",
+            "--out", str(tmp_path / "x.jsonl")]
+
+
 def _sweep_theta_range_through_zero(tmp_path):
     return ["sweep", "--theta-range", "0:3.2:4", "--out", str(tmp_path / "s.csv")]
 
@@ -323,6 +379,9 @@ def _sweep_theta_range_through_zero(tmp_path):
     _modesplit_levels_beyond_cap,
     _modesplit_target_not_partitioning_n,
     _modesplit_negative_runs,
+    _modesplit_nan_r,
+    _modesplit_nan_phase,
+    _modesplit_nan_t,
     _sweep_theta_range_through_zero,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):

@@ -119,6 +119,56 @@ def test_tunneling_matches_first_quantized_oracle():
         assert np.max(np.abs(sim.to_flat() - flat_out)) < 1e-10
 
 
+def test_tunneling_matches_first_quantized_oracle_three_levels():
+    rng = np.random.default_rng(84)
+    k = 3
+    r, t = 0.48 + 0.36j, 0.64 - 0.48j
+    single = np.block([[r * np.eye(k), np.conj(t) * np.eye(k)],
+                       [t * np.eye(k), -np.conj(r) * np.eye(k)]])
+    for n in range(1, 5):
+        state = random_symmetric(k, n, rng)
+        sim = apply_tunneling(inject(state), r, t)
+        e = dicke_embedding(2 * k, n)
+        flat_out = e.conj().T @ apply_tensor_power(single, e @ inject(state).to_flat(), n)
+        assert np.max(np.abs(sim.to_flat() - flat_out)) < 1e-10
+
+
+def test_first_pass_is_binomial_amplitude_times_splitting():
+    # one pass over inject(psi) puts sqrt(C(N, N_A)) r^N_A t^N_B S psi in sector (N_A, N_B)
+    rng = np.random.default_rng(85)
+    r, t = 0.6 + 0.3j, complex(0.0, math.sqrt(1 - 0.45))
+    for k in (2, 3):
+        for n in range(2, 6):
+            psi = random_symmetric(k, n, rng)
+            out = apply_tunneling(inject(psi), r, t)
+            for n_a in range(1, n):
+                dense = splitting_isometry(k, n, n_a, n - n_a).matrix @ psi.amplitudes
+                want = binomial_sector_amplitude(n, n_a, r, t) * dense
+                assert np.max(np.abs(out.sectors[(n_a, n - n_a)].reshape(-1) - want)) < 1e-12
+
+
+def test_flat_round_trip():
+    rng = np.random.default_rng(86)
+    tw = apply_tunneling(inject(random_symmetric(3, 3, rng)), 0.6, 0.8)
+    back = TwoModeState.from_flat(3, 3, tw.to_flat())
+    for key, block in tw.sectors.items():
+        assert np.array_equal(back.sectors[key], block)
+
+
+def test_nan_tunneling_parameters_rejected():
+    nan = float("nan")
+    tw = inject(coherent_state(SuUnitary(np.eye(2)), 2))
+    for r, t in ((nan, 0.8), (0.6, nan), (nan, nan), (0.6, complex(0.8, nan)), (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            apply_tunneling(tw, r, t)
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolConfig(r=r, t=t, target=(1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        ProtocolConfig.from_magnitudes(nan, target=(1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        ProtocolConfig.from_magnitudes(0.6, phase=nan, target=(1, 1))
+
+
 # ---------------------------------------------------------- sector bookkeeping
 
 def test_sector_probabilities_sum_to_one():

@@ -7,6 +7,8 @@ from nc2ent.linalg import StateVector, schmidt_decompose
 from nc2ent.symmetric import (
     SuUnitary,
     SymmetricState,
+    _occupation_ranks,
+    apply_splitting,
     apply_unitary,
     coherent_state,
     dicke_dim,
@@ -270,6 +272,45 @@ def test_image_membership_separates_coherent_products():
         assert abs(np.linalg.norm(proj @ prod) - 1.0) < 1e-12
         back = iso.conj().T @ prod
         assert abs(abs(np.vdot(back, coherent_state(u, 4).amplitudes)) - 1.0) < 1e-12
+
+
+def test_occupation_ranks_follow_basis_order():
+    for k, n in ((2, 0), (2, 5), (3, 4), (5, 3), (12, 2)):
+        occs = np.array(occupation_basis(k, n)).reshape(-1, k)
+        assert np.array_equal(_occupation_ranks(occs), np.arange(len(occs)))
+
+
+def test_gathered_splitting_matches_dense_isometry():
+    rng = np.random.default_rng(67)
+    for k, n in ((2, 2), (2, 5), (3, 4), (4, 3), (3, 6)):
+        for n_x in range(1, n):
+            dim = dicke_dim(k, n)
+            psi = SymmetricState.normalized(k, n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            dense = splitting_isometry(k, n, n_x, n - n_x).matrix @ psi.amplitudes
+            assert np.max(np.abs(apply_splitting(psi, n_x, n - n_x) - dense)) < 1e-12
+    psi = coherent_state(haar_random_su(2, 68), 4)
+    for n_x, n_y in ((0, 4), (4, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            apply_splitting(psi, n_x, n_y)
+
+
+def test_gathered_splitting_at_the_caps_sends_coherent_to_product():
+    u = haar_random_su(6, 69)
+    out = apply_splitting(coherent_state(u, 12), 6, 6)
+    prod = np.kron(coherent_state(u, 6).amplitudes, coherent_state(u, 6).amplitudes)
+    assert np.max(np.abs(out - prod)) < 1e-12
+
+
+def test_dense_isometry_beyond_memory_guard_raises():
+    # 213444 x 6188 complex entries, 19.7 GiB
+    with pytest.raises(ValueError, match="19.7 GiB"):
+        splitting_isometry(6, 12, 6, 6)
+
+
+def test_symmetric_power_beyond_memory_guard_raises():
+    # Sym^12(C^12) has dimension 1352078
+    with pytest.raises(ValueError, match="1352078 x 1352078"):
+        symmetric_power_matrix(np.eye(12), 12)
 
 
 # ------------------------------------------------- verify_splitting_faithfulness
