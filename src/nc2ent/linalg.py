@@ -35,6 +35,31 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_unit_vector(amps: np.ndarray, noun: str) -> None:
+    """Raise a one-line ValueError unless amps is nonempty with norm 1 within
+    NORM_TOL. Makes no copy; the amplitudes are scanned for a non-finite
+    entry only once the norm test has failed, which a NaN norm does."""
+    if amps.size == 0:
+        raise ValueError(f"{noun} must have positive dimension")
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        bad = amps[~np.isfinite(amps)]
+        if bad.size:
+            raise ValueError(f"{noun} has a non-finite amplitude {complex(bad[0])}")
+        raise ValueError(f"{noun} is not normalized (norm={norm!r})")
+
+
+def check_hermitian(m: np.ndarray, noun: str, tol: float) -> None:
+    """Raise a one-line ValueError unless m is nonempty and square with
+    |m - m^dag| <= tol entrywise; a NaN entry fails the comparison and is named."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{noun} must be a nonempty square matrix, got shape {m.shape}")
+    if not np.max(np.abs(m - m.conj().T)) <= tol:
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{noun} has a non-finite entry")
+        raise ValueError(f"{noun} is not Hermitian within tolerance")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit vector in a finite-dimensional complex space.
@@ -48,17 +73,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        if amps.size == 0:
-            raise ValueError("state vector must have positive dimension")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails this too
-            bad = amps[~np.isfinite(amps)]
-            if bad.size:
-                raise ValueError(f"state vector has a non-finite amplitude {complex(bad[0])}")
-            raise ValueError(
-                f"state vector is not normalized (norm={norm!r}); "
-                "use StateVector.normalized() to normalize explicitly"
-            )
+        check_unit_vector(amps, "state vector")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -113,14 +128,11 @@ class GramMatrix:
 
     def __post_init__(self):
         g = np.asarray(self.entries, dtype=complex)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {g.shape}")
-        if np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("Gram matrix is not Hermitian within tolerance")
-        if np.max(np.abs(np.diag(g) - 1.0)) > UNIT_DIAG_TOL:
+        check_hermitian(g, "Gram matrix", HERMITIAN_TOL)
+        if not np.max(np.abs(np.diag(g) - 1.0)) <= UNIT_DIAG_TOL:
             raise ValueError("Gram matrix does not have unit diagonal")
         min_eig = float(np.linalg.eigvalsh(g)[0])
-        if min_eig < -PSD_TOL:
+        if not min_eig >= -PSD_TOL:
             raise ValueError("Gram matrix is not positive semidefinite")
         object.__setattr__(self, "entries", _frozen(g))
         object.__setattr__(self, "_min_eig", min_eig)
@@ -306,11 +318,10 @@ def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density operator has shape {rho.shape}, expected {(dim, dim)}")
-    if np.max(np.abs(rho - rho.conj().T)) > DENSITY_TOL:
-        raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
+    check_hermitian(rho, "density operator", DENSITY_TOL)
+    if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
         raise ValueError("density operator does not have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < -DENSITY_TOL:
+    if not np.linalg.eigvalsh(rho)[0] >= -DENSITY_TOL:
         raise ValueError("density operator is not positive semidefinite")
     return rho
 

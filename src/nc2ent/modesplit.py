@@ -3,9 +3,10 @@ splitting isometry: a number-conserving tunneling rotation between modes A
 and B, projective particle counting per mode, post-selection on the target
 sector, and a repeat-until-success loop.
 
-The state is kept as one block per counting outcome (N_A, N_B) on
-Sym^{N_A}(C^K) (x) Sym^{N_B}(C^K); the blocks hold C(N+2K-1, 2K-1) amplitudes
-in all. The tunneling rotation a_j -> r a_jA + t a_jB acts on every internal
+The state is kept as one amplitude vector, the blocks of the counting
+outcomes (N_A, N_B) on Sym^{N_A}(C^K) (x) Sym^{N_B}(C^K) raveled in sector
+order, C(N+2K-1, 2K-1) amplitudes in all; each sector is a read-only view of
+its block. The tunneling rotation a_j -> r a_jA + t a_jB acts on every internal
 level j on its own and keeps the level's total m = n_jA + n_jB, so a pass is
 one (m+1) x (m+1) matrix per level j and total m, applied to every group of
 amplitudes that differ only in how level j's m particles are split. No matrix
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NORM_TOL
+from .linalg import check_unit_vector
 from .symmetric import (
     SymmetricState,
     apply_splitting,
@@ -91,10 +92,6 @@ def _weight(block: np.ndarray) -> float:
     return float(np.vdot(block, block).real)
 
 
-def _join(state: "TwoModeState") -> np.ndarray:
-    return np.concatenate([state.sectors[key].reshape(-1) for key in _sector_keys(state.n)])
-
-
 def _split(k: int, n: int, joined: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     return {key: joined[part].reshape(shape) for key, shape, part in _blocks(k, n)}
 
@@ -102,36 +99,38 @@ def _split(k: int, n: int, joined: np.ndarray) -> dict[tuple[int, int], np.ndarr
 @dataclass(frozen=True)
 class TwoModeState:
     """State of N particles with K internal levels shared between two spatial
-    modes, stored as one block per particle-number sector (N_A, N_B)."""
+    modes. The amplitudes are one read-only vector, the raveled sector blocks
+    concatenated in _sector_keys order; sectors maps each particle-number
+    sector (N_A, N_B) to a read-only view of its block."""
 
     k: int
     n: int
     sectors: dict[tuple[int, int], np.ndarray]
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_caps(self.k, self.n)
-        blocks = {}
-        total = 0.0
+        wrong = sorted(self.sectors.keys() ^ set(_sector_keys(self.n)), key=repr)
+        if wrong:
+            kind = "unknown" if wrong[0] in self.sectors else "missing"
+            raise ValueError(f"{kind} sector {wrong[0]} for N={self.n}")
+        parts = []
         for key, shape, _ in _blocks(self.k, self.n):
-            if key not in self.sectors:
-                raise ValueError(f"missing sector {key}")
-            block = np.array(np.asarray(self.sectors[key], dtype=complex))
+            block = np.asarray(self.sectors[key], dtype=complex)
             if block.shape != shape:
-                raise ValueError(
-                    f"sector {key} has shape {block.shape}, expected {shape}"
-                )
-            block.setflags(write=False)
-            blocks[key] = block
-            total += _weight(block)
-        if abs(math.sqrt(total) - 1.0) > NORM_TOL:
-            raise ValueError(f"two-mode state is not normalized (norm={math.sqrt(total)!r})")
-        object.__setattr__(self, "sectors", blocks)
+                raise ValueError(f"sector {key} has shape {block.shape}, expected {shape}")
+            parts.append(block.reshape(-1))
+        amps = np.concatenate(parts)
+        check_unit_vector(amps, "two-mode state")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "sectors", _split(self.k, self.n, amps))
 
     def to_flat(self) -> np.ndarray:
         """Amplitudes on the flat Dicke basis of Sym^N(C^{2K}), A levels first."""
         positions = _flat_positions(self.k, self.n)
         flat = np.empty(positions.size, dtype=complex)
-        flat[positions] = _join(self)
+        flat[positions] = self.amplitudes
         return flat
 
     @classmethod
@@ -145,8 +144,8 @@ class TwoModeState:
 
     @classmethod
     def single_sector(cls, k: int, n: int, key: tuple[int, int], block: np.ndarray) -> "TwoModeState":
-        sectors = {other: np.zeros(shape, dtype=complex) for other, shape, _ in _blocks(k, n)}
-        sectors[key] = np.asarray(block, dtype=complex)
+        sectors = _split(k, n, np.zeros(_blocks(k, n)[-1][2].stop, dtype=complex))
+        sectors[key] = block
         return cls(k=k, n=n, sectors=sectors)
 
 
@@ -183,7 +182,7 @@ def apply_tunneling(state: TwoModeState, r: complex, t: complex) -> TwoModeState
     every group of m+1 amplitudes that differ only in level j's split."""
     r, t = _check_mode_pair(r, t)
     rotations = _level_rotations(state.n, r, t)
-    joined = _join(state)
+    joined = state.amplitudes.copy()
     for per_total in _level_indices(state.k, state.n):
         for rotation, idx in zip(rotations[1:], per_total[1:]):
             joined[idx] = rotation @ joined[idx]

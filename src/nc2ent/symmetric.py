@@ -10,8 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (NORM_TOL, Operator, StateVector, entanglement_entropy, negativity,
-                     schmidt_decompose)
+from .linalg import (Operator, StateVector, _frozen, check_unit_vector, entanglement_entropy,
+                     negativity, schmidt_decompose)
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
@@ -98,15 +98,12 @@ class SuUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] < 2:
+        op = Operator(self.matrix)
+        if op.rows < 2:
             raise ValueError("need at least 2 levels")
-        if np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) > SU_UNITARY_TOL:
+        if not op.is_unitary(SU_UNITARY_TOL):  # False for a non-square or NaN matrix
             raise ValueError("matrix is not unitary within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", op.matrix)
 
     @property
     def k(self) -> int:
@@ -127,25 +124,18 @@ class SymmetricState:
 
     def __post_init__(self):
         _check_caps(self.k, self.n)
-        amps = np.array(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
+        amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
         if amps.size != dicke_dim(self.k, self.n):
             raise ValueError(
                 f"expected {dicke_dim(self.k, self.n)} amplitudes for (K={self.k}, N={self.n}), "
                 f"got {amps.size}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"symmetric state is not normalized (norm={norm!r})")
-        amps.setflags(write=False)
+        check_unit_vector(amps, "symmetric state")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def normalized(cls, k: int, n: int, amplitudes) -> "SymmetricState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(amps)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(k, n, amps / norm)
+        return cls(k, n, StateVector.normalized(amplitudes).amplitudes)
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversion import Conversion
-from .linalg import HERMITIAN_TOL, StateVector, schmidt_decompose
+from .linalg import HERMITIAN_TOL, StateVector, _frozen, check_hermitian, schmidt_decompose
 
 DETECT_TOL = 1e-10
 
@@ -24,12 +24,8 @@ class Witness:
     label: str = ""
 
     def __post_init__(self):
-        op = np.array(np.asarray(self.operator, dtype=complex))
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError(f"witness operator must be square, got shape {op.shape}")
-        if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("witness operator is not Hermitian within tolerance")
-        op.setflags(write=False)
+        op = _frozen(self.operator)
+        check_hermitian(op, "witness operator", HERMITIAN_TOL)
         object.__setattr__(self, "operator", op)
 
     @property

@@ -337,6 +337,23 @@ def test_negativity_rejects_invalid_density():
         negativity(np.eye(4), 2, 2)  # trace 4, not a density operator
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GramMatrix([[1.0, math.nan], [math.nan, 1.0]]),
+    lambda: negativity([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
+    lambda: partial_transpose([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
+], ids=["GramMatrix", "negativity", "partial_transpose"])
+def test_non_finite_matrix_entries_rejected(build):
+    with pytest.raises(ValueError, match="non-finite") as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
+def test_empty_matrices_rejected():
+    for build in (lambda: GramMatrix(np.zeros((0, 0))), lambda: negativity(np.zeros((0, 0)), 0, 0)):
+        with pytest.raises(ValueError, match="nonempty square"):
+            build()
+
+
 # ------------------------------------------------------------------- fidelity
 
 def test_fidelity_identical_orthogonal_and_angle():

@@ -215,6 +215,37 @@ def test_two_mode_state_validation():
         TwoModeState(k=2, n=2, sectors=bad)
 
 
+def test_two_mode_state_rejects_non_finite_amplitudes():
+    sectors = {(2, 0): [[math.nan], [0.0], [0.0]], (1, 1): np.zeros((2, 2)), (0, 2): np.zeros((1, 3))}
+    with pytest.raises(ValueError, match="non-finite") as err:
+        TwoModeState(k=2, n=2, sectors=sectors)
+    assert "\n" not in str(err.value)
+
+
+def test_two_mode_state_rejects_unknown_sectors():
+    tw = inject(coherent_state(SuUnitary(np.eye(2)), 2))
+    with pytest.raises(ValueError, match="sector \\(9, 9\\)"):
+        TwoModeState(k=2, n=2, sectors={**tw.sectors, (9, 9): np.zeros(1)})
+    with pytest.raises(ValueError, match="sector \\(3, 0\\)"):
+        TwoModeState.single_sector(2, 2, (3, 0), tw.sectors[(2, 0)])
+
+
+def test_sectors_are_read_only_views_of_amplitudes():
+    rng = np.random.default_rng(87)
+    injected = inject(random_symmetric(3, 3, rng))
+    tunneled = apply_tunneling(injected, 0.6, 0.8)
+    built = TwoModeState(3, 3, {key: np.array(block) for key, block in tunneled.sectors.items()})
+    block, _ = project_sector(tunneled, 2, 1)
+    carried = TwoModeState.single_sector(3, 3, (2, 1), block)
+    for state in (injected, tunneled, built, carried, TwoModeState.from_flat(3, 3, tunneled.to_flat())):
+        assert not state.amplitudes.flags.writeable
+        for block in state.sectors.values():
+            assert not block.flags.writeable
+            assert np.shares_memory(block, state.amplitudes)
+        joined = np.concatenate([block.reshape(-1) for block in state.sectors.values()])
+        assert np.array_equal(joined, state.amplitudes)
+
+
 # --------------------------------------------------------------- run_protocol
 
 def test_protocol_config_validation():

@@ -340,6 +340,17 @@ def test_symmetric_state_validation():
         SymmetricState(2, 2, np.array([1.0, 0.0]))  # wrong length
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricState(2, 2, [math.nan, 0.0, 0.0]),
+    lambda: SymmetricState.normalized(2, 1, [math.inf, 1.0]),
+    lambda: SuUnitary([[math.nan, 0.0], [0.0, 1.0]]),
+], ids=["SymmetricState", "SymmetricState.normalized", "SuUnitary"])
+def test_non_finite_entries_rejected(build):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
 def test_symmetric_state_caps():
     with pytest.raises(ValueError):
         SymmetricState(7, 1, np.zeros(7))

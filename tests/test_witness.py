@@ -116,3 +116,9 @@ def test_detect_shape_mismatch():
 def test_witness_requires_hermitian():
     with pytest.raises(ValueError):
         Witness(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_witness_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="non-finite") as err:
+        Witness(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    assert "\n" not in str(err.value)
