@@ -59,7 +59,6 @@ from .symmetric import (
     overlap,
     splitting_isometry,
     symmetric_power_matrix,
-    verify_splitting_faithfulness,
 )
 from .modesplit import (
     ProtocolConfig,

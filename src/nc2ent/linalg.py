@@ -50,13 +50,13 @@ def check_unit_vector(amps: np.ndarray, noun: str) -> None:
 
 
 def check_hermitian(m: np.ndarray, noun: str, tol: float) -> None:
-    """Raise a one-line ValueError unless m is nonempty and square with
-    |m - m^dag| <= tol entrywise; a NaN entry fails the comparison and is named."""
+    """Raise a one-line ValueError unless m is nonempty, square, finite and
+    |m - m^dag| <= tol entrywise; finiteness comes first, so inf - inf is never formed."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"{noun} must be a nonempty square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{noun} has a non-finite entry")
     if not np.max(np.abs(m - m.conj().T)) <= tol:
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{noun} has a non-finite entry")
         raise ValueError(f"{noun} is not Hermitian within tolerance")
 
 

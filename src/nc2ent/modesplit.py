@@ -120,11 +120,25 @@ class TwoModeState:
             if block.shape != shape:
                 raise ValueError(f"sector {key} has shape {block.shape}, expected {shape}")
             parts.append(block.reshape(-1))
-        amps = np.concatenate(parts)
+        self._adopt(np.concatenate(parts))
+
+    def _adopt(self, amps: np.ndarray) -> None:
+        """Check, freeze and take over amps, a fresh vector in _blocks order."""
         check_unit_vector(amps, "two-mode state")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "sectors", _split(self.k, self.n, amps))
+
+    @classmethod
+    def _from_amplitudes(cls, k: int, n: int, amps: np.ndarray) -> "TwoModeState":
+        """The state whose amplitudes are amps, a fresh vector in _blocks
+        order that the caller hands over; no per-sector copy is made."""
+        _check_caps(k, n)
+        state = object.__new__(cls)
+        object.__setattr__(state, "k", k)
+        object.__setattr__(state, "n", n)
+        state._adopt(amps)
+        return state
 
     def to_flat(self) -> np.ndarray:
         """Amplitudes on the flat Dicke basis of Sym^N(C^{2K}), A levels first."""
@@ -140,13 +154,19 @@ class TwoModeState:
         flat = np.asarray(flat, dtype=complex).reshape(-1)
         if flat.size != positions.size:
             raise ValueError(f"flat vector has size {flat.size}, expected {positions.size}")
-        return cls(k=k, n=n, sectors=_split(k, n, flat[positions]))
+        return cls._from_amplitudes(k, n, flat[positions])
 
     @classmethod
     def single_sector(cls, k: int, n: int, key: tuple[int, int], block: np.ndarray) -> "TwoModeState":
-        sectors = _split(k, n, np.zeros(_blocks(k, n)[-1][2].stop, dtype=complex))
-        sectors[key] = block
-        return cls(k=k, n=n, sectors=sectors)
+        for sector, shape, part in _blocks(k, n):
+            if sector == key:
+                block = np.asarray(block, dtype=complex)
+                if block.shape != shape:
+                    raise ValueError(f"sector {key} has shape {block.shape}, expected {shape}")
+                amps = np.zeros(_blocks(k, n)[-1][2].stop, dtype=complex)
+                amps[part] = block.reshape(-1)
+                return cls._from_amplitudes(k, n, amps)
+        raise ValueError(f"unknown sector {key} for N={n}")
 
 
 def inject(state: SymmetricState) -> TwoModeState:
@@ -186,7 +206,7 @@ def apply_tunneling(state: TwoModeState, r: complex, t: complex) -> TwoModeState
     for per_total in _level_indices(state.k, state.n):
         for rotation, idx in zip(rotations[1:], per_total[1:]):
             joined[idx] = rotation @ joined[idx]
-    return TwoModeState(state.k, state.n, _split(state.k, state.n, joined))
+    return TwoModeState._from_amplitudes(state.k, state.n, joined)
 
 
 def sector_probabilities(state: TwoModeState) -> dict[tuple[int, int], float]:

@@ -10,8 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (Operator, StateVector, _frozen, check_unit_vector, entanglement_entropy,
-                     negativity, schmidt_decompose)
+from .linalg import Operator, StateVector, _frozen, check_unit_vector
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
@@ -263,73 +262,3 @@ def splitting_isometry(k: int, n: int, n_x: int, n_y: int) -> Operator:
     out = np.zeros((rows, cols), dtype=complex)
     out[np.arange(rows), source] = weight
     return Operator(out)
-
-
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    """Outcome of the mixed-state faithfulness spot checks for the splitting
-    isometry: classical mixtures stay separable (PPT, explicit product
-    decomposition) and non-classical superpositions come out entangled."""
-
-    samples: int
-    max_mixture_negativity: float
-    max_product_residual: float
-    min_superposition_entropy: float
-    failures: list[str]
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
-
-
-def verify_splitting_faithfulness(k: int, n: int, split: tuple[int, int],
-                                  samples: int = 10, seed: int | None = 0) -> FaithfulnessReport:
-    """Spot-check both faithfulness directions at desk scale: (a) random
-    mixtures of coherent projectors map to PPT outputs matching an explicit
-    product decomposition; (b) random 2-term coherent superpositions map to
-    outputs with strictly positive entanglement entropy."""
-    rng = np.random.default_rng(seed)
-    n_x, n_y = split
-    iso = splitting_isometry(k, n, n_x, n_y).matrix
-    dim_x, dim_y = dicke_dim(k, n_x), dicke_dim(k, n_y)
-    failures: list[str] = []
-    max_neg = 0.0
-    max_resid = 0.0
-    min_entropy = math.inf
-
-    for i in range(samples):
-        unitaries = [haar_random_su(k, rng) for _ in range(3)]
-        weights = rng.random(3)
-        weights /= weights.sum()
-        rho = sum(w * coherent_state(u, n).as_state_vector().projector()
-                  for w, u in zip(weights, unitaries))
-        sigma = iso @ rho @ iso.conj().T
-        neg = negativity(sigma, dim_x, dim_y)
-        max_neg = max(max_neg, neg)
-        if neg > 1e-10:
-            failures.append(f"mixture {i}: negativity {neg:.3e} exceeds 1e-10")
-        product = sum(
-            w * np.outer(np.kron(coherent_state(u, n_x).amplitudes, coherent_state(u, n_y).amplitudes),
-                         np.kron(coherent_state(u, n_x).amplitudes, coherent_state(u, n_y).amplitudes).conj())
-            for w, u in zip(weights, unitaries))
-        resid = float(np.max(np.abs(sigma - product)))
-        max_resid = max(max_resid, resid)
-        if resid > 1e-10:
-            failures.append(f"mixture {i}: product decomposition residual {resid:.3e}")
-
-    for i in range(samples):
-        u = haar_random_su(k, rng)
-        v = haar_random_su(k, rng)
-        if abs(overlap(u, v, 1)) > 1 - 1e-6:
-            continue
-        amps = coherent_state(u, n).amplitudes + coherent_state(v, n).amplitudes
-        psi = SymmetricState.normalized(k, n, amps)
-        out = StateVector(iso @ psi.amplitudes)
-        entropy = entanglement_entropy(schmidt_decompose(out, dim_x, dim_y))
-        min_entropy = min(min_entropy, entropy)
-        if entropy <= 1e-8:
-            failures.append(f"superposition {i}: entropy {entropy:.3e} not above 1e-8")
-
-    return FaithfulnessReport(samples=samples, max_mixture_negativity=max_neg,
-                              max_product_residual=max_resid,
-                              min_superposition_entropy=min_entropy, failures=failures)

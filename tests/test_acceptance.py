@@ -1,8 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole suite targets a few minutes on one core, dominated by the
-10^4-run Monte-Carlo of criterion 8b.
+Each criterion measures through the `nc2ent.verify` functions that
+`nc2ent verify` runs at reduced size, with its own sizes and seeds, and
+asserts its own literal thresholds; a literal with a TOLERANCES key is
+asserted equal to it. Run with `pytest tests/test_acceptance.py -v -s` to see
+the per-criterion lines; the module takes a few seconds on one core, most of
+it the conversion sweep of criterion 1.
 """
 
 import math
@@ -10,45 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from nc2ent.conversion import (
-    build_conversion,
-    default_epsilon,
-    make_split,
-    random_classical_set,
-    random_superposition,
-)
-from nc2ent.gcnot import (
-    GcnotParams,
-    beamsplitter_params,
-    gcnot_classical_pair,
-    maximal_input_count,
-    mu_to_epsilon,
-    optimal_epsilon,
-    output_entanglement,
-)
-from nc2ent.linalg import (
-    StateVector,
-    basis_state,
-    entanglement_entropy,
-    negativity,
-    schmidt_decompose,
-)
-from nc2ent.modesplit import (
-    ProtocolConfig,
-    apply_tunneling,
-    binomial_sector_amplitude,
-    inject,
-    run_protocol,
-    sector_probabilities,
-)
-from nc2ent.symmetric import (
-    SymmetricState,
-    coherent_state,
-    dicke_dim,
-    haar_random_su,
-    splitting_isometry,
-)
-from nc2ent.witness import detect, nonclassicality_witness, swap_style_witness
+from nc2ent import verify
+from nc2ent.linalg import StateVector, schmidt_decompose
+from nc2ent.modesplit import apply_tunneling, inject
+from nc2ent.symmetric import SymmetricState, coherent_state, dicke_dim, haar_random_su, splitting_isometry
 
 from test_symmetric import apply_tensor_power, dicke_embedding
 
@@ -61,112 +29,64 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def tol(key: str, literal: float) -> float:
+    """A criterion's literal threshold, asserted equal to verify's tolerance."""
+    assert verify.TOLERANCES[key] == literal, (key, literal)
+    return literal
+
+
 @pytest.fixture(scope="module")
 def conversion_sweep():
     """Criterion 1 workload, shared with criterion 2: 100 seeded trials per
     dimension, each building a fresh conversion and checking every support
     size."""
     master = np.random.SeedSequence(2024)
-    stats = {
-        "trials": 0,
-        "rank_matches": 0,
-        "worst_split_residual": 0.0,
-        "worst_unitarity_residual": 0.0,
-    }
-    for dim in range(2, 9):
-        rng = np.random.default_rng(master.spawn(1)[0])
-        for _ in range(100):
-            cs = random_classical_set(dim, rng)
-            split = make_split(cs, default_epsilon(cs))
-            conv = build_conversion(cs, split)
-            product = split.gram_d.entries * split.gram_e.entries
-            stats["worst_split_residual"] = max(
-                stats["worst_split_residual"],
-                float(np.max(np.abs(product - cs.gram.entries))))
-            u = conv.unitary.matrix
-            stats["worst_unitarity_residual"] = max(
-                stats["worst_unitarity_residual"],
-                float(np.max(np.abs(u.conj().T @ u - np.eye(dim * dim)))))
-            for support in range(1, dim + 1):
-                psi, r_c = random_superposition(cs, support, rng)
-                out = conv.convert(psi)
-                stats["trials"] += 1
-                if schmidt_decompose(out, dim, dim).rank == r_c == support:
-                    stats["rank_matches"] += 1
-    return stats
+    return [verify.measure_conversions(dim, 100, np.random.default_rng(master.spawn(1)[0]))
+            for dim in range(2, 9)]
 
 
 def test_criterion_1_rank_equality(conversion_sweep):
-    s = conversion_sweep
-    ok = s["rank_matches"] == s["trials"]
-    assert report("1 rank-equality", ok,
-                  f"{s['rank_matches']}/{s['trials']} rank matches over D=2..8")
+    trials = sum(m[0] for m in conversion_sweep)
+    matches = sum(m[1] for m in conversion_sweep)
+    assert report("1 rank-equality", matches == trials,
+                  f"{matches}/{trials} rank matches over D=2..8")
 
 
 def test_criterion_2_gram_splitting_and_unitarity(conversion_sweep):
-    s = conversion_sweep
-    ok = (s["worst_split_residual"] <= 1e-10
-          and s["worst_unitarity_residual"] <= 1e-10)
+    split = max(m[2] for m in conversion_sweep)
+    unitarity = max(m[3] for m in conversion_sweep)
+    ok = split <= tol("gram_splitting", 1e-10) and unitarity <= tol("unitarity", 1e-10)
     assert report("2 gram-splitting-identity", ok,
-                  f"split residual {s['worst_split_residual']:.2e}, "
-                  f"unitarity residual {s['worst_unitarity_residual']:.2e}")
+                  f"split residual {split:.2e}, unitarity residual {unitarity:.2e}")
 
 
 def test_criterion_3_mixed_faithfulness():
     rng = np.random.default_rng(31)
-    worst_neg = 0.0
-    worst_product = 0.0
-    min_entropy = math.inf
-    for dim in (2, 3, 4, 5):
-        cs = random_classical_set(dim, rng)
-        split = make_split(cs, default_epsilon(cs))
-        conv = build_conversion(cs, split)
-        for terms in range(1, min(dim, 5) + 1):
-            weights = rng.random(terms)
-            weights /= weights.sum()
-            idx = rng.choice(dim, size=terms, replace=False)
-            rho = sum(w * cs.states[i].projector() for w, i in zip(weights, idx))
-            sigma = conv.convert_density(rho)
-            worst_neg = max(worst_neg, negativity(sigma, dim, dim))
-            explicit = sum(
-                w * split.d_states[i].tensor(split.e_states[i]).projector()
-                for w, i in zip(weights, idx))
-            worst_product = max(worst_product, float(np.max(np.abs(sigma - explicit))))
-        for support in range(2, dim + 1):
-            psi, _ = random_superposition(cs, support, rng)
-            ent = entanglement_entropy(schmidt_decompose(conv.convert(psi), dim, dim))
-            min_entropy = min(min_entropy, ent)
-    ok = worst_neg <= 1e-10 and worst_product <= 1e-10 and min_entropy > 1e-8
+    per_dim = [verify.measure_mixed_faithfulness(dim, rng) for dim in (2, 3, 4, 5)]
+    worst_neg = max(m[0] for m in per_dim)
+    worst_product = max(m[1] for m in per_dim)
+    min_entropy = min(m[2] for m in per_dim)
+    ok = (worst_neg <= tol("mixture_negativity", 1e-10)
+          and worst_product <= tol("mixture_product", 1e-10)
+          and min_entropy > tol("superposition_entropy", 1e-8))
     assert report("3 mixed-faithfulness", ok,
                   f"negativity {worst_neg:.2e}, product residual {worst_product:.2e}, "
                   f"min entropy {min_entropy:.2e}")
 
 
 def test_criterion_4_entanglement_surface():
-    thetas = np.linspace(math.pi / 2, math.pi - 0.01, 64)
-    worst_max = 0.0
-    worst_mirror = 0.0
-    for theta in thetas:
-        _, ebits0 = optimal_epsilon(float(theta), basis_state(2, 0))
-        worst_max = max(worst_max, abs(ebits0 - 1.0))
-        _, ebits1 = optimal_epsilon(math.pi - float(theta), basis_state(2, 1))
-        worst_mirror = max(worst_mirror, abs(ebits0 - ebits1))
-    theta = 2 * math.pi / 3
-    eps_opt, _ = optimal_epsilon(theta, basis_state(2, 0))
-    off_input = output_entanglement(GcnotParams(theta=theta, epsilon=eps_opt),
-                                    basis_state(2, 1))
-    ok = worst_max <= 1e-6 and worst_mirror <= 1e-9 and off_input < 1.0 - 1e-3
+    worst_max, worst_mirror = verify.measure_ebit_maxima(64)
+    _, _, off_input = verify.measure_cnot_nonequivalence(2 * math.pi / 3, 1024)
+    ok = (worst_max <= tol("one_ebit_maxima", 1e-6)
+          and worst_mirror <= tol("mirror_symmetry", 1e-9)
+          and off_input < 1.0 - tol("other_input_gap", 1e-3))
     assert report("4 entanglement-surface", ok,
                   f"|max-1| {worst_max:.2e}, mirror dev {worst_mirror:.2e}, "
                   f"other input {off_input:.4f} ebits")
 
 
 def test_criterion_5_cnot_nonequivalence():
-    theta = 2 * math.pi / 3
-    eps_opt, _ = optimal_epsilon(theta, basis_state(2, 0))
-    tilted_count, _, _ = maximal_input_count(theta, eps_opt, n_points=1024)
-    control_count, _, _ = maximal_input_count(math.pi / 2, mu_to_epsilon(1e-6),
-                                              n_points=1024)
+    tilted_count, control_count, _ = verify.measure_cnot_nonequivalence(2 * math.pi / 3, 1024)
     ok = tilted_count == 1 and control_count >= 2
     assert report("5 cnot-nonequivalence", ok,
                   f"tilted maxima {tilted_count} (want exactly 1), "
@@ -174,37 +94,21 @@ def test_criterion_5_cnot_nonequivalence():
 
 
 def test_criterion_6_overlap_splitting():
-    rng = np.random.default_rng(6)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(2, 5))
-        n = int(rng.integers(2, 9))
-        u, v = haar_random_su(k, rng), haar_random_su(k, rng)
-        full = coherent_state(u, n).overlap(coherent_state(v, n))
-        for n_x in range(1, n):
-            left = coherent_state(u, n_x).overlap(coherent_state(v, n_x))
-            right = coherent_state(u, n - n_x).overlap(coherent_state(v, n - n_x))
-            worst = max(worst, abs(full - left * right))
-    ok = worst <= 1e-12
+    worst = verify.measure_overlap_splitting(100, 8, np.random.default_rng(6))
+    ok = worst <= tol("overlap_splitting", 1e-12)
     assert report("6 overlap-splitting", ok, f"worst residual {worst:.2e} over 100 Haar pairs")
 
 
 def test_criterion_7_splitting_isometry_action():
     rng = np.random.default_rng(7)
     k, n, n_x, n_y = 3, 4, 2, 2
-    iso = splitting_isometry(k, n, n_x, n_y).matrix
-    worst_fid = 0.0
-    for _ in range(50):
-        u = haar_random_su(k, rng)
-        out = iso @ coherent_state(u, n).amplitudes
-        prod = np.kron(coherent_state(u, n_x).amplitudes, coherent_state(u, n_y).amplitudes)
-        worst_fid = max(worst_fid, abs(1.0 - abs(np.vdot(prod, out)) ** 2))
+    worst_fid = verify.measure_isometry_action(k, n, n_x, 50, rng)
     u, v = haar_random_su(k, rng), haar_random_su(k, rng)
     amps = coherent_state(u, n).amplitudes + coherent_state(v, n).amplitudes
     psi = SymmetricState.normalized(k, n, amps)
-    out = StateVector(iso @ psi.amplitudes)
+    out = StateVector(splitting_isometry(k, n, n_x, n_y).matrix @ psi.amplitudes)
     rank = schmidt_decompose(out, dicke_dim(k, n_x), dicke_dim(k, n_y)).rank
-    ok = worst_fid <= 1e-10 and rank == 2
+    ok = worst_fid <= tol("isometry_fidelity", 1e-10) and rank == 2
     assert report("7 splitting-isometry", ok,
                   f"worst coherent fidelity defect {worst_fid:.2e}, "
                   f"superposition Schmidt rank {rank}")
@@ -212,48 +116,21 @@ def test_criterion_7_splitting_isometry_action():
 
 def test_criterion_8_mode_splitting_protocol():
     rng = np.random.default_rng(8)
-    balanced = 1.0 / math.sqrt(2.0)
 
     # (a) analytic sector probabilities, K=2, N <= 6
-    worst_sector = 0.0
-    for n in range(1, 7):
-        u = haar_random_su(2, rng)
-        r = complex(0.6, 0.3)
-        t = math.sqrt(1.0 - abs(r) ** 2)
-        state = apply_tunneling(inject(coherent_state(u, n)), r, t)
-        probs = sector_probabilities(state)
-        for n_a in range(n + 1):
-            expected = abs(binomial_sector_amplitude(n, n_a, r, t)) ** 2
-            worst_sector = max(worst_sector, abs(probs[(n_a, n - n_a)] - expected))
-    ok_a = worst_sector <= 1e-10
+    r = complex(0.6, 0.3)
+    worst_sector = verify.measure_sector_probabilities(2, range(1, 7), r, math.sqrt(1.0 - abs(r) ** 2), rng)
+    ok_a = worst_sector <= tol("sector_probabilities", 1e-10)
 
     # (b) empirical success frequency over 10^4 single-shot runs
-    psi = coherent_state(haar_random_su(2, rng), 2)
-    p = abs(binomial_sector_amplitude(2, 1, balanced, balanced)) ** 2
     runs = 10_000
-    hits = 0
-    for child in np.random.SeedSequence(88).spawn(runs):
-        cfg = ProtocolConfig(r=balanced, t=balanced, target=(1, 1), max_rounds=1,
-                             seed=int(child.generate_state(1)[0]))
-        if run_protocol(psi, cfg).succeeded:
-            hits += 1
+    hits, p = verify.measure_success_frequency(runs, 88, rng)
     sigma = math.sqrt(p * (1.0 - p) / runs)
-    ok_b = abs(hits / runs - p) <= 3.0 * sigma
+    ok_b = abs(hits / runs - p) <= tol("success_rate_sigmas", 3.0) * sigma
 
     # (c) post-selected fidelity for superposition inputs, repeat until success
-    u, v = haar_random_su(2, rng), haar_random_su(2, rng)
-    amps = coherent_state(u, 3).amplitudes + coherent_state(v, 3).amplitudes
-    superpos = SymmetricState.normalized(2, 3, amps)
-    min_fid = 1.0
-    successes = 0
-    for i in range(100):
-        cfg = ProtocolConfig(r=0.6, t=0.8, target=(2, 1), max_rounds=64,
-                             seed=int(rng.integers(2**32)))
-        res = run_protocol(superpos, cfg)
-        if res.succeeded:
-            successes += 1
-            min_fid = min(min_fid, res.fidelity)
-    ok_c = successes == 100 and min_fid >= 1.0 - 1e-9
+    successes, min_fid = verify.measure_postselected_fidelity(100, 0.6, 0.8, rng)
+    ok_c = successes == 100 and min_fid >= 1.0 - tol("postselected_fidelity", 1e-9)
 
     # (d) sector-block simulation vs first-quantized tensor-power oracle
     worst_oracle = 0.0
@@ -278,42 +155,20 @@ def test_criterion_8_mode_splitting_protocol():
 
 
 def test_criterion_9_witness_chain():
-    rng = np.random.default_rng(9)
-    cs = gcnot_classical_pair(math.pi / 2)
-    split = make_split(cs, mu_to_epsilon(0.01), boundary_ok=True)
-    conv = build_conversion(cs, split)
-    phi = conv.convert(basis_state(2, 0))
-    w = swap_style_witness(2, 2, phi)
-    w_tilde = nonclassicality_witness(w, conv)
-
-    worst_chain = 0.0
-    for _ in range(20):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        rho_in = StateVector.normalized(z).projector()
-        lhs, _ = detect(w_tilde, rho_in)
-        rhs = float(np.real(np.trace(w.operator @ conv.convert_density(rho_in))))
-        worst_chain = max(worst_chain, abs(lhs - rhs))
-    detected_value, _ = detect(w_tilde, basis_state(2, 0).projector())
-    classical_min = min(detect(w_tilde, c.projector())[0] for c in cs.states)
-    ok = worst_chain <= 1e-10 and detected_value < -0.01 and classical_min >= -1e-10
+    worst_chain, detected_value, classical_min = verify.measure_witness_chain(20, np.random.default_rng(9))
+    ok = (worst_chain <= tol("witness_chain", 1e-10)
+          and detected_value < tol("witness_detection", -0.01)
+          and classical_min >= tol("witness_classical_floor", -1e-10))
     assert report("9 witness-chain", ok,
                   f"chain residual {worst_chain:.2e}, detected value {detected_value:.4f}, "
                   f"classical min {classical_min:.2e}")
 
 
 def test_criterion_10_beamsplitter_identification():
-    rng = np.random.default_rng(10)
-    x, y = beamsplitter_params(math.exp(-1.0), math.exp(0.5) - 1.0)
-    point_err = max(abs(x - 0.5), abs(y - 0.5))
-    worst_sum = 0.0
-    worst_split = 0.0
-    for _ in range(100):
-        ov = rng.uniform(0.02, 0.98)
-        eps = rng.uniform(0.0, 1.0 / ov - 1.0)
-        x, y = beamsplitter_params(ov, eps)
-        worst_sum = max(worst_sum, abs(x + y - 1.0))
-        worst_split = max(worst_split, abs(ov**x * ov**y - ov))
-    ok = point_err <= 1e-12 and worst_sum == 0.0 and worst_split <= 1e-12
+    point_err, worst_sum, worst_split = verify.measure_beamsplitter(100, np.random.default_rng(10))
+    ok = (point_err <= tol("beamsplitter_point", 1e-12)
+          and worst_sum == 0.0
+          and worst_split <= tol("beamsplitter_identity", 1e-12))
     assert report("10 beamsplitter-identification", ok,
                   f"worked point error {point_err:.2e}, x+y-1 {worst_sum:.2e}, "
                   f"splitting residual {worst_split:.2e}")

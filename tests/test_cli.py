@@ -419,6 +419,24 @@ def test_verify_suite_passes(runner):
     assert all(c["passed"] for c in doc["checks"])
 
 
+VERIFY_CHECKS = {
+    "discrete": "rank-equality gram-splitting unitarity mixture-negativity-D2 superposition-entropy-D2 "
+                "mixture-negativity-D3 superposition-entropy-D3 mixture-negativity-D5 superposition-entropy-D5",
+    "symmetric": "overlap-splitting isometry-coherent-action mixed-faithfulness",
+    "modesplit": "sector-probabilities empirical-success-rate postselected-fidelity",
+    "gcnot": "one-ebit-maxima mirror-symmetry unique-maximal-input cnot-control-two-maxima witness-chain "
+             "witness-detects witness-classical-safe beamsplitter-point beamsplitter-identity",
+}
+
+
+def test_verify_all_is_deterministic_and_keeps_its_checks(runner):
+    first, second = (runner.invoke(main, ["verify", "--suite", "all", "--seed", "0"]) for _ in range(2))
+    assert first.exit_code == 0, first.output
+    assert first.stdout == second.stdout
+    checks = {(c["suite"], c["name"]) for c in json.loads(first.stdout)["checks"]}
+    assert {(suite, name) for suite, names in VERIFY_CHECKS.items() for name in names.split()} <= checks
+
+
 def test_verify_unknown_suite_rejected(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code != 0

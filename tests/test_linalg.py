@@ -341,7 +341,9 @@ def test_negativity_rejects_invalid_density():
     lambda: GramMatrix([[1.0, math.nan], [math.nan, 1.0]]),
     lambda: negativity([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
     lambda: partial_transpose([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
-], ids=["GramMatrix", "negativity", "partial_transpose"])
+    lambda: GramMatrix([[1.0, math.inf], [math.inf, 1.0]]),
+    lambda: negativity([[math.inf, 0.0], [0.0, 1.0]], 1, 2),
+], ids=["GramMatrix", "negativity", "partial_transpose", "GramMatrix-inf", "negativity-inf"])
 def test_non_finite_matrix_entries_rejected(build):
     with pytest.raises(ValueError, match="non-finite") as err:
         build()

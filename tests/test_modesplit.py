@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nc2ent.modesplit import (
     ProtocolConfig,
@@ -21,6 +23,7 @@ from nc2ent.symmetric import (
     occupation_basis,
     splitting_isometry,
 )
+from nc2ent.verify import measure_sector_probabilities
 
 from test_symmetric import apply_tensor_power, dicke_embedding
 
@@ -81,15 +84,25 @@ def test_coherent_balanced_sector_weights():
 
 
 def test_coherent_sector_amplitudes_all_n():
-    rng = np.random.default_rng(73)
-    for n in range(1, 7):
-        u = haar_random_su(2, rng)
-        r, t = 0.6, 0.8
-        tw = apply_tunneling(inject(coherent_state(u, n)), r, t)
-        probs = sector_probabilities(tw)
-        for n_a in range(n + 1):
-            expected = abs(binomial_sector_amplitude(n, n_a, r, t)) ** 2
-            assert abs(probs[(n_a, n - n_a)] - expected) < 1e-10
+    assert measure_sector_probabilities(2, range(1, 7), 0.6, 0.8, np.random.default_rng(73)) < 1e-10
+
+
+EDGE_OFFSETS = st.floats(min_value=-11.0, max_value=-2.0).map(lambda e: 10.0 ** e)
+PHASES = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(0, 6), offset=EDGE_OFFSETS, near_one=st.booleans(),
+       phase_r=PHASES, phase_t=PHASES, seed=st.integers(0, 2**32 - 1))
+def test_sector_probabilities_at_the_reflectivity_edges(k, n, offset, near_one, phase_r, phase_t, seed):
+    # |r| within offset of 0 or of 1; |t| from the exact complement, so
+    # |r|^2 + |t|^2 = 1 holds to roundoff at both edges
+    if near_one:
+        r_mag, t_mag = 1.0 - offset, math.sqrt(offset * (2.0 - offset))
+    else:
+        r_mag, t_mag = offset, math.sqrt(1.0 - offset**2)
+    r, t = r_mag * cmath.exp(1j * phase_r), t_mag * cmath.exp(1j * phase_t)
+    assert measure_sector_probabilities(k, (n,), r, t, np.random.default_rng(seed)) <= 1e-10
 
 
 def test_tunneling_preserves_norm():

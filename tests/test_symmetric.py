@@ -17,8 +17,8 @@ from nc2ent.symmetric import (
     overlap,
     splitting_isometry,
     symmetric_power_matrix,
-    verify_splitting_faithfulness,
 )
+from nc2ent.verify import measure_isometry_action, measure_splitting_faithfulness
 
 
 # ------------------------------------------------------- tensor-power oracle
@@ -214,13 +214,7 @@ def test_isometry_rejects_bad_split():
 
 
 def test_isometry_sends_coherent_to_product():
-    rng = np.random.default_rng(60)
-    iso = splitting_isometry(2, 5, 2, 3).matrix
-    for _ in range(50):
-        u = haar_random_su(2, rng)
-        out = iso @ coherent_state(u, 5).amplitudes
-        prod = np.kron(coherent_state(u, 2).amplitudes, coherent_state(u, 3).amplitudes)
-        assert abs(np.vdot(prod, out)) ** 2 >= 1.0 - 1e-10
+    assert measure_isometry_action(2, 5, 2, 50, np.random.default_rng(60)) <= 1e-10
 
 
 def test_isometry_preserves_coherent_grams():
@@ -313,14 +307,13 @@ def test_symmetric_power_beyond_memory_guard_raises():
         symmetric_power_matrix(np.eye(12), 12)
 
 
-# ------------------------------------------------- verify_splitting_faithfulness
+# ------------------------------------------------------ splitting faithfulness
 
 def test_faithfulness_report_passes():
-    report = verify_splitting_faithfulness(2, 3, (1, 2), samples=8, seed=65)
-    assert report.all_passed, report.failures
-    assert report.max_mixture_negativity <= 1e-10
-    assert report.max_product_residual <= 1e-10
-    assert report.min_superposition_entropy > 1e-8
+    neg, product, entropy = measure_splitting_faithfulness(2, 3, 1, 8, np.random.default_rng(65))
+    assert neg <= 1e-10
+    assert product <= 1e-10
+    assert entropy > 1e-8
 
 
 def test_faithfulness_classical_pure_state_is_product():
