@@ -331,7 +331,8 @@ def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
 @main.command("verify")
 @click.option("--suite", type=click.Choice(("all",) + SUITES), default="all", show_default=True)
 @click.option("--seed", type=int, envvar="NC2ENT_SEED", default=0, show_default=True)
-@click.option("--trials", type=int, default=None, help="Override per-suite trial counts.")
+@click.option("--trials", type=click.IntRange(min=1), default=None,
+              help="Override per-suite trial counts.")
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(suite, seed, trials, out):
     """Run the self-check suites; exit code 0 iff every check passes."""

@@ -315,27 +315,45 @@ def entanglement_entropy(sd: SchmidtData) -> float:
 
 
 def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
+    """Return rho as a complex array, or raise a one-line ValueError unless it
+    is a dim x dim, finite, Hermitian (within 1e-10), unit-trace operator with
+    lambda_min(rho) >= -1e-10. A Cholesky factorisation of rho + 1e-10 I
+    decides the last: it succeeds exactly when lambda_min(rho) > -1e-10, up to
+    a backward error of about dim * 1e-16 * ||rho||, and costs a quarter of
+    the flops of the eigenvalues."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"density operator has shape {rho.shape}, expected {(dim, dim)}")
     check_hermitian(rho, "density operator", DENSITY_TOL)
     if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
         raise ValueError("density operator does not have unit trace")
-    if not np.linalg.eigvalsh(rho)[0] >= -DENSITY_TOL:
-        raise ValueError("density operator is not positive semidefinite")
+    shifted = rho.copy()
+    shifted.flat[::dim + 1] += DENSITY_TOL
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError("density operator is not positive semidefinite") from None
     return rho
 
 
 def partial_transpose(rho, dim_a: int, dim_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of a density operator on A (x) B."""
-    rho = _check_density(np.asarray(rho, dtype=complex), dim_a * dim_b)
+    """Transpose the second tensor factor of a density operator on A (x) B.
+
+    rho must be a finite, Hermitian, unit-trace operator with
+    lambda_min(rho) >= -1e-10, which a Cholesky factorisation of
+    rho + 1e-10 I decides; otherwise a one-line ValueError is raised."""
+    rho = _check_density(rho, dim_a * dim_b)
     blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
     return blocks.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
 
 
 def negativity(rho, dim_a: int, dim_b: int) -> float:
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2; a value above 1e-10
-    certifies entanglement (PPT is necessary for separability)."""
+    certifies entanglement (PPT is necessary for separability).
+
+    rho has the precondition of :func:`partial_transpose`
+    (lambda_min(rho) >= -1e-10, decided by a Cholesky factorisation of
+    rho + 1e-10 I), so the one eigendecomposition is that of rho^T_B."""
     pt = partial_transpose(rho, dim_a, dim_b)
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     return max((trace_norm - 1.0) / 2.0, 0.0)

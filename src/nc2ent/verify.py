@@ -364,6 +364,8 @@ _RUNNERS = {
 
 
 def run_suites(names, seed: int = 0, trials: int | None = None) -> dict[str, list[CheckResult]]:
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     results: dict[str, list[CheckResult]] = {}
     for name in names:
         if name not in _RUNNERS:

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from nc2ent.cli import main
+from nc2ent.verify import run_suites
 
 
 @pytest.fixture
@@ -361,6 +362,18 @@ def _sweep_theta_range_through_zero(tmp_path):
     return ["sweep", "--theta-range", "0:3.2:4", "--out", str(tmp_path / "s.csv")]
 
 
+def _verify_modesplit_zero_trials(tmp_path):
+    return ["verify", "--suite", "modesplit", "--trials", "0"]
+
+
+def _verify_negative_trials(tmp_path):
+    return ["verify", "--trials", "-1"]
+
+
+def _verify_discrete_zero_trials(tmp_path):
+    return ["verify", "--suite", "discrete", "--trials", "0"]
+
+
 @pytest.mark.parametrize("make_args", [
     _witness_epsilon_beyond_range,
     _convert_input_dimension_mismatch,
@@ -383,6 +396,9 @@ def _sweep_theta_range_through_zero(tmp_path):
     _modesplit_nan_phase,
     _modesplit_nan_t,
     _sweep_theta_range_through_zero,
+    _verify_modesplit_zero_trials,
+    _verify_negative_trials,
+    _verify_discrete_zero_trials,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     result = runner.invoke(main, make_args(tmp_path))
@@ -440,6 +456,12 @@ def test_verify_all_is_deterministic_and_keeps_its_checks(runner):
 def test_verify_unknown_suite_rejected(runner):
     result = runner.invoke(main, ["verify", "--suite", "bogus"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_suites_rejects_trials_below_one(trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_suites(["discrete"], trials=trials)
 
 
 def test_verify_env_seed(runner, monkeypatch):

@@ -269,6 +269,14 @@ def test_convert_density_classical_mixture_stays_separable():
     assert negativity(sigma, 3, 3) < 1e-10
 
 
+def test_convert_density_three_state_mixture_separable_at_d16():
+    rng = np.random.default_rng(33)
+    cs = random_classical_set(16, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    rho = sum(w * cs.states[k].projector() for w, k in zip((0.5, 0.3, 0.2), (0, 7, 15)))
+    assert negativity(conv.convert_density(rho), 16, 16) <= 1e-10
+
+
 def test_convert_density_matches_pure_conversion():
     rng = np.random.default_rng(30)
     cs = random_classical_set(2, rng)

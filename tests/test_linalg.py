@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nc2ent.linalg import (
+    DENSITY_TOL,
     GramMatrix,
     GramMismatchError,
     StateVector,
@@ -335,6 +336,73 @@ def test_partial_transpose_involution():
 def test_negativity_rejects_invalid_density():
     with pytest.raises(ValueError):
         negativity(np.eye(4), 2, 2)  # trace 4, not a density operator
+
+
+def density_with_min_eig(dim: int, lam_min: float, zeros: int, rng) -> np.ndarray:
+    """Unit-trace Hermitian U diag(w) U^dag with w = (lam_min, 0 x zeros, positive rest)."""
+    rest = rng.random(dim - 1 - zeros) + 0.1
+    w = np.concatenate([[lam_min], np.zeros(zeros), rest * (1.0 - lam_min) / rest.sum()])
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    u = np.linalg.qr(z)[0]
+    rho = (u * w) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("check", [negativity, partial_transpose])
+@pytest.mark.parametrize("lam_min", [-2 * DENSITY_TOL, -DENSITY_TOL / 2])
+def test_density_psd_decision_at_its_tolerance(check, lam_min):
+    rho = density_with_min_eig(4, lam_min, 1, np.random.default_rng(41))
+    if lam_min < -DENSITY_TOL:
+        with pytest.raises(ValueError) as err:
+            check(rho, 2, 2)
+        assert str(err.value) == "density operator is not positive semidefinite"
+    else:
+        check(rho, 2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(2, 64),
+    zero_share=st.floats(0.0, 1.0),
+    log_offset=st.floats(-12.0, -8.0),
+    below=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_density_psd_decision_matches_eigenvalue_rule(dim, zero_share, log_offset, below, seed):
+    offset = 10.0**log_offset
+    rho = density_with_min_eig(dim, -DENSITY_TOL + (-offset if below else offset),
+                               int(zero_share * (dim - 2)), np.random.default_rng(seed))
+    lam = float(np.linalg.eigvalsh(rho)[0])
+    assume(abs(lam + DENSITY_TOL) > 1e-12)
+    try:
+        partial_transpose(rho, 1, dim)
+        accepted = True
+    except ValueError as err:
+        assert str(err) == "density operator is not positive semidefinite"
+        accepted = False
+    assert accepted == (lam >= -DENSITY_TOL), (lam, accepted)
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_negativity_maximally_entangled(d):
+    phi = StateVector(np.eye(d).reshape(-1) / math.sqrt(d))
+    assert abs(negativity(phi.projector(), d, d) - (d - 1) / 2) < 1e-10
+
+
+def test_negativity_needs_one_spectrum(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rho = density_with_min_eig(256, 0.0, 100, np.random.default_rng(42))
+    partial_transpose(rho, 16, 16)
+    assert calls == []
+    negativity(rho, 16, 16)
+    assert calls == [(256, 256)]
 
 
 @pytest.mark.parametrize("build", [
