@@ -36,7 +36,6 @@ from .conversion import (
     random_classical_set,
     random_superposition,
     uniform_overlap_gram,
-    verify_rank_equality,
 )
 from .gcnot import (
     GcnotParams,

@@ -28,7 +28,6 @@ from .linalg import (
     hadamard,
     positive_frame,
     random_state,
-    schmidt_decompose,
     synthesize_unitary,
 )
 
@@ -164,6 +163,8 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     Requires both factors positive definite; with boundary_ok the degenerate
     endpoints (eps = 0 or a singular scaled factor) are admitted for probing.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = cs.dim
@@ -250,46 +251,3 @@ def random_superposition(cs: ClassicalSet, support: int,
     vec = sum(c * cs.states[i].amplitudes for c, i in zip(coeffs, idx))
     psi = StateVector.normalized(vec)
     return psi, classical_rank(psi, cs)
-
-
-@dataclass(frozen=True)
-class RankEqualityReport:
-    """Outcome of the Schmidt-rank vs classical-rank property check."""
-
-    trials: int
-    passes: int
-    failures: list[dict]
-    max_gram_residual: float
-    max_isometry_residual: float
-
-    @property
-    def all_passed(self) -> bool:
-        return self.passes == self.trials and not self.failures
-
-
-def verify_rank_equality(cs: ClassicalSet, conv: Conversion, trials: int = 100,
-                         seed: int | None = 0) -> RankEqualityReport:
-    """For random superpositions of random support sizes, check that the
-    Schmidt rank of the converted state equals the classical rank of the
-    input. Failures are collected, not raised."""
-    rng = np.random.default_rng(seed)
-    d = cs.dim
-    failures: list[dict] = []
-    passes = 0
-    v = conv.isometry.matrix
-    iso_res = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-    converted = [conv.convert(c) for c in cs.states]
-    gram_res = float(np.max(np.abs(gram_of(converted).entries - cs.gram.entries)))
-    for trial in range(trials):
-        support = int(rng.integers(1, d + 1))
-        psi, r_c = random_superposition(cs, support, rng)
-        out = conv.convert(psi)
-        sd = schmidt_decompose(out, d, d)
-        if sd.rank == r_c:
-            passes += 1
-        else:
-            failures.append({"trial": trial, "support": support,
-                             "classical_rank": r_c, "schmidt_rank": sd.rank})
-    return RankEqualityReport(trials=trials, passes=passes, failures=failures,
-                              max_gram_residual=gram_res,
-                              max_isometry_residual=iso_res)

@@ -35,13 +35,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_unit_vector(amps: np.ndarray, noun: str) -> None:
+def check_unit_vector(amps: np.ndarray, noun: str, squared_norm: float | None = None) -> None:
     """Raise a one-line ValueError unless amps is nonempty with norm 1 within
     NORM_TOL. Makes no copy; the amplitudes are scanned for a non-finite
-    entry only once the norm test has failed, which a NaN norm does."""
+    entry only once the norm test has failed, which a NaN norm does. A caller
+    that has already summed |amps|^2 passes it as squared_norm."""
     if amps.size == 0:
         raise ValueError(f"{noun} must have positive dimension")
-    norm = math.sqrt(np.vdot(amps, amps).real)
+    norm = math.sqrt(np.vdot(amps, amps).real if squared_norm is None else squared_norm)
     if not abs(norm - 1.0) <= NORM_TOL:
         bad = amps[~np.isfinite(amps)]
         if bad.size:

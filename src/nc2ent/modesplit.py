@@ -8,9 +8,16 @@ outcomes (N_A, N_B) on Sym^{N_A}(C^K) (x) Sym^{N_B}(C^K) raveled in sector
 order, C(N+2K-1, 2K-1) amplitudes in all; each sector is a read-only view of
 its block. The tunneling rotation a_j -> r a_jA + t a_jB acts on every internal
 level j on its own and keeps the level's total m = n_jA + n_jB, so a pass is
-one (m+1) x (m+1) matrix per level j and total m, applied to every group of
-amplitudes that differ only in how level j's m particles are split. No matrix
-on the whole two-mode space is built."""
+the two-level kernel of symmetric.py (the one apply_unitary uses) once per
+level pair (j_A, j_B): one (m+1) x (m+1) matrix per total m, in closed form,
+applied to every group of amplitudes that differ only in how level j's m
+particles are split. No matrix on the whole two-mode space is built.
+
+A round runs on the bare vector: _tunnel rotates it in place, _sector_weights
+reads every sector weight in one pass, and _post_select normalizes the
+counted block. run_protocol keeps one vector for all its rounds;
+apply_tunneling, sector_probabilities and project_sector are thin wrappers
+over the same steps for a TwoModeState."""
 
 from __future__ import annotations
 
@@ -26,10 +33,12 @@ from .symmetric import (
     SymmetricState,
     apply_splitting,
     dicke_dim,
-    symmetric_power_matrix,
     _check_caps,
     _occupation_pairs,
     _occupation_ranks,
+    _pair_groups,
+    _pair_powers,
+    _rotate,
 )
 
 MODE_PAIR_TOL = 1e-12     # |r|^2 + |t|^2 = 1
@@ -53,43 +62,27 @@ def _blocks(k: int, n: int) -> tuple[tuple[tuple[int, int], tuple[int, int], sli
     return tuple(out)
 
 
-def _entries(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupations (a, b) of modes A and B for every amplitude of the sector
-    blocks, raveled and concatenated in _sector_keys order."""
+@lru_cache(maxsize=None)
+def _float_starts(k: int, n: int) -> np.ndarray:
+    """Start of every sector block in the float64 view of the amplitude
+    vector (re, im, re, im, ...), in _sector_keys order."""
+    return np.array([2 * part.start for _, _, part in _blocks(k, n)])
+
+
+def _two_mode_layout(k: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Occupations of modes A and B, (a_0..a_{K-1}, b_0..b_{K-1}), of every
+    amplitude in _blocks order, and the level pairs (j, K+j) that tunneling
+    rotates."""
     pairs = [_occupation_pairs(k, n_a, n_b) for n_a, n_b in _sector_keys(n)]
-    return np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])
-
-
-@lru_cache(maxsize=8)
-def _level_indices(k: int, n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """For each level j and level total m, an index array of shape (m+1, R)
-    into the concatenated blocks. Column c lists the m+1 amplitudes that agree
-    on every other level and split level j as n_jA = m, m-1, ..., 0."""
-    a, b = _entries(k, n)
-    radix = (n + 1) ** np.arange(2 * k, dtype=np.int64)
-    code = np.hstack([a, b]) @ radix
-    levels = []
-    for j in range(k):
-        # the code with level j's mode-B particles moved to mode A names the group
-        group = code + b[:, j] * (radix[j] - radix[k + j])
-        order = np.lexsort((-a[:, j], group))
-        total = (a[:, j] + b[:, j])[order]
-        levels.append(tuple(np.ascontiguousarray(order[total == m].reshape(-1, m + 1).T)
-                            for m in range(n + 1)))
-    return tuple(levels)
+    occs = np.hstack([np.concatenate([a for a, _ in pairs]), np.concatenate([b for _, b in pairs])])
+    return occs, tuple((j, k + j) for j in range(k))
 
 
 @lru_cache(maxsize=8)
 def _flat_positions(k: int, n: int) -> np.ndarray:
     """Position of every block amplitude in the flat Dicke basis of
     Sym^N(C^{2K}) (K levels per mode, A levels first)."""
-    a, b = _entries(k, n)
-    return _occupation_ranks(np.hstack([a, b]))
-
-
-def _weight(block: np.ndarray) -> float:
-    """Squared norm of a block."""
-    return float(np.vdot(block, block).real)
+    return _occupation_ranks(_two_mode_layout(k, n)[0])
 
 
 def _split(k: int, n: int, joined: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -190,8 +183,30 @@ def _level_rotations(n: int, r: complex, t: complex) -> tuple[np.ndarray, ...]:
     """D_m for m = 0..N: the m-th symmetric power of the single-level map
     [[r, t*], [t, -r*]], on the states (m, 0), (m-1, 1), ..., (0, m) of one
     internal level in modes (A, B)."""
-    single = np.array([[r, t.conjugate()], [t, -r.conjugate()]])
-    return tuple(symmetric_power_matrix(single, m) for m in range(n + 1))
+    return _pair_powers(n, np.array([[r, t.conjugate()], [t, -r.conjugate()]]))
+
+
+def _tunnel(k: int, n: int, amps: np.ndarray, r: complex, t: complex) -> None:
+    """One tunneling pass over amps, a vector in _blocks order, in place: for
+    each internal level j, the rotation of levels (j_A, j_B)."""
+    rotations = _level_rotations(n, r, t)
+    for _, groups in _pair_groups(_two_mode_layout, k, n):
+        _rotate(amps, groups, rotations)
+
+
+def _sector_weights(k: int, n: int, amps: np.ndarray) -> np.ndarray:
+    """Squared norm of every sector block of amps, in _sector_keys order."""
+    parts = amps.view(np.float64)
+    return np.add.reduceat(parts * parts, _float_starts(k, n))
+
+
+def _post_select(k: int, n: int, amps: np.ndarray, weights: np.ndarray, index: int) -> tuple[np.ndarray, float]:
+    """The raveled block of sector _sector_keys(n)[index], normalized, and its
+    probability weights[index]."""
+    prob = float(weights[index])
+    if prob <= MIN_SECTOR_PROB:
+        raise ValueError(f"sector {_sector_keys(n)[index]} has vanishing probability {prob!r}")
+    return amps[_blocks(k, n)[index][2]] / math.sqrt(prob), prob
 
 
 def apply_tunneling(state: TwoModeState, r: complex, t: complex) -> TwoModeState:
@@ -201,31 +216,28 @@ def apply_tunneling(state: TwoModeState, r: complex, t: complex) -> TwoModeState
     level at a time: for each level j and level total m, the matrix D_m mixes
     every group of m+1 amplitudes that differ only in level j's split."""
     r, t = _check_mode_pair(r, t)
-    rotations = _level_rotations(state.n, r, t)
-    joined = state.amplitudes.copy()
-    for per_total in _level_indices(state.k, state.n):
-        for rotation, idx in zip(rotations[1:], per_total[1:]):
-            joined[idx] = rotation @ joined[idx]
-    return TwoModeState._from_amplitudes(state.k, state.n, joined)
+    amps = state.amplitudes.copy()
+    _tunnel(state.k, state.n, amps, r, t)
+    return TwoModeState._from_amplitudes(state.k, state.n, amps)
 
 
 def sector_probabilities(state: TwoModeState) -> dict[tuple[int, int], float]:
     """Probability of each particle-count outcome (N_A, N_B): the squared
     norm of the sector block. The outcomes sum to 1."""
-    return {key: _weight(block) for key, block in state.sectors.items()}
+    weights = _sector_weights(state.k, state.n, state.amplitudes)
+    return dict(zip(_sector_keys(state.n), weights.tolist()))
 
 
 def project_sector(state: TwoModeState, n_a: int, n_b: int) -> tuple[np.ndarray, float]:
     """Post-measurement block for outcome (N_A, N_B), normalized, together
     with the outcome probability."""
-    key = (n_a, n_b)
-    if key not in state.sectors:
-        raise ValueError(f"no sector {key} for N={state.n}")
-    block = state.sectors[key]
-    prob = _weight(block)
-    if prob <= MIN_SECTOR_PROB:
-        raise ValueError(f"sector {key} has vanishing probability {prob!r}")
-    return block / math.sqrt(prob), prob
+    keys = _sector_keys(state.n)
+    if (n_a, n_b) not in keys:
+        raise ValueError(f"no sector {(n_a, n_b)} for N={state.n}")
+    index = keys.index((n_a, n_b))
+    weights = _sector_weights(state.k, state.n, state.amplitudes)
+    block, prob = _post_select(state.k, state.n, state.amplitudes, weights, index)
+    return block.reshape(_blocks(state.k, state.n)[index][1]), prob
 
 
 def binomial_sector_amplitude(n: int, n_a: int, r: complex, t: complex) -> complex:
@@ -261,6 +273,8 @@ class ProtocolConfig:
     @classmethod
     def from_magnitudes(cls, r_mag: float, phase: float = 0.0, **kwargs) -> "ProtocolConfig":
         """Convention used by the CLI: real r, t = |t| e^{i phase}."""
+        if not math.isfinite(phase):
+            raise ValueError(f"phase of t must be finite, got {phase!r}")
         t_mag = math.sqrt(max(1.0 - r_mag**2, 0.0))
         return cls(r=complex(r_mag), t=t_mag * complex(math.cos(phase), math.sin(phase)), **kwargs)
 
@@ -279,15 +293,16 @@ class ProtocolResult:
     final_block: np.ndarray | None = field(repr=False, default=None)
 
 
-def _sample_sector(probs: dict[tuple[int, int], float], rng: np.random.Generator) -> tuple[int, int]:
+def _sample_sector(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the first sector whose running sum of weights reaches a
+    uniform draw; the last sector if roundoff leaves the draw above them all."""
     u = rng.random()
     acc = 0.0
-    keys = list(probs)
-    for key in keys:
-        acc += probs[key]
+    for index, weight in enumerate(weights.tolist()):
+        acc += weight
         if u <= acc:
-            return key
-    return keys[-1]
+            return index
+    return weights.size - 1
 
 
 def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolResult:
@@ -300,6 +315,9 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     post-selected state reproduces the splitting isometry output exactly.
     The fidelity is taken against apply_splitting, which shares no code with
     the tunneling kernel.
+
+    All rounds work on one amplitude vector; each round checks its unit norm
+    from the summed sector weights.
     """
     n_x, n_y = cfg.target
     if n_x + n_y != input_state.n:
@@ -307,21 +325,26 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     rng = np.random.default_rng(cfg.seed)
     reference = apply_splitting(input_state, n_x, n_y)
 
-    state = inject(input_state)
+    k, n = input_state.k, input_state.n
+    keys, blocks = _sector_keys(n), _blocks(k, n)
+    amps = np.zeros(blocks[-1][2].stop, dtype=complex)
+    amps[blocks[0][2]] = input_state.amplitudes  # inject: all of it in sector (N, 0)
     outcomes: list[tuple[int, int]] = []
     probs_seen: list[float] = []
     for round_no in range(1, cfg.max_rounds + 1):
-        state = apply_tunneling(state, cfg.r, cfg.t)
-        probs = sector_probabilities(state)
-        outcome = _sample_sector(probs, rng)
-        block, prob = project_sector(state, *outcome)
-        outcomes.append(outcome)
+        _tunnel(k, n, amps, cfg.r, cfg.t)
+        weights = _sector_weights(k, n, amps)
+        check_unit_vector(amps, "two-mode state", squared_norm=float(weights.sum()))
+        index = _sample_sector(weights, rng)
+        block, prob = _post_select(k, n, amps, weights, index)
+        outcomes.append(keys[index])
         probs_seen.append(prob)
-        if outcome == cfg.target:
-            fid = abs(np.vdot(reference, block.reshape(-1))) ** 2
+        if keys[index] == cfg.target:
+            fid = abs(np.vdot(reference, block)) ** 2
             return ProtocolResult(succeeded=True, rounds=round_no, outcomes=tuple(outcomes),
                                   probabilities=tuple(probs_seen), fidelity=float(fid),
-                                  final_block=block)
-        state = TwoModeState.single_sector(input_state.k, input_state.n, outcome, block)
+                                  final_block=block.reshape(blocks[index][1]))
+        amps[:] = 0.0
+        amps[blocks[index][2]] = block
     return ProtocolResult(succeeded=False, rounds=cfg.max_rounds, outcomes=tuple(outcomes),
                           probabilities=tuple(probs_seen), fidelity=None, final_block=None)

@@ -5,6 +5,7 @@ sends every coherent state to a product of two smaller coherent states."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,11 +217,129 @@ def symmetric_power_matrix(u: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _power_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Static part of _pair_powers for m = 0..N. Entry (row, col) of D_m maps
+    (n_p, n_q) = (m - col, col) to (i, m - i), i = m - row, with the value
+    sum_s w a^s c^(n_p - s) b^(i - s) d^(n_q - i + s), where
+    w = binom(n_p, s) binom(n_q, i - s) sqrt(i! (m - i)! / (n_p! n_q!)).
+    Returns w and the four exponents, shapes (P, N+1) and (4, P, N+1) with
+    w = 0 where an exponent would be negative, for the P entries of D_0, D_1,
+    ... raveled one after another; and the offset of each D_m among them."""
+    fact = np.array([math.factorial(x) for x in range(n + 1)], dtype=float)
+    binom = np.array([[math.comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=float)
+    m, row, col = np.ix_(*[np.arange(n + 1)] * 3)
+    entry = (row <= m) & (col <= m)
+    m, row, col = (np.broadcast_to(x, entry.shape)[entry][:, None] for x in (m, row, col))
+    s = np.arange(n + 1)
+    i, n_p, n_q = m - row, m - col, col
+    exponents = np.stack(np.broadcast_arrays(s, n_p - s, i - s, n_q - i + s))
+    valid = np.all(exponents >= 0, axis=0)
+    exponents[:, ~valid] = 0
+    scale = np.sqrt(fact[i] * fact[m - i] / (fact[n_p] * fact[n_q]))
+    weights = np.where(valid, binom[n_p, s] * binom[n_q, i - s] * scale, 0.0)
+    offsets = np.cumsum([0] + [(x + 1) ** 2 for x in range(n + 1)])
+    return weights, exponents, offsets
+
+
+def _power_table(x: np.ndarray, n: int) -> np.ndarray:
+    """x_i^e for e = 0..N by repeated multiplication, one row per x_i."""
+    steps = np.ones((x.size, n + 1), dtype=complex)
+    steps[:, 1:] = x[:, None]
+    return np.cumprod(steps, axis=1)
+
+
+def _pair_powers(n: int, u2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """D_0, ..., D_N: the m-th symmetric powers of a 2 x 2 matrix [[a, b], [c, d]]
+    acting on two levels (p, q), on the states (n_p, n_q) = (m, 0), (m-1, 1),
+    ..., (0, m). Column (m - col, col) is the expansion of
+    (a x + c)^(m - col) (b x + d)^col, x marking level p; the same matrices
+    symmetric_power_matrix builds monomial by monomial."""
+    weights, exponents, offsets = _power_terms(n)
+    (a, b), (c, d) = np.asarray(u2, dtype=complex)
+    powers = _power_table(np.array([a, c, b, d]), n)
+    flat = (weights * np.prod(powers[np.arange(4)[:, None, None], exponents], axis=0)).sum(axis=1)
+    return tuple(flat[offsets[m]:offsets[m + 1]].reshape(m + 1, m + 1) for m in range(n + 1))
+
+
+_Layout = Callable[[int, int], tuple[np.ndarray, tuple[tuple[int, int], ...]]]
+
+
+@lru_cache(maxsize=16)
+def _pair_groups(layout: _Layout, k: int, n: int) -> tuple[tuple[tuple[int, int], tuple[np.ndarray, ...]], ...]:
+    """layout(K, N) gives the occupation rows of an amplitude vector, one row
+    per amplitude, and the level pairs (p, q) to be rotated. For each pair and
+    each total m = n_p + n_q = 1..N this returns an index array of shape
+    (m+1, R): column c lists the m+1 amplitudes that agree on every other
+    level and hold n_p = m, m-1, ..., 0. The cache keeps 16 layouts."""
+    occs, pairs = layout(k, n)
+    radix = (n + 1) ** np.arange(occs.shape[1] + 1, dtype=np.int64)
+    code = np.einsum("ij,j->i", occs, radix[:-1], dtype=np.int64)
+    out = []
+    for p, q in pairs:
+        # the code with level q's particles moved to level p names the group; the
+        # sort key orders by total m, then group, then descending n_p
+        total = occs[:, p] + occs[:, q]
+        group = code + occs[:, q] * (radix[p] - radix[q])
+        order = np.argsort((total * radix[-1] + group) * (n + 1) + (n - occs[:, p]))  # < (N+1)^(2K+2)
+        ends = np.cumsum(np.bincount(total, minlength=n + 1))
+        out.append(((p, q), tuple(np.ascontiguousarray(order[ends[m - 1]:ends[m]].reshape(-1, m + 1).T)
+                                  for m in range(1, n + 1))))
+    return tuple(out)
+
+
+def _rotate(amps: np.ndarray, groups: tuple[np.ndarray, ...], powers: tuple[np.ndarray, ...]) -> None:
+    """The two-level kernel: apply D_m (powers, from _pair_powers) in place to
+    every group of total m (groups, one entry of _pair_groups); D_0 = 1 is
+    skipped."""
+    for rotation, idx in zip(powers[1:], groups):
+        amps[idx] = rotation @ amps[idx]
+
+
+@lru_cache(maxsize=None)
+def _dicke_layout(k: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """Occupations of the Dicke basis, and every level pair p < q."""
+    occs = np.array(occupation_basis(k, n), dtype=np.int8)
+    return occs, tuple((p, q) for p in range(k - 1) for q in range(p + 1, k))
+
+
+def _givens(u: np.ndarray) -> tuple[list[tuple[tuple[int, int], np.ndarray]], np.ndarray]:
+    """Factor a unitary as U = G_1 G_2 ... G_L diag(d): each G acts on one
+    level pair (p, q), p < q, listed in _dicke_layout order with its 2 x 2
+    block. Column p is cleared below the diagonal by rotations on (p, q),
+    q = p+1..K-1 (Reck et al., PRL 73, 58 (1994)); a pair with nothing to
+    clear gets no rotation. What remains is diagonal to roundoff, and its
+    diagonal is d."""
+    m = np.array(u, dtype=complex)
+    rotations = []
+    for p in range(m.shape[0] - 1):
+        for q in range(p + 1, m.shape[0]):
+            x, y = m[p, p], m[q, p]
+            if y == 0:
+                continue
+            clear = np.array([[x.conjugate(), y.conjugate()], [-y, x]]) / math.hypot(abs(x), abs(y))
+            m[[p, q]] = clear @ m[[p, q]]
+            rotations.append(((p, q), clear.conj().T))
+    return rotations, np.diag(m).copy()
+
+
 def apply_unitary(u: SuUnitary, state: SymmetricState) -> SymmetricState:
-    """Collective action of U on every particle of a symmetric state."""
+    """Collective action of U on every particle of a symmetric state. With U
+    factored as Givens rotations times diag(d) (_givens), the diagonal
+    multiplies the amplitude of occupation n by prod_j d_j^{n_j}, and each
+    rotation on levels (p, q) applies its symmetric powers D_m to the groups
+    of amplitudes that differ only in how n_p + n_q = m is split. No matrix
+    on Sym^N is built."""
     if u.k != state.k:
         raise ValueError("level-count mismatch")
-    return SymmetricState(state.k, state.n, symmetric_power_matrix(u.matrix, state.n) @ state.amplitudes)
+    k, n = state.k, state.n
+    rotations, d = _givens(u.matrix)
+    occs, _ = _dicke_layout(k, n)
+    amps = state.amplitudes * np.prod(_power_table(d, n)[np.arange(k), occs], axis=1)
+    groups = dict(_pair_groups(_dicke_layout, k, n))
+    for pair, block in reversed(rotations):
+        _rotate(amps, groups[pair], _pair_powers(n, block))
+    return SymmetricState(k, n, amps)
 
 
 def _check_split(k: int, n: int, n_x: int, n_y: int) -> None:

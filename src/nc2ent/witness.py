@@ -46,12 +46,13 @@ def swap_style_witness(dim_a: int, dim_b: int, phi: StateVector) -> Witness:
 
 
 def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
-    """Expectation value Tr(W rho) and whether it certifies detection
-    (value below -1e-10)."""
+    """Expectation value Re Tr(W rho) and whether it certifies detection
+    (value below -1e-10). The trace is the elementwise sum of W_ij rho_ji;
+    the product W rho is not formed."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
         raise ValueError(f"shape mismatch: witness {w.operator.shape} vs state {rho.shape}")
-    value = float(np.real(np.trace(w.operator @ rho)))
+    value = float(np.einsum("ij,ji->", w.operator, rho).real)
     return value, value < -DETECT_TOL
 
 

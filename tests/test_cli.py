@@ -294,6 +294,15 @@ def _convert_nan_input(tmp_path):
     return ["convert", "--states", gcnot_file(tmp_path), "--input", "nan,0"]
 
 
+def _convert_nan_epsilon(tmp_path):
+    return ["convert", "--states", gcnot_file(tmp_path), "--epsilon", "nan", "--input", "1,0"]
+
+
+def _convert_infinite_epsilon_on_orthonormal_set(tmp_path):
+    states = write_state_set(tmp_path / "orthonormal.json", [[1.0, 0.0], [0.0, 1.0]])
+    return ["convert", "--states", states, "--epsilon", "inf", "--input", "1,0"]
+
+
 def _convert_dimension_of_wrong_type(tmp_path):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({"schema": 1, "dimension": [2],
@@ -353,6 +362,10 @@ def _modesplit_nan_phase(tmp_path):
     return ["modesplit", "--phase", "nan", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
 
 
+def _modesplit_infinite_phase(tmp_path):
+    return ["modesplit", "--phase", "inf", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
 def _modesplit_nan_t(tmp_path):
     return ["modesplit", "--r", "0.6", "--t", "nan", "--runs", "2",
             "--out", str(tmp_path / "x.jsonl")]
@@ -374,6 +387,14 @@ def _verify_discrete_zero_trials(tmp_path):
     return ["verify", "--suite", "discrete", "--trials", "0"]
 
 
+# the reason a row's error must give, where a bare one-line error once hid a wrong one
+REASONS = {
+    _convert_nan_epsilon: "epsilon must be finite, got nan",
+    _convert_infinite_epsilon_on_orthonormal_set: "epsilon must be finite, got inf",
+    _modesplit_infinite_phase: "phase of t must be finite, got inf",
+}
+
+
 @pytest.mark.parametrize("make_args", [
     _witness_epsilon_beyond_range,
     _convert_input_dimension_mismatch,
@@ -383,6 +404,8 @@ def _verify_discrete_zero_trials(tmp_path):
     _convert_scalar_rows,
     _convert_input_file_without_states,
     _convert_nan_input,
+    _convert_nan_epsilon,
+    _convert_infinite_epsilon_on_orthonormal_set,
     _convert_dimension_of_wrong_type,
     _convert_state_rows_of_objects,
     _modesplit_config_of_wrong_type,
@@ -394,6 +417,7 @@ def _verify_discrete_zero_trials(tmp_path):
     _modesplit_negative_runs,
     _modesplit_nan_r,
     _modesplit_nan_phase,
+    _modesplit_infinite_phase,
     _modesplit_nan_t,
     _sweep_theta_range_through_zero,
     _verify_modesplit_zero_trials,
@@ -407,6 +431,7 @@ def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
+    assert REASONS.get(make_args, "") in lines[0]
 
 
 def test_nan_input_error_names_the_amplitude(runner, tmp_path):

@@ -13,7 +13,6 @@ from nc2ent.conversion import (
     random_classical_set,
     random_superposition,
     uniform_overlap_gram,
-    verify_rank_equality,
 )
 from nc2ent.gcnot import gcnot_classical_pair
 from nc2ent.linalg import (
@@ -25,6 +24,7 @@ from nc2ent.linalg import (
     random_state,
     schmidt_decompose,
 )
+from nc2ent.verify import measure_conversions
 
 
 def orthonormal_set(dim: int) -> ClassicalSet:
@@ -297,17 +297,19 @@ def test_nonclassical_pure_inputs_convert_to_entangled_outputs():
         assert ent > 1e-8
 
 
-# -------------------------------------------------------- verify_rank_equality
+# -------------------------------------------------------------- rank equality
 
 def test_rank_equality_random_sets():
     rng = np.random.default_rng(32)
     for dim in (2, 4, 8):
+        trials, matches, _, _ = measure_conversions(dim, 40 // dim, rng)
+        assert matches == trials == 40
         cs = random_classical_set(dim, rng)
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
-        report = verify_rank_equality(cs, conv, trials=40, seed=int(rng.integers(2**32)))
-        assert report.all_passed, report.failures
-        assert report.max_isometry_residual < 1e-10
-        assert report.max_gram_residual < 1e-10
+        v = conv.isometry.matrix
+        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
+        converted = np.column_stack([conv.convert(c).amplitudes for c in cs.states])
+        assert np.max(np.abs(converted.conj().T @ converted - cs.gram.entries)) < 1e-10
 
 
 def test_rank_equality_support_one_gives_rank_one():

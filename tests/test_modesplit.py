@@ -310,6 +310,26 @@ def test_protocol_success_fidelity_for_superposition_input():
         assert res.fidelity >= 1.0 - 1e-9
 
 
+def test_protocol_first_round_matches_the_public_steps():
+    # run_protocol works on one amplitude vector; its first round must agree
+    # exactly with inject, apply_tunneling, sector_probabilities and project_sector
+    rng = np.random.default_rng(88)
+    for k, n in ((2, 3), (3, 4), (2, 6)):
+        u, v = haar_random_su(k, rng), haar_random_su(k, rng)
+        for psi in (coherent_state(u, n),
+                    SymmetricState.normalized(k, n, coherent_state(u, n).amplitudes
+                                              + coherent_state(v, n).amplitudes)):
+            tunneled = apply_tunneling(inject(psi), 0.6, 0.8j)
+            probs = sector_probabilities(tunneled)
+            for seed in range(6):
+                cfg = ProtocolConfig(r=0.6, t=0.8j, target=(1, n - 1), max_rounds=1, seed=seed)
+                res = run_protocol(psi, cfg)
+                assert res.probabilities[0] == probs[res.outcomes[0]]
+                if res.succeeded:
+                    block, _ = project_sector(tunneled, 1, n - 1)
+                    assert np.array_equal(res.final_block, block)
+
+
 def test_failed_rounds_keep_classical_structure():
     # measuring a wrong sector leaves a product of coherent states with the
     # same label, so classicality survives every failed round

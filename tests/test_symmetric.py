@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nc2ent.linalg import StateVector, schmidt_decompose
 from nc2ent.symmetric import (
     SuUnitary,
     SymmetricState,
     _occupation_ranks,
+    _pair_powers,
     apply_splitting,
     apply_unitary,
     coherent_state,
@@ -197,6 +199,62 @@ def test_apply_unitary_moves_coherent_labels():
     expected = coherent_state(SuUnitary(v.matrix @ u.matrix), 3)
     # same coherent label up to the phase of the reference column
     assert abs(abs(moved.overlap(expected)) - 1.0) < 1e-12
+
+
+EDGE_OFFSETS = st.floats(min_value=-16.0, max_value=-11.0).map(lambda e: 10.0 ** e)
+PHASES = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(offset=EDGE_OFFSETS, near_one=st.booleans(), phase_a=PHASES, phase_b=PHASES, phase=PHASES)
+def test_closed_form_pair_powers_match_monomial_expansion(offset, near_one, phase_a, phase_b, phase):
+    # U(2) = [[a, -b* e^{i phase}], [b, a* e^{i phase}]] with |a| within 1e-11 of 1 or of 0;
+    # phase = pi gives the tunneling map [[r, t*], [t, -r*]]
+    if near_one:
+        a_mag, b_mag = 1.0 - offset, math.sqrt(offset * (2.0 - offset))
+    else:
+        a_mag, b_mag = offset, math.sqrt(1.0 - offset**2)
+    a, b, e = a_mag * np.exp(1j * phase_a), b_mag * np.exp(1j * phase_b), np.exp(1j * phase)
+    u2 = np.array([[a, -np.conj(b) * e], [b, np.conj(a) * e]])
+    powers = _pair_powers(8, u2)
+    for m in range(9):
+        assert np.max(np.abs(powers[m] - symmetric_power_matrix(u2, m))) <= 1e-12
+
+
+def structured_unitary(k: int, kind: int, rng) -> SuUnitary:
+    """Haar; a permutation with phases, whose Givens factors are mostly
+    absent; or a rotation of levels 0 and K-1 alone by an angle down to
+    1e-8, whose one Givens factor is close to the identity."""
+    if kind == 0:
+        return haar_random_su(k, rng)
+    if kind == 1:
+        return SuUnitary(np.eye(k)[rng.permutation(k)] * np.exp(2j * np.pi * rng.random(k)))
+    angle, phase = 10.0 ** (-8.0 * rng.random()), np.exp(2j * np.pi * rng.random())
+    u = np.eye(k, dtype=complex)
+    u[np.ix_([0, k - 1], [0, k - 1])] = [[math.cos(angle), -math.sin(angle) * np.conj(phase)],
+                                         [math.sin(angle) * phase, math.cos(angle)]]
+    return SuUnitary(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(0, 6), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_apply_unitary_matches_dense_symmetric_power(k, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    u = structured_unitary(k, kind, rng)
+    dim = dicke_dim(k, n)
+    state = SymmetricState.normalized(k, n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    dense = symmetric_power_matrix(u.matrix, n) @ state.amplitudes
+    assert np.max(np.abs(apply_unitary(u, state).amplitudes - dense)) <= 1e-12
+
+
+def test_apply_unitary_at_the_caps_moves_coherent_labels():
+    # Sym^12(C^6) has dimension 6188; its dense symmetric power would take 612 MB
+    rng = np.random.default_rng(60)
+    u, v = haar_random_su(6, rng), haar_random_su(6, rng)
+    moved = apply_unitary(v, coherent_state(u, 12)).amplitudes
+    expected = coherent_state(SuUnitary(v.matrix @ u.matrix), 12).amplitudes
+    phase = np.vdot(expected, moved)
+    assert np.max(np.abs(moved - expected * phase / abs(phase))) <= 1e-12
 
 
 # ---------------------------------------------------------- splitting_isometry
