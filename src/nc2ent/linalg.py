@@ -300,8 +300,7 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
 def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
     """Schmidt decomposition of psi across the dim_a x dim_b cut (SVD of the
     reshaped coefficient matrix)."""
-    if dim_a * dim_b != psi.dim:
-        raise ValueError(f"cut {dim_a}x{dim_b} does not factor dimension {psi.dim}")
+    check_cut(dim_a, dim_b, psi.dim)
     mat = psi.amplitudes.reshape(dim_a, dim_b)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     return SchmidtData(coefficients=s, left_vectors=u, right_vectors=vh, cut=(dim_a, dim_b))
@@ -315,25 +314,39 @@ def entanglement_entropy(sd: SchmidtData) -> float:
     return float(-np.sum(lam2 * np.log2(lam2)))
 
 
-def _check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Return rho as a complex array, or raise a one-line ValueError unless it
-    is a dim x dim, finite, Hermitian (within 1e-10), unit-trace operator with
-    lambda_min(rho) >= -1e-10. A Cholesky factorisation of rho + 1e-10 I
-    decides the last: it succeeds exactly when lambda_min(rho) > -1e-10, up to
-    a backward error of about dim * 1e-16 * ||rho||, and costs a quarter of
-    the flops of the eigenvalues."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density operator has shape {rho.shape}, expected {(dim, dim)}")
-    check_hermitian(rho, "density operator", DENSITY_TOL)
-    if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
-        raise ValueError("density operator does not have unit trace")
-    shifted = rho.copy()
-    shifted.flat[::dim + 1] += DENSITY_TOL
+def check_cut(dim_a: int, dim_b: int, dim: int) -> None:
+    """Raise a one-line ValueError unless dim_a and dim_b are positive
+    integers whose product is dim."""
+    if not all(isinstance(d, (int, np.integer)) and d > 0 for d in (dim_a, dim_b)):
+        raise ValueError(f"cut {dim_a}x{dim_b} needs two positive integer factors")
+    if dim_a * dim_b != dim:
+        raise ValueError(f"cut {dim_a}x{dim_b} does not factor dimension {dim}")
+
+
+def _positive_definite(m: np.ndarray, shift: float) -> bool:
+    """Whether a Cholesky factorisation of m + shift I succeeds: exactly when
+    lambda_min(m) > -shift, up to a backward error of about n * 1e-16 * ||m||.
+    Only the lower triangle of m is read, as eigvalsh reads it; the
+    factorisation costs a quarter of the flops of the eigenvalues."""
+    shifted = m.copy()
+    shifted.flat[::m.shape[0] + 1] += shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        raise ValueError("density operator is not positive semidefinite") from None
+        return False
+    return True
+
+
+def _check_density(rho) -> np.ndarray:
+    """Return rho as a complex array, or raise a one-line ValueError unless it
+    is a nonempty square, finite, Hermitian (within 1e-10), unit-trace operator
+    with lambda_min(rho) >= -1e-10, which _positive_definite(rho, 1e-10) decides."""
+    rho = np.asarray(rho, dtype=complex)
+    check_hermitian(rho, "density operator", DENSITY_TOL)
+    if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
+        raise ValueError("density operator does not have unit trace")
+    if not _positive_definite(rho, DENSITY_TOL):
+        raise ValueError("density operator is not positive semidefinite")
     return rho
 
 
@@ -342,8 +355,10 @@ def partial_transpose(rho, dim_a: int, dim_b: int) -> np.ndarray:
 
     rho must be a finite, Hermitian, unit-trace operator with
     lambda_min(rho) >= -1e-10, which a Cholesky factorisation of
-    rho + 1e-10 I decides; otherwise a one-line ValueError is raised."""
-    rho = _check_density(rho, dim_a * dim_b)
+    rho + 1e-10 I decides, and dim_a x dim_b must be a cut of its dimension
+    (check_cut); otherwise a one-line ValueError is raised."""
+    rho = _check_density(rho)
+    check_cut(dim_a, dim_b, rho.shape[0])
     blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
     return blocks.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
 
@@ -352,10 +367,16 @@ def negativity(rho, dim_a: int, dim_b: int) -> float:
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2; a value above 1e-10
     certifies entanglement (PPT is necessary for separability).
 
-    rho has the precondition of :func:`partial_transpose`
-    (lambda_min(rho) >= -1e-10, decided by a Cholesky factorisation of
-    rho + 1e-10 I), so the one eigendecomposition is that of rho^T_B."""
+    rho has the precondition of :func:`partial_transpose`. The Peres PPT test
+    comes first: when a Cholesky factorisation of rho^T_B + s I succeeds, with
+    s = DENSITY_TOL / n and n = dim_a * dim_b, every eigenvalue of rho^T_B
+    exceeds -s up to the backward error of about n * 1e-16, and at most n - 1
+    of them are negative (the trace is 1), so N < 1e-10 and 0.0 is returned
+    without a spectrum. Otherwise N comes from the one eigendecomposition of
+    rho^T_B."""
     pt = partial_transpose(rho, dim_a, dim_b)
+    if _positive_definite(pt, DENSITY_TOL / pt.shape[0]):
+        return 0.0
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     return max((trace_norm - 1.0) / 2.0, 0.0)
 

@@ -84,11 +84,6 @@ def _occupation_pairs(k: int, n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarra
     return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
-def _sqrt_multinomial(n: int, occ: tuple[int, ...]) -> float:
-    prod = math.prod(math.factorial(x) for x in occ)
-    return math.sqrt(math.factorial(n) / prod)
-
-
 @dataclass(frozen=True)
 class SuUnitary:
     """Unitary single-particle transformation on K internal levels. A global
@@ -155,14 +150,10 @@ def coherent_state(u: SuUnitary, n: int) -> SymmetricState:
     Dicke basis: amplitude sqrt(N!/prod n_j!) * prod u_j^{n_j} on occupation
     (n_0, ..., n_{K-1})."""
     _check_caps(u.k, n)
-    col = u.reference_column()
-    amps = np.empty(dicke_dim(u.k, n), dtype=complex)
-    for i, occ in enumerate(occupation_basis(u.k, n)):
-        amp = _sqrt_multinomial(n, occ)
-        for uj, nj in zip(col, occ):
-            amp *= uj**nj
-        amps[i] = amp
-    return SymmetricState(u.k, n, amps)
+    occs, _ = _dicke_layout(u.k, n)
+    fact = np.array([math.factorial(x) for x in range(n + 1)], dtype=float)
+    multinomial = math.factorial(n) / np.prod(fact[occs], axis=1)
+    return SymmetricState(u.k, n, np.sqrt(multinomial) * _monomials(u.reference_column(), occs, n))
 
 
 def overlap(u: SuUnitary, v: SuUnitary, n: int) -> complex:
@@ -247,6 +238,12 @@ def _power_table(x: np.ndarray, n: int) -> np.ndarray:
     steps = np.ones((x.size, n + 1), dtype=complex)
     steps[:, 1:] = x[:, None]
     return np.cumprod(steps, axis=1)
+
+
+def _monomials(x: np.ndarray, occs: np.ndarray, n: int) -> np.ndarray:
+    """prod_j x_j^{n_j} for every occupation row (n_0, ..., n_{K-1}) of occs,
+    each at most N."""
+    return np.prod(_power_table(x, n)[np.arange(x.size), occs], axis=1)
 
 
 def _pair_powers(n: int, u2: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -335,7 +332,7 @@ def apply_unitary(u: SuUnitary, state: SymmetricState) -> SymmetricState:
     k, n = state.k, state.n
     rotations, d = _givens(u.matrix)
     occs, _ = _dicke_layout(k, n)
-    amps = state.amplitudes * np.prod(_power_table(d, n)[np.arange(k), occs], axis=1)
+    amps = state.amplitudes * _monomials(d, occs, n)
     groups = dict(_pair_groups(_dicke_layout, k, n))
     for pair, block in reversed(rotations):
         _rotate(amps, groups[pair], _pair_powers(n, block))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversion import Conversion
-from .linalg import HERMITIAN_TOL, StateVector, _frozen, check_hermitian, schmidt_decompose
+from .linalg import HERMITIAN_TOL, StateVector, _frozen, check_cut, check_hermitian, schmidt_decompose
 
 DETECT_TOL = 1e-10
 
@@ -28,6 +28,17 @@ class Witness:
         check_hermitian(op, "witness operator", HERMITIAN_TOL)
         object.__setattr__(self, "operator", op)
 
+    @classmethod
+    def _trusted(cls, op: np.ndarray, label: str) -> "Witness":
+        """A witness whose operator the library built Hermitian to within
+        roundoff far below HERMITIAN_TOL, so the check is skipped; op must be
+        a fresh complex array, which is frozen in place."""
+        op.setflags(write=False)
+        w = object.__new__(cls)
+        object.__setattr__(w, "operator", op)
+        object.__setattr__(w, "label", label)
+        return w
+
     @property
     def dim(self) -> int:
         return self.operator.shape[0]
@@ -37,12 +48,12 @@ def swap_style_witness(dim_a: int, dim_b: int, phi: StateVector) -> Witness:
     """Projector witness W = lambda_1^2 I - |phi><phi| built from a bipartite
     target state phi with largest Schmidt coefficient lambda_1; non-negative
     on all product states because no product state overlaps phi by more than
-    lambda_1."""
-    if phi.dim != dim_a * dim_b:
-        raise ValueError(f"phi has dimension {phi.dim}, expected {dim_a * dim_b}")
+    lambda_1. Entry pairs of |phi><phi| differ by at most one rounding,
+    about 2.2e-16 |phi_i| |phi_j|."""
+    check_cut(dim_a, dim_b, phi.dim)
     lam1 = float(schmidt_decompose(phi, dim_a, dim_b).coefficients[0])
     op = lam1**2 * np.eye(phi.dim, dtype=complex) - phi.projector()
-    return Witness(operator=op, label=f"projector witness (lambda1^2 = {lam1**2:.6g})")
+    return Witness._trusted(op, f"projector witness (lambda1^2 = {lam1**2:.6g})")
 
 
 def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
@@ -52,6 +63,8 @@ def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != w.operator.shape:
         raise ValueError(f"shape mismatch: witness {w.operator.shape} vs state {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("state has a non-finite entry")
     value = float(np.einsum("ij,ji->", w.operator, rho).real)
     return value, value < -DETECT_TOL
 
@@ -64,5 +77,5 @@ def nonclassicality_witness(w: Witness, conv: Conversion) -> Witness:
     if w.dim != v.shape[0]:
         raise ValueError(f"witness dimension {w.dim} does not match conversion dimension {v.shape[0]}")
     restricted = v.conj().T @ w.operator @ v
-    restricted = 0.5 * (restricted + restricted.conj().T)  # scrub roundoff asymmetry
-    return Witness(operator=restricted, label="restricted non-classicality witness")
+    restricted = 0.5 * (restricted + restricted.conj().T)  # Hermitian bitwise: x + y is commutative
+    return Witness._trusted(restricted, "restricted non-classicality witness")

@@ -277,6 +277,24 @@ def test_convert_density_three_state_mixture_separable_at_d16():
     assert negativity(conv.convert_density(rho), 16, 16) <= 1e-10
 
 
+def test_classical_mixture_is_certified_ppt_without_a_spectrum(monkeypatch):
+    rng = np.random.default_rng(34)
+    cs = random_classical_set(16, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    rho = sum(w * cs.states[k].projector() for w, k in zip((0.4, 0.3, 0.2, 0.1), (0, 5, 9, 15)))
+    sigma = conv.convert_density(rho)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert negativity(sigma, 16, 16) == 0.0
+    assert calls == []
+
+
 def test_convert_density_matches_pure_conversion():
     rng = np.random.default_rng(30)
     cs = random_classical_set(2, rng)

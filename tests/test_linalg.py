@@ -21,6 +21,7 @@ from nc2ent.linalg import (
     schmidt_decompose,
     synthesize_unitary,
 )
+from nc2ent.witness import swap_style_witness
 
 
 def bell_state() -> StateVector:
@@ -405,6 +406,21 @@ def test_negativity_needs_one_spectrum(monkeypatch):
     assert calls == [(256, 256)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 8), above=st.booleans(), log_offset=st.floats(-13.0, -6.0))
+def test_negativity_of_isotropic_states_near_the_ppt_edge(d, above, log_offset):
+    # rho_p = p |Phi><Phi| + (1 - p) I / d^2 is PPT exactly when p <= 1 / (d + 1)
+    p = 1.0 / (d + 1) + (10.0**log_offset if above else -(10.0**log_offset))
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    rho = p * np.outer(phi, phi) + (1.0 - p) * np.eye(d * d) / d**2
+    exact = max(0.0, (d - 1) * (p * (d + 1) - 1) / (2 * d))
+    value = negativity(rho, d, d)
+    if exact > 1e-10:
+        assert abs(value - exact) <= 1e-12, (value, exact)
+    if value == 0.0:
+        assert exact < 1e-10, exact
+
+
 @pytest.mark.parametrize("build", [
     lambda: GramMatrix([[1.0, math.nan], [math.nan, 1.0]]),
     lambda: negativity([[math.nan, 0.0], [0.0, 1.0]], 1, 2),
@@ -415,6 +431,19 @@ def test_negativity_needs_one_spectrum(monkeypatch):
 def test_non_finite_matrix_entries_rejected(build):
     with pytest.raises(ValueError, match="non-finite") as err:
         build()
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (2.0, 2), (0, 4), (1, 2)], ids=["negative", "float", "zero", "mismatch"])
+@pytest.mark.parametrize("call", [
+    lambda a, b: negativity(bell_state().projector(), a, b),
+    lambda a, b: partial_transpose(bell_state().projector(), a, b),
+    lambda a, b: schmidt_decompose(bell_state(), a, b),
+    lambda a, b: swap_style_witness(a, b, bell_state()),
+], ids=["negativity", "partial_transpose", "schmidt_decompose", "swap_style_witness"])
+def test_bad_cut_gives_one_line_error_naming_it(call, dims):
+    with pytest.raises(ValueError, match=f"^cut {dims[0]}x{dims[1]} ") as err:
+        call(*dims)
     assert "\n" not in str(err.value)
 
 

@@ -120,6 +120,27 @@ def test_coherent_state_matches_tensor_power_oracle():
         assert np.max(np.abs(embedded - direct)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(0, 6), kind=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_coherent_state_is_the_first_column_of_the_symmetric_power(k, n, kind, seed):
+    u = structured_unitary(k, kind, np.random.default_rng(seed))
+    reference = symmetric_power_matrix(u.matrix, n)[:, 0]
+    assert np.max(np.abs(coherent_state(u, n).amplitudes - reference)) <= 1e-12
+
+
+def test_coherent_state_at_the_caps_matches_the_amplitude_loop():
+    # sqrt(N!/prod n_j!) * prod u_j^{n_j}, one occupation and one level at a time
+    u = haar_random_su(6, np.random.default_rng(52))
+    col = u.reference_column()
+    looped = []
+    for occ in occupation_basis(6, 12):
+        amp = math.sqrt(math.factorial(12) / math.prod(math.factorial(x) for x in occ))
+        for uj, nj in zip(col, occ):
+            amp *= uj**nj
+        looped.append(amp)
+    assert np.max(np.abs(coherent_state(u, 12).amplitudes - np.array(looped))) <= 1e-12
+
+
 # -------------------------------------------------------------------- overlap
 
 def test_overlap_equal_unitaries():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nc2ent.conversion import build_conversion, make_split, random_classical_set
+from nc2ent.conversion import build_conversion, default_epsilon, make_split, random_classical_set
 from nc2ent.gcnot import gcnot_classical_pair, mu_to_epsilon
 from nc2ent.linalg import StateVector, basis_state, random_state
 from nc2ent.witness import (
@@ -117,3 +118,25 @@ def test_witness_rejects_non_finite_entries():
         with pytest.raises(ValueError, match="non-finite") as err:
             Witness(np.array([[bad, 0.0], [0.0, 1.0]]))
         assert "\n" not in str(err.value)
+
+
+# ------------------------------------------------------ trusted construction
+
+@settings(max_examples=40, deadline=None)
+@given(dim_a=st.integers(1, 16), dim_b=st.integers(1, 16), d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_library_witnesses_are_hermitian_without_the_check(dim_a, dim_b, d, seed):
+    rng = np.random.default_rng(seed)
+    w = swap_style_witness(dim_a, dim_b, random_state(dim_a * dim_b, rng)).operator
+    assert np.max(np.abs(w - w.conj().T)) <= 1e-15
+    cs = random_classical_set(d, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    w_tilde = nonclassicality_witness(swap_style_witness(d, d, conv.convert(random_state(d, rng))), conv).operator
+    assert np.array_equal(w_tilde, w_tilde.conj().T)
+    assert not w_tilde.flags.writeable
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)], ids=["nan", "inf", "imag-nan"])
+def test_detect_rejects_non_finite_state(entry):
+    with pytest.raises(ValueError, match="non-finite entry") as err:
+        detect(Witness(np.eye(2)), [[entry, 0.0], [0.0, 1.0]])
+    assert "\n" not in str(err.value)
