@@ -25,14 +25,12 @@ from .linalg import (
     basis_state,
     factor_gram,
     gram_of,
-    hadamard,
     positive_frame,
     random_state,
     synthesize_unitary,
 )
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
-SPLIT_TOL = 1e-10          # reproduction of the classical Gram by the factor product
 EPS_CAP = 1e6              # beyond this the feasible range is reported as infinite
 
 
@@ -128,14 +126,6 @@ def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
     return GramMatrix(g)
 
 
-def scaled_overlap_entries(gram: GramMatrix, factor: float) -> np.ndarray:
-    """Entries of the Gram with off-diagonal overlaps multiplied by factor
-    (not validated: the result may fail to be PSD)."""
-    g = gram.entries * factor
-    np.fill_diagonal(g, 1.0)
-    return g
-
-
 def epsilon_max(cs: ClassicalSet) -> float:
     """Supremum of eps for which scaling the classical overlaps by (1+eps)
     keeps the minimum eigenvalue of the scaled Gram (1+eps)G - eps I, which
@@ -162,12 +152,13 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
 
     Requires both factors positive definite; with boundary_ok the degenerate
     endpoints (eps = 0 or a singular scaled factor) are admitted for probing.
+    The entrywise product of the factors is the classical Gram by
+    construction, to a few ulps off the diagonal and exactly 1 on it.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = cs.dim
     mu = 1.0 / (1.0 + epsilon)
     min_eig = 1.0 - (1.0 + epsilon) * (1.0 - cs.gram.min_eigenvalue())  # as in epsilon_max
     feasible = min_eig >= -PSD_TOL if boundary_ok else min_eig > INDEPENDENCE_TOL
@@ -176,15 +167,12 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
             f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
             f"{min_eig:.3e} (feasible range is eps < {epsilon_max(cs):.6g})"
         )
-    gram_d = uniform_overlap_gram(mu, d)
-    gram_e = GramMatrix(scaled_overlap_entries(cs.gram, 1.0 + epsilon))
-    d_states = tuple(factor_gram(gram_d))
-    e_states = tuple(factor_gram(gram_e))
-    product = hadamard(gram_d, gram_e)
-    if np.max(np.abs(product.entries - cs.gram.entries)) > SPLIT_TOL:
-        raise ValueError("factor Grams fail to reproduce the classical Gram")
+    scaled = cs.gram.entries * (1.0 + epsilon)
+    np.fill_diagonal(scaled, 1.0)
+    gram_d = uniform_overlap_gram(mu, cs.dim)
+    gram_e = GramMatrix(scaled)
     return SplitSpec(epsilon=float(epsilon), gram_d=gram_d, gram_e=gram_e,
-                     d_states=d_states, e_states=e_states)
+                     d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
 
 def build_conversion(cs: ClassicalSet, split: SplitSpec,
@@ -206,8 +194,9 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec,
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
     a = np.column_stack([c.amplitudes for c in cs.states])
-    b = np.column_stack([d.tensor(e).amplitudes
-                         for d, e in zip(split.d_states, split.e_states)])
+    d = np.column_stack([s.amplitudes for s in split.d_states])
+    e = np.column_stack([s.amplitudes for s in split.e_states])
+    b = (d[:, None, :] * e[None, :, :]).reshape(-1, cs.dim)  # column i is d_i (x) e_i
     v = positive_frame(b) @ positive_frame(a).conj().T
     residual = float(np.max(np.abs(v @ a - b)))
     if residual > UNITARY_TOL:

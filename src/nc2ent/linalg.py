@@ -79,8 +79,14 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        """Build a state from raw amplitudes, normalizing them first."""
+        """Build a state from raw amplitudes, normalizing them first. The real
+        and imaginary parts are scaled by the power of two that brings
+        the largest into [0.5, 1); that is exact, so the norm of a tiny or a
+        huge finite vector neither underflows nor overflows."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        parts = np.stack([amps.real, amps.imag], axis=-1)
+        _, exp = np.frexp(np.max(np.abs(parts), initial=0.0))
+        amps = np.ldexp(parts, -exp).view(complex).reshape(-1)
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
@@ -180,10 +186,12 @@ class Operator:
 
 @dataclass(frozen=True)
 class SchmidtData:
-    """Schmidt decomposition of a bipartite pure state across a declared cut.
-
-    coefficients are the descending singular values; left/right vectors are
-    the columns of U and rows of Vh from the SVD of the coefficient matrix.
+    """Schmidt decomposition of a bipartite pure state across a declared cut,
+    built by :func:`schmidt_decompose` as the record of one SVD of the
+    coefficient matrix: coefficients are its singular values (descending, as
+    LAPACK returns them), left/right vectors the columns of U and rows of Vh.
+    The arrays are made read-only in place; rank counts the coefficients
+    above 1e-10 times the largest.
     """
 
     coefficients: np.ndarray
@@ -193,19 +201,9 @@ class SchmidtData:
     rank: int = field(init=False)
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if np.any(np.diff(coeffs) > 0):
-            raise ValueError("Schmidt coefficients must be descending")
-        total = float(np.sum(coeffs**2))
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"Schmidt coefficients are not normalized (sum sq = {total!r})")
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "left_vectors", _frozen(self.left_vectors))
-        object.__setattr__(self, "right_vectors", _frozen(self.right_vectors))
-        cutoff = RANK_RTOL * coeffs[0] if coeffs.size else 0.0
-        object.__setattr__(self, "rank", int(np.sum(coeffs > cutoff)))
+        for array in (self.coefficients, self.left_vectors, self.right_vectors):
+            array.setflags(write=False)
+        object.__setattr__(self, "rank", int(np.sum(self.coefficients > RANK_RTOL * self.coefficients[0])))
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the bipartite amplitude vector sum_k c_k (left_k x right_k)."""
@@ -235,13 +233,13 @@ def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
 def factor_gram(g: GramMatrix) -> list[StateVector]:
     """Factor G = C^dag C and return the columns of C as unit vectors.
 
-    Uses the principal square root C = sqrt(L) V^dag from the eigendecomposition
-    G = V L V^dag, which is deterministic and order-independent; eigenvalues
-    below 1e-12 are clamped to zero (inputs below -1e-10 are rejected).
+    C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
+    principal square root V sqrt(L) V^dag: it need not be Hermitian, and
+    where eigenvalues repeat it depends on the eigenvectors LAPACK picks.
+    Eigenvalues below 1e-12 are clamped to zero; the GramMatrix constructor
+    has already decided that G is PSD.
     """
     w, v = np.linalg.eigh(g.entries)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]!r})")
     w = np.where(w < EIG_ZERO_TOL, 0.0, w)
     c = np.sqrt(w)[:, None] * v.conj().T
     return [StateVector(c[:, i]) for i in range(g.n)]

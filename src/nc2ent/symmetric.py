@@ -16,7 +16,6 @@ from .linalg import Operator, StateVector, _frozen, check_unit_vector
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
 SU_UNITARY_TOL = 1e-12     # U^dag U = I for single-particle transformations
-ISOMETRY_TOL = 1e-10
 MAX_DENSE_BYTES = 3 * 2**30  # per dense complex matrix; Sym^6(C^12), timed by benchmarks/reference.py, takes 2.3 GiB
 
 

@@ -57,6 +57,14 @@ def test_convert_classical_input_rank_one(runner, tmp_path):
     assert doc["entanglement_entropy_ebits"] < 1e-10
 
 
+def test_convert_tiny_input_gives_the_same_report(runner, tmp_path):
+    states = gcnot_file(tmp_path)
+    reports = [runner.invoke(main, ["convert", "--states", states, "--input", text])
+               for text in ("1,1", "1e-200,1e-200")]
+    assert [r.exit_code for r in reports] == [0, 0], reports[1].output
+    assert reports[1].output == reports[0].output
+
+
 def test_convert_rejects_dependent_set(runner, tmp_path):
     states = write_state_set(tmp_path / "dep.json", [[1.0, 0.0], [1.0, 0.0]])
     result = runner.invoke(main, ["convert", "--states", states, "--input", "1,0"])

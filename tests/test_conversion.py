@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nc2ent.conversion import (
     ClassicalSet,
@@ -21,6 +22,7 @@ from nc2ent.linalg import (
     entanglement_entropy,
     factor_gram,
     negativity,
+    positive_frame,
     random_state,
     schmidt_decompose,
 )
@@ -160,6 +162,23 @@ def test_make_split_rejects_nonpositive_epsilon():
     make_split(cs, 0.0, boundary_ok=True)  # probing path stays available
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(2, 16), near_floor=st.booleans(), log_lam=st.floats(math.log10(1.1e-10), -8.0),
+       log_share=st.floats(-12.0, 0.0), at_zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_make_split_factors_reproduce_the_classical_gram(dim, near_floor, log_lam, log_share,
+                                                         at_zero, seed):
+    if near_floor:
+        cs = uniform_overlap_set(10.0**log_lam, dim)
+    else:
+        cs = random_classical_set(dim, np.random.default_rng(seed))
+    top = min(0.999 * epsilon_max(cs), 1e3)
+    split = make_split(cs, 0.0, boundary_ok=True) if at_zero else make_split(cs, top * 10.0**log_share)
+    error = np.abs(split.gram_d.entries * split.gram_e.entries - cs.gram.entries)
+    off = ~np.eye(dim, dtype=bool)
+    assert np.all(error[off] <= 4 * 2.0**-52 * np.abs(cs.gram.entries[off]))
+    assert np.max(np.diag(error)) <= 3e-12
+
+
 # ------------------------------------------------------------ build_conversion
 
 def test_conversion_maps_classical_to_factor_products():
@@ -170,6 +189,25 @@ def test_conversion_maps_classical_to_factor_products():
     for c, d, e in zip(cs.states, split.d_states, split.e_states):
         out = conv.convert(c)
         assert np.max(np.abs(out.amplitudes - d.tensor(e).amplitudes)) < 1e-8
+
+
+def test_build_conversion_makes_no_product_state_one_at_a_time(monkeypatch):
+    calls = []
+    tensor = StateVector.tensor
+
+    def counting(self, other):
+        calls.append(self.dim)
+        return tensor(self, other)
+
+    cs = random_classical_set(8, np.random.default_rng(23))
+    split = make_split(cs, default_epsilon(cs))
+    monkeypatch.setattr(StateVector, "tensor", counting)
+    conv = build_conversion(cs, split)
+    assert calls == []
+    # reference: the product family built one Kronecker product at a time, the same arithmetic
+    a = np.column_stack([c.amplitudes for c in cs.states])
+    b = np.column_stack([np.kron(d.amplitudes, e.amplitudes) for d, e in zip(split.d_states, split.e_states)])
+    assert np.array_equal(conv.isometry.matrix, positive_frame(b) @ positive_frame(a).conj().T)
 
 
 def test_conversion_unitarity():

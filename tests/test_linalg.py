@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ def test_normalized_constructor():
     assert np.allclose(s.amplitudes, [0.6, 0.8])
     with pytest.raises(ValueError):
         StateVector.normalized([0.0, 0.0])
+
+
+@pytest.mark.parametrize("amps, expected", [
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([5e-324, 0.0], [1.0, 0.0]),
+    ([1e200, 1e200], [1 / math.sqrt(2)] * 2),
+])
+def test_normalized_tiny_and_huge_finite_input(amps, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = StateVector.normalized(amps)
+    assert np.max(np.abs(s.amplitudes - expected)) <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_normalized_matches_direct_division(n, seed):
+    # scaling by a power of two is exact, so ordinary input is normalized bit for bit as a / |a|
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-100, 100, n)
+    assert np.array_equal(StateVector.normalized(a).amplitudes, a / np.linalg.norm(a))
 
 
 def test_state_vector_is_immutable():
@@ -268,6 +290,26 @@ def test_schmidt_reconstruction():
         psi = random_state(12, rng)
         sd = schmidt_decompose(psi, 3, 4)
         assert np.max(np.abs(sd.reconstruct() - psi.amplitudes)) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim_a=st.integers(1, 16), dim_b=st.integers(1, 16),
+       kind=st.sampled_from(["product", "maximal", "random-rank"]), seed=st.integers(0, 2**32 - 1))
+def test_schmidt_coefficients_descend_and_sum_to_one(dim_a, dim_b, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        psi = random_state(dim_a, rng).tensor(random_state(dim_b, rng))
+    elif kind == "maximal":
+        psi = StateVector.normalized(np.eye(dim_a, dim_b).reshape(-1))
+    else:
+        rank = int(rng.integers(1, min(dim_a, dim_b) + 1))
+        coeffs = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+        psi = StateVector.normalized(sum(
+            c * np.kron(random_state(dim_a, rng).amplitudes, random_state(dim_b, rng).amplitudes)
+            for c in coeffs))
+    lam = schmidt_decompose(psi, dim_a, dim_b).coefficients
+    assert np.all(np.diff(lam) <= 0.0)
+    assert abs(float(np.sum(lam**2)) - 1.0) <= 1e-12
 
 
 def test_schmidt_dimension_mismatch():
