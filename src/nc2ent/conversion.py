@@ -22,6 +22,7 @@ from .linalg import (
     RANK_RTOL,
     UNITARY_TOL,
     StateVector,
+    _built,
     basis_state,
     factor_gram,
     gram_of,
@@ -84,7 +85,8 @@ class SplitSpec:
 class Conversion:
     """Conversion isometry V: C^D -> C^D (x) C^D, together with the reference
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
-    unitary; one such unitary is completed on demand."""
+    unitary; one such unitary is completed on demand. Nothing is checked here:
+    convert relies on V being an isometry, as build_conversion makes it."""
 
     isometry: Operator
     reference: StateVector
@@ -105,7 +107,7 @@ class Conversion:
         """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
         if psi.dim != self.dim:
             raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
-        return StateVector(self.isometry.matrix @ psi.amplitudes)
+        return _built(StateVector, amplitudes=self.isometry.matrix @ psi.amplitudes)
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space."""
@@ -150,27 +152,30 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     1/(1+eps)) and the scaled-overlap factor, and factor both into explicit
     state families.
 
-    Requires both factors positive definite; with boundary_ok the degenerate
-    endpoints (eps = 0 or a singular scaled factor) are admitted for probing.
-    The entrywise product of the factors is the classical Gram by
-    construction, to a few ulps off the diagonal and exactly 1 on it.
+    The closed form of epsilon_max, lambda_min((1+eps)G - eps I) =
+    1 - (1+eps)(1 - lambda_min(G)), is the only feasibility decision: it must
+    exceed 1e-10, or with boundary_ok reach -1e-10 (admitting eps = 0 and a
+    singular scaled factor for probing). The scaled factor is built with that
+    eigenvalue and not re-checked. The entrywise product of the factors is
+    the classical Gram by construction, to a few ulps off the diagonal and
+    exactly 1 on it.
     """
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    mu = 1.0 / (1.0 + epsilon)
-    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - cs.gram.min_eigenvalue())  # as in epsilon_max
-    feasible = min_eig >= -PSD_TOL if boundary_ok else min_eig > INDEPENDENCE_TOL
-    if not feasible:
+    lam = cs.gram.min_eigenvalue()
+    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - lam)
+    floor, relation = (-PSD_TOL, "<=") if boundary_ok else (INDEPENDENCE_TOL, "<")
+    if not (min_eig >= floor if boundary_ok else min_eig > floor):  # then lam < 1: the bound is finite
         raise ValueError(
             f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
-            f"{min_eig:.3e} (feasible range is eps < {epsilon_max(cs):.6g})"
+            f"{min_eig:.3e} (feasible range is eps {relation} {(lam - floor) / (1.0 - lam):.6g})"
         )
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
-    gram_d = uniform_overlap_gram(mu, cs.dim)
-    gram_e = GramMatrix(scaled)
+    gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
+    gram_e = _built(GramMatrix, entries=scaled, _min_eig=min_eig)
     return SplitSpec(epsilon=float(epsilon), gram_d=gram_d, gram_e=gram_e,
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
@@ -217,15 +222,14 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
     return int(np.sum(mags > RANK_RTOL * mags.max()))
 
 
-def random_classical_set(dim: int, rng: np.random.Generator,
-                         min_gram_eig: float = 1e-3) -> ClassicalSet:
-    """Random linearly independent classical set, resampled until the Gram is
-    well conditioned (min eigenvalue above min_gram_eig)."""
+def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
+    """Random classical set, resampled until its Gram's min eigenvalue exceeds
+    1e-3, far above the independence floor; that Gram becomes the set's own."""
     for _ in range(200):
         states = tuple(random_state(dim, rng) for _ in range(dim))
         gram = gram_of(list(states))
-        if gram.min_eigenvalue() > min_gram_eig:
-            return ClassicalSet(states=states)
+        if gram.min_eigenvalue() > 1e-3:
+            return _built(ClassicalSet, states=states, gram=gram)
     raise RuntimeError("failed to sample a well-conditioned classical set")
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +143,7 @@ def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
     return mu_to_epsilon(float(mus[best])), float(ebits[best])
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     theta: float
     mu: float
     epsilon: float
@@ -165,22 +165,21 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
     _check_theta(theta_ok)
     ebits = _pair_ebits(theta_ok, mu_ok, *_expand_in_pair(theta_ok, state.amplitudes))
-    rows = [SweepRow(theta=t, mu=m, epsilon=e, ebits=s) for t, m, e, s in
-            zip(theta_ok.tolist(), mu_ok.tolist(), (1.0 / mu_ok - 1.0).tolist(), ebits.tolist())]
+    rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), (1.0 / mu_ok - 1.0).tolist(), ebits.tolist()))
     skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
 
 
-def maximal_input_count(theta: float, epsilon: float, n_points: int = 1024,
-                        threshold: float = MAXIMAL_EBITS) -> tuple[int, list[float], list[float]]:
+def maximal_input_count(theta: float, epsilon: float,
+                        n_points: int = 1024) -> tuple[int, list[float], list[float]]:
     """Scan pure inputs cos(t)|0> + sin(t)|1> for t = k pi / n_points (one
     point per input direction, up to phase) and count how many convert to at
-    least `threshold` ebits at the given parameters. Returns the count, the
-    angles that reached it, and all sampled entropies."""
+    least MAXIMAL_EBITS = 1 - 1e-6 ebits at the given parameters. Returns the
+    count, the angles that reached it, and all sampled entropies."""
     params = GcnotParams(theta=theta, epsilon=epsilon)
     angles = np.arange(n_points) * math.pi / n_points
     entropies = _pair_ebits(theta, params.mu, *_expand_in_pair(theta, (np.cos(angles), np.sin(angles))))
-    hits = angles[entropies >= threshold].tolist()
+    hits = angles[entropies >= MAXIMAL_EBITS].tolist()
     return len(hits), hits, entropies.tolist()
 
 

@@ -35,6 +35,18 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _built(cls, **fields):
+    """A value of the frozen dataclass cls, made without its checks, for a
+    value the library built whose invariant holds by construction. Array
+    fields must be fresh complex arrays (or read-only); they are frozen in place."""
+    value = object.__new__(cls)
+    for name, item in fields.items():
+        if isinstance(item, np.ndarray):
+            item.setflags(write=False)
+        object.__setattr__(value, name, item)
+    return value
+
+
 def check_unit_vector(amps: np.ndarray, noun: str, squared_norm: float | None = None) -> None:
     """Raise a one-line ValueError unless amps is nonempty with norm 1 within
     NORM_TOL. Makes no copy; the amplitudes are scanned for a non-finite
@@ -90,7 +102,7 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(amps / norm if math.isfinite(norm) else amps)  # the constructor names a NaN or inf
+        return _built(cls, amplitudes=amps / norm) if math.isfinite(norm) else cls(amps)  # cls names a NaN or inf
 
     @property
     def dim(self) -> int:
@@ -108,7 +120,7 @@ class StateVector:
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Product state self (x) other."""
-        return StateVector(np.kron(self.amplitudes, other.amplitudes))
+        return _built(StateVector, amplitudes=np.kron(self.amplitudes, other.amplitudes))
 
 
 def basis_state(dim: int, k: int) -> StateVector:
@@ -236,8 +248,11 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
     C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
     principal square root V sqrt(L) V^dag: it need not be Hermitian, and
     where eigenvalues repeat it depends on the eigenvectors LAPACK picks.
-    Eigenvalues below 1e-12 are clamped to zero; the GramMatrix constructor
-    has already decided that G is PSD.
+    Eigenvalues below 1e-12 are clamped to zero; that G is PSD was decided
+    where G was built (the GramMatrix constructor, or make_split's closed
+    form). The columns go through the checked StateVector constructor, which
+    rejects a column that the clamp has moved off unit norm (as a boundary
+    split with lambda_min(G) in [-1e-10, 0) can).
     """
     w, v = np.linalg.eigh(g.entries)
     w = np.where(w < EIG_ZERO_TOL, 0.0, w)

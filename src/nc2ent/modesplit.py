@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_unit_vector
+from .linalg import _built, check_unit_vector
 from .symmetric import (
     SymmetricState,
     apply_splitting,
@@ -113,25 +113,18 @@ class TwoModeState:
             if block.shape != shape:
                 raise ValueError(f"sector {key} has shape {block.shape}, expected {shape}")
             parts.append(block.reshape(-1))
-        self._adopt(np.concatenate(parts))
-
-    def _adopt(self, amps: np.ndarray) -> None:
-        """Check, freeze and take over amps, a fresh vector in _blocks order."""
-        check_unit_vector(amps, "two-mode state")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "sectors", _split(self.k, self.n, amps))
+        state = self._from_amplitudes(self.k, self.n, np.concatenate(parts))
+        object.__setattr__(self, "amplitudes", state.amplitudes)
+        object.__setattr__(self, "sectors", state.sectors)
 
     @classmethod
     def _from_amplitudes(cls, k: int, n: int, amps: np.ndarray) -> "TwoModeState":
-        """The state whose amplitudes are amps, a fresh vector in _blocks
-        order that the caller hands over; no per-sector copy is made."""
+        """The state whose amplitudes are amps, a fresh vector in _blocks order
+        that the caller hands over; its norm is checked, no sector is copied."""
         _check_caps(k, n)
-        state = object.__new__(cls)
-        object.__setattr__(state, "k", k)
-        object.__setattr__(state, "n", n)
-        state._adopt(amps)
-        return state
+        check_unit_vector(amps, "two-mode state")
+        amps.setflags(write=False)  # before the sector views are taken, so that they are read-only too
+        return _built(cls, k=k, n=n, amplitudes=amps, sectors=_split(k, n, amps))
 
     def to_flat(self) -> np.ndarray:
         """Amplitudes on the flat Dicke basis of Sym^N(C^{2K}), A levels first."""

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Operator, StateVector, _frozen, check_unit_vector
+from .linalg import Operator, StateVector, _built, _frozen, check_unit_vector
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
@@ -46,6 +46,12 @@ def dicke_dim(k: int, n: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
+def _check_size(k: int, n: int, size: int) -> None:
+    """Raise unless (K, N) is within the caps and Sym^N(C^K) has size amplitudes."""
+    if size != dicke_dim(k, n):
+        raise ValueError(f"expected {dicke_dim(k, n)} amplitudes for (K={k}, N={n}), got {size}")
+
+
 @lru_cache(maxsize=None)
 def occupation_basis(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All occupation vectors (n_0, ..., n_{K-1}) with sum N, ordered
@@ -56,11 +62,6 @@ def occupation_basis(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     for head in range(n, -1, -1):
         out.extend((head,) + rest for rest in occupation_basis(k - 1, n - head))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def occupation_index(k: int, n: int) -> dict[tuple[int, ...], int]:
-    return {occ: i for i, occ in enumerate(occupation_basis(k, n))}
 
 
 def _occupation_ranks(occs: np.ndarray) -> np.ndarray:
@@ -117,19 +118,16 @@ class SymmetricState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _check_caps(self.k, self.n)
         amps = _frozen(np.asarray(self.amplitudes, dtype=complex).reshape(-1))
-        if amps.size != dicke_dim(self.k, self.n):
-            raise ValueError(
-                f"expected {dicke_dim(self.k, self.n)} amplitudes for (K={self.k}, N={self.n}), "
-                f"got {amps.size}"
-            )
+        _check_size(self.k, self.n, amps.size)
         check_unit_vector(amps, "symmetric state")
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def normalized(cls, k: int, n: int, amplitudes) -> "SymmetricState":
-        return cls(k, n, StateVector.normalized(amplitudes).amplitudes)
+        amps = StateVector.normalized(amplitudes).amplitudes
+        _check_size(k, n, amps.size)
+        return _built(cls, k=k, n=n, amplitudes=amps)
 
     @property
     def dim(self) -> int:
@@ -141,7 +139,7 @@ class SymmetricState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def as_state_vector(self) -> StateVector:
-        return StateVector(self.amplitudes)
+        return _built(StateVector, amplitudes=self.amplitudes)
 
 
 def coherent_state(u: SuUnitary, n: int) -> SymmetricState:
@@ -152,7 +150,8 @@ def coherent_state(u: SuUnitary, n: int) -> SymmetricState:
     occs, _ = _dicke_layout(u.k, n)
     fact = np.array([math.factorial(x) for x in range(n + 1)], dtype=float)
     multinomial = math.factorial(n) / np.prod(fact[occs], axis=1)
-    return SymmetricState(u.k, n, np.sqrt(multinomial) * _monomials(u.reference_column(), occs, n))
+    return _built(SymmetricState, k=u.k, n=n,
+                  amplitudes=np.sqrt(multinomial) * _monomials(u.reference_column(), occs, n))
 
 
 def overlap(u: SuUnitary, v: SuUnitary, n: int) -> complex:
@@ -185,7 +184,7 @@ def symmetric_power_matrix(u: np.ndarray, n: int) -> np.ndarray:
     dim = math.comb(n + k - 1, k - 1)
     _check_dense(dim, dim, f"symmetric power Sym^{n}(C^{k})")
     basis = occupation_basis(k, n)
-    index = occupation_index(k, n)
+    index = {occ: i for i, occ in enumerate(basis)}
     out = np.zeros((dim, dim), dtype=complex)
     fact_sqrt = {occ: math.sqrt(math.prod(math.factorial(x) for x in occ)) for occ in basis}
     for colno, occ in enumerate(basis):
@@ -335,7 +334,7 @@ def apply_unitary(u: SuUnitary, state: SymmetricState) -> SymmetricState:
     groups = dict(_pair_groups(_dicke_layout, k, n))
     for pair, block in reversed(rotations):
         _rotate(amps, groups[pair], _pair_powers(n, block))
-    return SymmetricState(k, n, amps)
+    return _built(SymmetricState, k=k, n=n, amplitudes=amps)
 
 
 def _check_split(k: int, n: int, n_x: int, n_y: int) -> None:

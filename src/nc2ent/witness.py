@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conversion import Conversion
-from .linalg import HERMITIAN_TOL, StateVector, _frozen, check_cut, check_hermitian, schmidt_decompose
+from .linalg import HERMITIAN_TOL, StateVector, _built, _frozen, check_cut, check_hermitian, schmidt_decompose
 
 DETECT_TOL = 1e-10
 
@@ -21,23 +21,11 @@ class Witness:
     classical) state and negative on at least one state it detects."""
 
     operator: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         op = _frozen(self.operator)
         check_hermitian(op, "witness operator", HERMITIAN_TOL)
         object.__setattr__(self, "operator", op)
-
-    @classmethod
-    def _trusted(cls, op: np.ndarray, label: str) -> "Witness":
-        """A witness whose operator the library built Hermitian to within
-        roundoff far below HERMITIAN_TOL, so the check is skipped; op must be
-        a fresh complex array, which is frozen in place."""
-        op.setflags(write=False)
-        w = object.__new__(cls)
-        object.__setattr__(w, "operator", op)
-        object.__setattr__(w, "label", label)
-        return w
 
     @property
     def dim(self) -> int:
@@ -53,7 +41,7 @@ def swap_style_witness(dim_a: int, dim_b: int, phi: StateVector) -> Witness:
     check_cut(dim_a, dim_b, phi.dim)
     lam1 = float(schmidt_decompose(phi, dim_a, dim_b).coefficients[0])
     op = lam1**2 * np.eye(phi.dim, dtype=complex) - phi.projector()
-    return Witness._trusted(op, f"projector witness (lambda1^2 = {lam1**2:.6g})")
+    return _built(Witness, operator=op)
 
 
 def detect(w: Witness, rho: np.ndarray) -> tuple[float, bool]:
@@ -78,4 +66,4 @@ def nonclassicality_witness(w: Witness, conv: Conversion) -> Witness:
         raise ValueError(f"witness dimension {w.dim} does not match conversion dimension {v.shape[0]}")
     restricted = v.conj().T @ w.operator @ v
     restricted = 0.5 * (restricted + restricted.conj().T)  # Hermitian bitwise: x + y is commutative
-    return Witness._trusted(restricted, "restricted non-classicality witness")
+    return _built(Witness, operator=restricted)

@@ -29,6 +29,13 @@ def gcnot_file(tmp_path, theta=math.pi / 2):
     return write_state_set(tmp_path / "states.json", [[c, s], [c, -s]])
 
 
+def qr_orthonormal_file(tmp_path, dim=3, seed=5):
+    """An orthonormal set from a QR factorisation: its Gram is I to roundoff."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return write_state_set(tmp_path / "qr.json", list(q.T))
+
+
 # -------------------------------------------------------------------- convert
 
 def test_convert_reports_rank_two_for_computational_input(runner, tmp_path):
@@ -78,6 +85,15 @@ def test_convert_rejects_infeasible_epsilon(runner, tmp_path):
                                   "--input", "1,0"])
     assert result.exit_code != 0
     assert "infeasible" in result.output
+
+
+@pytest.mark.parametrize("epsilon", ["1e5", "1e6"])
+def test_large_epsilon_on_an_orthonormal_set_is_accepted(runner, tmp_path, epsilon):
+    states = qr_orthonormal_file(tmp_path)
+    for args in (["convert", "--input", "1,1,1"],
+                 ["witness", "--target-state", "1,1,1", "--test-state", "1,0,0"]):
+        result = runner.invoke(main, args + ["--states", states, "--epsilon", epsilon])
+        assert result.exit_code == 0, result.output
 
 
 def test_convert_rejects_unnormalized_without_flag(runner, tmp_path):
@@ -311,6 +327,11 @@ def _convert_infinite_epsilon_on_orthonormal_set(tmp_path):
     return ["convert", "--states", states, "--epsilon", "inf", "--input", "1,0"]
 
 
+def _convert_epsilon_beyond_an_orthonormal_range(tmp_path):
+    states = qr_orthonormal_file(tmp_path)
+    return ["convert", "--states", states, "--epsilon", "1e17", "--input", "1,0,0"]
+
+
 def _convert_dimension_of_wrong_type(tmp_path):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps({"schema": 1, "dimension": [2],
@@ -400,6 +421,11 @@ REASONS = {
     _convert_nan_epsilon: "epsilon must be finite, got nan",
     _convert_infinite_epsilon_on_orthonormal_set: "epsilon must be finite, got inf",
     _modesplit_infinite_phase: "phase of t must be finite, got inf",
+    _convert_epsilon_beyond_an_orthonormal_range: "is infeasible",
+}
+# text a row's error must not give: the rejection names the bound it was decided by
+WRONG_REASONS = {
+    _convert_epsilon_beyond_an_orthonormal_range: "eps < inf",
 }
 
 
@@ -414,6 +440,7 @@ REASONS = {
     _convert_nan_input,
     _convert_nan_epsilon,
     _convert_infinite_epsilon_on_orthonormal_set,
+    _convert_epsilon_beyond_an_orthonormal_range,
     _convert_dimension_of_wrong_type,
     _convert_state_rows_of_objects,
     _modesplit_config_of_wrong_type,
@@ -440,6 +467,7 @@ def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
     assert REASONS.get(make_args, "") in lines[0]
+    assert make_args not in WRONG_REASONS or WRONG_REASONS[make_args] not in lines[0]
 
 
 def test_nan_input_error_names_the_amplitude(runner, tmp_path):

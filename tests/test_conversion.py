@@ -255,6 +255,22 @@ def test_conversion_large_epsilon_approaches_controlled_displacement():
     assert ent > 1.0 - 1e-4
 
 
+def test_orthonormal_set_at_large_epsilon_gives_the_relative_entropy_of_coherence():
+    # on an orthonormal set mu -> 0 is the coherence limit: the output entropy
+    # tends to H(|<c_i|psi>|^2) (Streltsov et al., PRL 115, 020403 (2015))
+    rng = np.random.default_rng(5)
+    for dim in range(2, 9):
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            cs = ClassicalSet(states=tuple(StateVector(col) for col in q.T))
+            for eps in (1e5, 1e6):
+                conv = build_conversion(cs, make_split(cs, eps))
+            psi = random_state(dim, rng)
+            p = np.abs(q.conj().T @ psi.amplitudes) ** 2
+            out = entanglement_entropy(schmidt_decompose(conv.convert(psi), dim, dim))
+            assert abs(out + float(np.sum(p * np.log2(p)))) <= 1e-10, (dim, out)
+
+
 def test_conversion_default_reference_is_first_classical_state():
     rng = np.random.default_rng(25)
     cs = random_classical_set(2, rng)
