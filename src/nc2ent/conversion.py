@@ -23,6 +23,7 @@ from .linalg import (
     UNITARY_TOL,
     StateVector,
     _built,
+    _check_density,
     basis_state,
     factor_gram,
     gram_of,
@@ -74,7 +75,6 @@ class SplitSpec:
     overlaps scaled by (1+eps), and their entrywise product reproduces the
     classical Gram."""
 
-    epsilon: float
     gram_d: GramMatrix
     gram_e: GramMatrix
     d_states: tuple[StateVector, ...]
@@ -110,10 +110,12 @@ class Conversion:
         return _built(StateVector, amplitudes=self.isometry.matrix @ psi.amplitudes)
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the conversion to a density operator on the input space."""
+        """Apply the conversion to a density operator on the input space, which
+        is checked where it enters (a D x D operator that _check_density passes)."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
+        rho = _check_density(rho)
         v = self.isometry.matrix
         return v @ rho @ v.conj().T
 
@@ -128,17 +130,41 @@ def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
     return GramMatrix(g)
 
 
+def feasible_split(lam, epsilon, boundary_ok: bool = False):
+    """The one split-feasibility decision, elementwise: for lam = lambda_min(G),
+    lambda_min((1+eps)G - eps I) = 1 - (1+eps)(1 - lam) must exceed 1e-10, or
+    with boundary_ok reach -PSD_TOL. Returns (that eigenvalue, the verdict)."""
+    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - lam)
+    return min_eig, (min_eig >= -PSD_TOL if boundary_ok else min_eig > INDEPENDENCE_TOL)
+
+
+def _epsilon_bound(lam: float, floor: float) -> float:
+    """The eps at which 1 - (1+eps)(1 - lam) meets floor; inf for lam >= 1."""
+    return (lam - floor) / (1.0 - lam) if lam < 1.0 else math.inf
+
+
+def check_split(lam: float, epsilon: float, boundary_ok: bool = False) -> float:
+    """feasible_split's eigenvalue, or a one-line ValueError for an eps that is
+    not finite, negative, zero without boundary_ok, or infeasible (naming the bound)."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
+        raise ValueError(f"epsilon must be {'nonnegative' if boundary_ok else 'positive'}, got {epsilon}")
+    min_eig, feasible = feasible_split(lam, epsilon, boundary_ok)
+    if not feasible:  # then lam < 1: the bound is finite
+        floor, relation = (-PSD_TOL, "<=") if boundary_ok else (INDEPENDENCE_TOL, "<")
+        raise ValueError(
+            f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
+            f"{min_eig:.3e} (feasible range is eps {relation} {_epsilon_bound(lam, floor):.12g})"
+        )
+    return min_eig
+
+
 def epsilon_max(cs: ClassicalSet) -> float:
-    """Supremum of eps for which scaling the classical overlaps by (1+eps)
-    keeps the minimum eigenvalue of the scaled Gram (1+eps)G - eps I, which
-    is 1 - (1+eps)(1 - lambda_min(G)), above the independence floor 1e-10:
-    (lambda_min(G) - 1e-10) / (1 - lambda_min(G)). Returns inf when that
-    exceeds 1e6 (e.g. orthogonal classical states)."""
-    lam = cs.gram.min_eigenvalue()
-    room = lam - INDEPENDENCE_TOL
-    if room > EPS_CAP * (1.0 - lam):
-        return math.inf
-    return room / (1.0 - lam)
+    """Supremum of the feasible eps, (lambda_min(G) - 1e-10) / (1 - lambda_min(G)),
+    as check_split names it; inf beyond 1e6 (e.g. orthogonal classical states)."""
+    bound = _epsilon_bound(cs.gram.min_eigenvalue(), INDEPENDENCE_TOL)
+    return math.inf if bound > EPS_CAP else bound
 
 
 def default_epsilon(cs: ClassicalSet) -> float:
@@ -152,31 +178,18 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     1/(1+eps)) and the scaled-overlap factor, and factor both into explicit
     state families.
 
-    The closed form of epsilon_max, lambda_min((1+eps)G - eps I) =
-    1 - (1+eps)(1 - lambda_min(G)), is the only feasibility decision: it must
-    exceed 1e-10, or with boundary_ok reach -1e-10 (admitting eps = 0 and a
-    singular scaled factor for probing). The scaled factor is built with that
-    eigenvalue and not re-checked. The entrywise product of the factors is
-    the classical Gram by construction, to a few ulps off the diagonal and
+    check_split is the only feasibility decision (with boundary_ok it admits
+    eps = 0 and lambda_min down to -PSD_TOL). The scaled factor is built with
+    that eigenvalue and not re-checked. The entrywise product of the factors
+    is the classical Gram by construction, to a few ulps off the diagonal and
     exactly 1 on it.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
-    if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    lam = cs.gram.min_eigenvalue()
-    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - lam)
-    floor, relation = (-PSD_TOL, "<=") if boundary_ok else (INDEPENDENCE_TOL, "<")
-    if not (min_eig >= floor if boundary_ok else min_eig > floor):  # then lam < 1: the bound is finite
-        raise ValueError(
-            f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
-            f"{min_eig:.3e} (feasible range is eps {relation} {(lam - floor) / (1.0 - lam):.6g})"
-        )
+    min_eig = check_split(cs.gram.min_eigenvalue(), epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
     gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
     gram_e = _built(GramMatrix, entries=scaled, _min_eig=min_eig)
-    return SplitSpec(epsilon=float(epsilon), gram_d=gram_d, gram_e=gram_e,
+    return SplitSpec(gram_d=gram_d, gram_e=gram_e,
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
 

@@ -11,10 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conversion import INDEPENDENCE_TOL, ClassicalSet, build_conversion, make_split
+from .conversion import (INDEPENDENCE_TOL, ClassicalSet, build_conversion, check_split, feasible_split,
+                         make_split)
 from .linalg import StateVector, basis_state, entanglement_entropy, schmidt_decompose
 
-FEAS_TOL = 1e-12
 MU_FLOOR = 1e-9            # smallest mu used in sweeps; mu -> 0 is the eps -> inf limit
 MAXIMAL_EBITS = 1.0 - 1e-6  # threshold separating the unique optimum from near-misses
 
@@ -43,22 +43,16 @@ def _check_theta(theta) -> None:
 @dataclass(frozen=True)
 class GcnotParams:
     """Classical-pair angle theta in (0, pi), with the pair above the
-    independence floor, and splitting parameter eps >= 0,
-    feasible when (1+eps)|cos theta| <= 1 (equality admitted for boundary
-    probing, as is eps = 0)."""
+    independence floor, and splitting parameter eps >= 0, feasible as
+    check_split(1 - |cos theta|, eps, boundary_ok=True) decides, which
+    admits (1+eps)|cos theta| up to 1 + PSD_TOL."""
 
     theta: float
     epsilon: float
 
     def __post_init__(self):
         _check_theta(self.theta)
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if (1.0 + self.epsilon) * abs(math.cos(self.theta)) > 1.0 + FEAS_TOL:
-            raise ValueError(
-                f"infeasible parameters: (1+eps)|cos theta| = "
-                f"{(1.0 + self.epsilon) * abs(math.cos(self.theta)):.6g} > 1"
-            )
+        check_split(1.0 - abs(math.cos(self.theta)), self.epsilon, boundary_ok=True)
 
     @property
     def mu(self) -> float:
@@ -155,17 +149,20 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     evaluated in closed form over the whole grid at once.
 
     Returns the feasible rows, theta-major in grid order, and the list of
-    (theta, mu) cells skipped because mu lies outside (0, 1] or the overlap
-    bound (1+eps)|cos theta| <= 1 fails there. A feasible cell whose theta
-    GcnotParams rejects raises ValueError.
+    (theta, mu) cells skipped because mu lies outside (0, 1] or GcnotParams'
+    split decision fails there. A feasible cell whose theta GcnotParams
+    rejects raises ValueError.
     """
-    thetas, mus = np.meshgrid(np.asarray(theta_grid, float), np.asarray(mu_grid, float), indexing="ij")
-    thetas, mus = thetas.ravel(), mus.ravel()
-    feasible = (mus > 0.0) & (mus <= 1.0) & ~(mus * (1.0 + FEAS_TOL) < np.abs(np.cos(thetas)))
+    theta_axis, mu_axis = np.ravel(np.asarray(theta_grid, float)), np.ravel(np.asarray(mu_grid, float))
+    thetas, mus = np.repeat(theta_axis, mu_axis.size), np.tile(mu_axis, theta_axis.size)
+    in_range = (mus > 0.0) & (mus <= 1.0)
+    eps = 1.0 / np.where(in_range, mus, 1.0) - 1.0
+    min_eig, split_ok = feasible_split(1.0 - np.abs(np.cos(thetas)), eps, boundary_ok=True)
+    feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
     _check_theta(theta_ok)
     ebits = _pair_ebits(theta_ok, mu_ok, *_expand_in_pair(theta_ok, state.amplitudes))
-    rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), (1.0 / mu_ok - 1.0).tolist(), ebits.tolist()))
+    rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), eps[feasible].tolist(), ebits.tolist()))
     skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
 
@@ -191,9 +188,7 @@ class CnotProbeReport:
     splitting) does so from at least two orthogonal inputs."""
 
     theta: float
-    epsilon_opt: float
     maximal_count: int
-    maximal_angles: tuple[float, ...]
     entropy_zero: float
     entropy_one: float
 
@@ -206,16 +201,9 @@ def cnot_equivalence_probe(theta: float, n_points: int = 1024) -> CnotProbeRepor
         raise ValueError("probe undefined at theta = pi/2")
     favored = basis_state(2, 0) if theta > math.pi / 2.0 else basis_state(2, 1)
     eps_opt, _ = optimal_epsilon(theta, favored)
-    count, hits, _ = maximal_input_count(theta, eps_opt, n_points=n_points)
+    count, _, _ = maximal_input_count(theta, eps_opt, n_points=n_points)
     entropy_zero, entropy_one = _pair_ebits(theta, epsilon_to_mu(eps_opt), *_expand_in_pair(theta, np.eye(2)))
-    return CnotProbeReport(
-        theta=theta,
-        epsilon_opt=eps_opt,
-        maximal_count=count,
-        maximal_angles=tuple(hits),
-        entropy_zero=float(entropy_zero),
-        entropy_one=float(entropy_one),
-    )
+    return CnotProbeReport(theta, count, float(entropy_zero), float(entropy_one))
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -230,17 +218,12 @@ def beamsplitter_params(overlap: float, epsilon: float) -> tuple[float, float]:
     overlap splitting as the two-state conversion at eps: the factor overlaps
     are overlap^x = (1+eps) overlap and overlap^y = 1/(1+eps), with x + y = 1.
 
-    Requires a real overlap in (0, 1) and 1/(1+eps) >= overlap (otherwise the
-    scaled overlap would exceed 1 and x would leave [0, 1]).
+    Requires a real overlap in (0, 1) and a feasible split of the pair, as
+    GcnotParams decides; y is capped at 1 where the PSD floor admits a
+    scaled overlap just above 1, so x stays in [0, 1].
     """
     if not 0.0 < overlap < 1.0:
         raise ValueError(f"overlap must lie in (0, 1), got {overlap}")
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    y = math.log(1.0 / (1.0 + epsilon)) / math.log(overlap)
-    if y > 1.0 + FEAS_TOL:
-        raise ValueError(
-            f"overlap constraint violated: 1/(1+eps) = {1.0/(1.0+epsilon):.6g} "
-            f"< overlap = {overlap:.6g} maps to x < 0"
-        )
+    check_split(1.0 - overlap, epsilon, boundary_ok=True)
+    y = min(math.log(1.0 / (1.0 + epsilon)) / math.log(overlap), 1.0)
     return 1.0 - y, y

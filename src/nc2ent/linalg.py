@@ -13,8 +13,8 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-12
-PSD_TOL = 1e-10          # min eigenvalue >= -PSD_TOL counts as PSD
 EIG_ZERO_TOL = 1e-12     # eigenvalues below this are clamped to zero in factorizations
+PSD_TOL = NORM_TOL       # the one PSD floor; factor_gram's clamp above it moves a column norm < NORM_TOL/2
 
 # Operation tolerances.
 RANK_RTOL = 1e-10        # singular/eigen values below RANK_RTOL * largest are zero
@@ -209,7 +209,6 @@ class SchmidtData:
     coefficients: np.ndarray
     left_vectors: np.ndarray   # shape (dimA, m), columns orthonormal
     right_vectors: np.ndarray  # shape (m, dimB), rows orthonormal
-    cut: tuple[int, int]
     rank: int = field(init=False)
 
     def __post_init__(self):
@@ -248,11 +247,12 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
     C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
     principal square root V sqrt(L) V^dag: it need not be Hermitian, and
     where eigenvalues repeat it depends on the eigenvectors LAPACK picks.
-    Eigenvalues below 1e-12 are clamped to zero; that G is PSD was decided
-    where G was built (the GramMatrix constructor, or make_split's closed
-    form). The columns go through the checked StateVector constructor, which
-    rejects a column that the clamp has moved off unit norm (as a boundary
-    split with lambda_min(G) in [-1e-10, 0) can).
+    Eigenvalues below 1e-12 are clamped to zero; that G is PSD
+    (lambda_min >= -PSD_TOL) was decided where G was built (the GramMatrix
+    constructor, or make_split's closed form). The clamp moves a column's
+    norm by less than 5e-13. The columns go through the checked StateVector
+    constructor, which therefore rejects a column only of a caller Gram
+    whose diagonal is also off by nearly UNIT_DIAG_TOL.
     """
     w, v = np.linalg.eigh(g.entries)
     w = np.where(w < EIG_ZERO_TOL, 0.0, w)
@@ -316,7 +316,7 @@ def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
     check_cut(dim_a, dim_b, psi.dim)
     mat = psi.amplitudes.reshape(dim_a, dim_b)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtData(coefficients=s, left_vectors=u, right_vectors=vh, cut=(dim_a, dim_b))
+    return SchmidtData(coefficients=s, left_vectors=u, right_vectors=vh)
 
 
 def entanglement_entropy(sd: SchmidtData) -> float:
@@ -365,11 +365,8 @@ def _check_density(rho) -> np.ndarray:
 
 def partial_transpose(rho, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the second tensor factor of a density operator on A (x) B.
-
-    rho must be a finite, Hermitian, unit-trace operator with
-    lambda_min(rho) >= -1e-10, which a Cholesky factorisation of
-    rho + 1e-10 I decides, and dim_a x dim_b must be a cut of its dimension
-    (check_cut); otherwise a one-line ValueError is raised."""
+    rho must pass _check_density and dim_a x dim_b must be a cut of its
+    dimension (check_cut); otherwise a one-line ValueError is raised."""
     rho = _check_density(rho)
     check_cut(dim_a, dim_b, rho.shape[0])
     blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)

@@ -30,6 +30,7 @@ import numpy as np
 
 from .linalg import _built, check_unit_vector
 from .symmetric import (
+    PARTICLE_UNITARY_TOL,
     SymmetricState,
     apply_splitting,
     dicke_dim,
@@ -41,7 +42,6 @@ from .symmetric import (
     _rotate,
 )
 
-MODE_PAIR_TOL = 1e-12     # |r|^2 + |t|^2 = 1
 MIN_SECTOR_PROB = 1e-15
 
 
@@ -163,10 +163,12 @@ def inject(state: SymmetricState) -> TwoModeState:
 
 
 def _check_mode_pair(r: complex, t: complex) -> tuple[complex, complex]:
+    """|r|^2 + |t|^2, the squared column norm of [[r, t*], [t, -r*]], must be
+    1 within PARTICLE_UNITARY_TOL, as for an SU(K) label."""
     r, t = complex(r), complex(t)
     if not (cmath.isfinite(r) and cmath.isfinite(t)):
         raise ValueError(f"tunneling amplitudes must be finite, got r={r!r}, t={t!r}")
-    if abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) > MODE_PAIR_TOL:
+    if abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) > PARTICLE_UNITARY_TOL:
         raise ValueError(f"|r|^2 + |t|^2 must be 1, got {abs(r)**2 + abs(t)**2!r}")
     return r, t
 

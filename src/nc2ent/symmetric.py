@@ -11,11 +11,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import Operator, StateVector, _built, _frozen, check_unit_vector
+from .linalg import NORM_TOL, Operator, StateVector, _built, _frozen, check_unit_vector
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
-SU_UNITARY_TOL = 1e-12     # U^dag U = I for single-particle transformations
+# entrywise |UU^dag - I| of a single-particle map (SU(K) label, tunneling pair); it moves a
+# column's squared norm by at most K times this, an N-fold product's norm by NK/2 times
+PARTICLE_UNITARY_TOL = NORM_TOL / (MAX_LEVELS * MAX_PARTICLES)
 MAX_DENSE_BYTES = 3 * 2**30  # per dense complex matrix; Sym^6(C^12), timed by benchmarks/reference.py, takes 2.3 GiB
 
 
@@ -86,9 +88,9 @@ def _occupation_pairs(k: int, n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class SuUnitary:
-    """Unitary single-particle transformation on K internal levels. A global
-    phase is irrelevant to the coherent states it labels, so any U(K) element
-    is accepted."""
+    """Unitary single-particle transformation on K internal levels, within
+    PARTICLE_UNITARY_TOL. A global phase is irrelevant to the coherent states
+    it labels, so any U(K) element is accepted."""
 
     matrix: np.ndarray
 
@@ -96,7 +98,7 @@ class SuUnitary:
         op = Operator(self.matrix)
         if op.rows < 2:
             raise ValueError("need at least 2 levels")
-        if not op.is_unitary(SU_UNITARY_TOL):  # False for a non-square or NaN matrix
+        if not op.is_unitary(PARTICLE_UNITARY_TOL):  # False for a non-square or NaN matrix
             raise ValueError("matrix is not unitary within tolerance")
         object.__setattr__(self, "matrix", op.matrix)
 

@@ -277,6 +277,13 @@ def _witness_epsilon_beyond_range(tmp_path):
             "--target-state", "1,0", "--test-state", "1,0"]
 
 
+def _witness_epsilon_past_the_psd_floor(tmp_path):
+    # the pair's bound is 2.571428571428571; this eps gives lambda_min(G_e) = -5e-11
+    states = write_state_set(tmp_path / "pair.json", [[0.8, 0.6], [0.8, -0.6]])
+    return ["witness", "--states", states, "--epsilon", "2.5714285716071426",
+            "--target-state", "1,0", "--test-state", "1,0"]
+
+
 def _convert_input_dimension_mismatch(tmp_path):
     states = gcnot_file(tmp_path)
     three_dim = write_state_set(tmp_path / "input.json", [[1.0, 0.0, 0.0]])
@@ -422,15 +429,18 @@ REASONS = {
     _convert_infinite_epsilon_on_orthonormal_set: "epsilon must be finite, got inf",
     _modesplit_infinite_phase: "phase of t must be finite, got inf",
     _convert_epsilon_beyond_an_orthonormal_range: "is infeasible",
+    _witness_epsilon_past_the_psd_floor: "feasible range is eps <= 2.57142857143",
 }
 # text a row's error must not give: the rejection names the bound it was decided by
 WRONG_REASONS = {
     _convert_epsilon_beyond_an_orthonormal_range: "eps < inf",
+    _witness_epsilon_past_the_psd_floor: "not normalized",
 }
 
 
 @pytest.mark.parametrize("make_args", [
     _witness_epsilon_beyond_range,
+    _witness_epsilon_past_the_psd_floor,
     _convert_input_dimension_mismatch,
     _convert_states_without_states,
     _convert_states_without_dimension,

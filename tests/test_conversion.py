@@ -359,6 +359,20 @@ def test_convert_density_matches_pure_conversion():
     assert np.max(np.abs(direct - via_density)) < 1e-10
 
 
+@pytest.mark.parametrize("rho, reason", [
+    ([[1, 5, 0], [0, 0, 0], [0, 0, -2]], "is not Hermitian"),
+    (np.eye(3), "does not have unit trace"),
+    (np.diag([1.5, 0.0, -0.5]), "is not positive semidefinite"),
+    (np.full((3, 3), np.nan), "has a non-finite entry"),
+])
+def test_convert_density_checks_its_input_where_it_enters(rho, reason):
+    cs = random_classical_set(3, np.random.default_rng(35))
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    with pytest.raises(ValueError, match=reason) as err:
+        conv.convert_density(rho)
+    assert "\n" not in str(err.value)
+
+
 def test_nonclassical_pure_inputs_convert_to_entangled_outputs():
     rng = np.random.default_rng(31)
     cs = random_classical_set(4, rng)
