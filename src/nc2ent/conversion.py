@@ -24,16 +24,15 @@ from .linalg import (
     StateVector,
     _built,
     _check_density,
-    basis_state,
+    _frame_unitary,
     factor_gram,
     gram_of,
     positive_frame,
     random_state,
-    synthesize_unitary,
 )
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
-EPS_CAP = 1e6              # beyond this the feasible range is reported as infinite
+EPS_CAP = 1e6              # beyond this default_epsilon takes 1.0, not half the range
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,10 @@ class Conversion:
 
     @cached_property
     def unitary(self) -> Operator:
-        """A unitary on C^D (x) C^D that maps |k> (x) |ref> onto V|k>."""
-        d = self.dim
-        from_states = [basis_state(d, k).tensor(self.reference) for k in range(d)]
-        to_states = [StateVector(col) for col in self.isometry.matrix.T]
-        return synthesize_unitary(from_states, to_states)
+        """A unitary on C^D (x) C^D that maps |k> (x) |ref> onto V|k>: _frame_unitary
+        completes the two frames, orthonormal by construction, and checks nothing again."""
+        source = np.kron(np.eye(self.dim), self.reference.amplitudes[:, None])  # column k is |k> (x) |ref>
+        return _built(Operator, matrix=_frame_unitary(source, self.isometry.matrix))
 
     def convert(self, psi: StateVector) -> StateVector:
         """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
@@ -162,15 +160,14 @@ def check_split(lam: float, epsilon: float, boundary_ok: bool = False) -> float:
 
 def epsilon_max(cs: ClassicalSet) -> float:
     """Supremum of the feasible eps, (lambda_min(G) - 1e-10) / (1 - lambda_min(G)),
-    as check_split names it; inf beyond 1e6 (e.g. orthogonal classical states)."""
-    bound = _epsilon_bound(cs.gram.min_eigenvalue(), INDEPENDENCE_TOL)
-    return math.inf if bound > EPS_CAP else bound
+    the bound check_split names; finite unless lambda_min(G) >= 1 (an orthonormal set)."""
+    return _epsilon_bound(cs.gram.min_eigenvalue(), INDEPENDENCE_TOL)
 
 
 def default_epsilon(cs: ClassicalSet) -> float:
-    """Interior default: half the feasible range, or 1.0 when it is infinite."""
+    """Interior default: half the feasible range, or 1.0 when the range exceeds EPS_CAP."""
     emax = epsilon_max(cs)
-    return 1.0 if math.isinf(emax) else emax / 2.0
+    return 1.0 if emax > EPS_CAP else emax / 2.0
 
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:

@@ -186,9 +186,6 @@ class Operator:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         if self.rows != self.cols:
             return False
@@ -272,15 +269,24 @@ def positive_frame(columns: np.ndarray) -> np.ndarray:
     return q * (diag / mags)
 
 
+def _frame_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[Q_b | C_b][Q_a | C_a]^dag for the positive QR frames Q of the equal-height
+    families a and b, each complement C the trailing columns of one complete QR
+    of its frame: a unitary mapping Q_a onto Q_b, so a onto b when they share R."""
+    frames = []
+    for q in (positive_frame(a), positive_frame(b)):
+        complement = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
+        frames.append(np.hstack([q, complement]))
+    return frames[1] @ frames[0].conj().T
+
+
 def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVector]) -> Operator:
     """Build a unitary mapping each from_state onto the matching to_state.
 
     Both families must be linearly independent (else ValueError) and share
     one Gram matrix (a mismatch beyond 1e-8 raises GramMismatchError). Source
     vectors are zero-padded to the target dimension. With A = Q_from R and
-    B = Q_to R from the positive QR frames, the unitary is
-    [Q_to | C_to][Q_from | C_from]^dag, each complement C being the trailing
-    columns of a complete QR factorization of its frame.
+    B = Q_to R from the positive QR frames, the unitary is _frame_unitary(A, B).
     """
     if len(from_states) != len(to_states) or not from_states:
         raise ValueError("need two equal-length nonempty state families")
@@ -299,12 +305,7 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
     a = np.zeros((dim_to, len(from_states)), dtype=complex)
     a[:dim_from, :] = np.column_stack([s.amplitudes for s in from_states])
     b = np.column_stack([s.amplitudes for s in to_states])
-
-    frames = []
-    for q in (positive_frame(a), positive_frame(b)):
-        complement = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
-        frames.append(np.hstack([q, complement]))
-    u = Operator(frames[1] @ frames[0].conj().T)
+    u = Operator(_frame_unitary(a, b))
     if not u.is_unitary():
         raise GramMismatchError("synthesized map failed the unitarity check")
     return u

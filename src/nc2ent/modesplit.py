@@ -267,11 +267,15 @@ class ProtocolConfig:
 
     @classmethod
     def from_magnitudes(cls, r_mag: float, phase: float = 0.0, **kwargs) -> "ProtocolConfig":
-        """Convention used by the CLI: real r, t = |t| e^{i phase}."""
-        if not math.isfinite(phase):
-            raise ValueError(f"phase of t must be finite, got {phase!r}")
-        t_mag = math.sqrt(max(1.0 - r_mag**2, 0.0))
-        return cls(r=complex(r_mag), t=t_mag * complex(math.cos(phase), math.sin(phase)), **kwargs)
+        """Convention used by the CLI: real r, t = |t| e^{i phase} with |t| = sqrt(1 - r^2)."""
+        return cls(r=complex(r_mag), t=math.sqrt(max(1.0 - r_mag**2, 0.0)) * _phase_factor(phase), **kwargs)
+
+
+def _phase_factor(phase: float) -> complex:
+    """e^{i phase}, the CLI's phase of t; a one-line ValueError unless phase is finite."""
+    if not math.isfinite(phase):
+        raise ValueError(f"phase of t must be finite, got {phase!r}")
+    return complex(math.cos(phase), math.sin(phase))
 
 
 @dataclass(frozen=True)

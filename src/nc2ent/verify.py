@@ -146,12 +146,11 @@ def measure_overlap_splitting(pairs: int, max_particles: int, rng: np.random.Gen
 
 def measure_isometry_action(k: int, n: int, n_x: int, samples: int, rng: np.random.Generator) -> float:
     """Worst 1 - |<u_{N_X}| <u_{N-N_X}| S |u_N>|^2 of the splitting isometry
-    S over `samples` Haar coherent inputs."""
-    iso = symmetric.splitting_isometry(k, n, n_x, n - n_x).matrix
+    S (applied by apply_splitting) over `samples` Haar coherent inputs."""
     worst = 0.0
     for _ in range(samples):
         u = symmetric.haar_random_su(k, rng)
-        out = iso @ symmetric.coherent_state(u, n).amplitudes
+        out = symmetric.apply_splitting(symmetric.coherent_state(u, n), n_x, n - n_x)
         prod = np.kron(symmetric.coherent_state(u, n_x).amplitudes,
                        symmetric.coherent_state(u, n - n_x).amplitudes)
         worst = max(worst, abs(1.0 - abs(np.vdot(prod, out)) ** 2))
@@ -160,11 +159,10 @@ def measure_isometry_action(k: int, n: int, n_x: int, samples: int, rng: np.rand
 
 def measure_splitting_faithfulness(k: int, n: int, n_x: int, samples: int,
                                    rng: np.random.Generator) -> tuple[float, float, float]:
-    """The splitting isometry S on `samples` mixtures of three Haar coherent
-    projectors, then on `samples` superpositions of two Haar coherent states
-    (near-parallel pairs skipped). Returns (worst output negativity, worst
-    distance from the product mixture, least superposition entropy)."""
-    iso = symmetric.splitting_isometry(k, n, n_x, n - n_x).matrix
+    """The splitting isometry S (apply_splitting) on `samples` mixtures of three
+    Haar coherent projectors, as sum_i w_i |S psi_i><S psi_i|, then on `samples`
+    superpositions of two Haar coherent states (near-parallel pairs skipped). Returns
+    (worst output negativity, worst distance from the product mixture, least superposition entropy)."""
     dims = symmetric.dicke_dim(k, n_x), symmetric.dicke_dim(k, n - n_x)
     worst_neg = worst_product = 0.0
     min_entropy = math.inf
@@ -172,9 +170,8 @@ def measure_splitting_faithfulness(k: int, n: int, n_x: int, samples: int,
         unitaries = [symmetric.haar_random_su(k, rng) for _ in range(3)]
         weights = rng.random(3)
         weights /= weights.sum()
-        rho = sum(w * symmetric.coherent_state(u, n).as_state_vector().projector()
-                  for w, u in zip(weights, unitaries))
-        sigma = iso @ rho @ iso.conj().T
+        images = [symmetric.apply_splitting(symmetric.coherent_state(u, n), n_x, n - n_x) for u in unitaries]
+        sigma = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, images))
         worst_neg = max(worst_neg, linalg.negativity(sigma, *dims))
         factors = [(symmetric.coherent_state(u, n_x).as_state_vector(),
                     symmetric.coherent_state(u, n - n_x).as_state_vector()) for u in unitaries]
@@ -185,7 +182,8 @@ def measure_splitting_faithfulness(k: int, n: int, n_x: int, samples: int,
         if abs(symmetric.overlap(u, v, 1)) > 1 - 1e-6:
             continue
         amps = symmetric.coherent_state(u, n).amplitudes + symmetric.coherent_state(v, n).amplitudes
-        out = linalg.StateVector(iso @ symmetric.SymmetricState.normalized(k, n, amps).amplitudes)
+        out = linalg.StateVector(symmetric.apply_splitting(symmetric.SymmetricState.normalized(k, n, amps),
+                                                           n_x, n - n_x))
         min_entropy = min(min_entropy, linalg.entanglement_entropy(linalg.schmidt_decompose(out, *dims)))
     return worst_neg, worst_product, min_entropy
 

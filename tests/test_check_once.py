@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nc2ent import linalg, modesplit, symmetric, witness
+from nc2ent import conversion, linalg, modesplit, symmetric, verify, witness
 from nc2ent.conversion import build_conversion, default_epsilon, make_split, random_classical_set
 from nc2ent.linalg import StateVector, random_state
 from nc2ent.symmetric import SymmetricState, apply_unitary, coherent_state, dicke_dim, haar_random_su
@@ -49,6 +49,37 @@ def test_library_built_values_are_not_checked_again(monkeypatch):
     hermitian = [m for name, m in calls if name == "check_hermitian"]
     assert len(hermitian) == 1 and np.array_equal(hermitian[0], split.gram_d.entries)
     assert [name for name, _ in calls].count("check_unit_vector") == 2 * cs.dim
+
+
+def refuse(name):
+    def refusing(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refusing
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_completed_unitary_checks_nothing_again(monkeypatch, dim):
+    # V and |k> (x) |ref> are orthonormal frames already: no general synthesis,
+    # no checked StateVector or GramMatrix, no Gram comparison
+    cs = random_classical_set(dim, np.random.default_rng(32))
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    monkeypatch.setattr(linalg, "synthesize_unitary", refuse("synthesize_unitary"))
+    monkeypatch.setattr(conversion, "synthesize_unitary", refuse("synthesize_unitary"), raising=False)
+    calls = count_checks(monkeypatch)
+    u = conv.unitary.matrix
+    assert calls == []
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) < 1e-10
+    psi = random_state(dim, np.random.default_rng(33))
+    via_unitary = u @ np.kron(psi.amplitudes, conv.reference.amplitudes)
+    assert np.max(np.abs(via_unitary - conv.convert(psi).amplitudes)) < 1e-10
+
+
+def test_symmetric_suite_splits_through_apply_splitting(monkeypatch):
+    for name in ("splitting_isometry", "symmetric_power_matrix"):
+        monkeypatch.setattr(symmetric, name, refuse(name))
+    checks = verify.run_symmetric_suite(seed=0, trials=8)
+    assert [c.name for c in checks] == ["overlap-splitting", "isometry-coherent-action", "mixed-faithfulness"]
+    assert all(c.passed for c in checks)
 
 
 def test_public_constructors_keep_their_checks(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from nc2ent import modesplit
 from nc2ent.cli import main
 from nc2ent.verify import run_suites
 
@@ -194,6 +195,31 @@ def test_modesplit_accepts_json_config(runner, tmp_path):
     assert summary["seed"] == 4
     trace = json.loads(out.read_text().splitlines()[0])
     assert "probabilities" in trace and len(trace["probabilities"]) == trace["rounds"]
+
+
+@pytest.mark.parametrize("flags, config, expected_t", [
+    (["--t", "-0.8"], None, -0.8),
+    (["--t", "0.8", "--phase", "0.5"], None, 0.8 * complex(math.cos(0.5), math.sin(0.5))),
+    ([], {"r": 0.6, "t": -0.8, "phase": 0.5}, -0.8 * complex(math.cos(0.5), math.sin(0.5))),
+    ([], None, 0.8),
+])
+def test_modesplit_serves_the_given_t(runner, tmp_path, monkeypatch, flags, config, expected_t):
+    served = []
+    run_protocol = modesplit.run_protocol
+
+    def recording(state, cfg):
+        served.append(cfg.t)
+        return run_protocol(state, cfg)
+
+    monkeypatch.setattr(modesplit, "run_protocol", recording)
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        flags = flags + ["--config", str(cfg_file)]
+    result = runner.invoke(main, ["modesplit", "--r", "0.6", "--runs", "3",
+                                  "--out", str(tmp_path / "x.jsonl")] + flags)
+    assert result.exit_code == 0, result.output
+    assert served == [expected_t] * 3
 
 
 def test_modesplit_rejects_degenerate_r(runner, tmp_path):
@@ -407,6 +433,16 @@ def _modesplit_nan_t(tmp_path):
             "--out", str(tmp_path / "x.jsonl")]
 
 
+def _modesplit_t_off_the_unit_circle(tmp_path):
+    return ["modesplit", "--r", "0.6", "--t", "0.8000000001", "--runs", "2",
+            "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_given_t_with_infinite_phase(tmp_path):
+    return ["modesplit", "--r", "0.6", "--t", "0.8", "--phase", "inf", "--runs", "2",
+            "--out", str(tmp_path / "x.jsonl")]
+
+
 def _sweep_theta_range_through_zero(tmp_path):
     return ["sweep", "--theta-range", "0:3.2:4", "--out", str(tmp_path / "s.csv")]
 
@@ -430,6 +466,8 @@ REASONS = {
     _modesplit_infinite_phase: "phase of t must be finite, got inf",
     _convert_epsilon_beyond_an_orthonormal_range: "is infeasible",
     _witness_epsilon_past_the_psd_floor: "feasible range is eps <= 2.57142857143",
+    _modesplit_t_off_the_unit_circle: "|r|^2 + |t|^2 must be 1",
+    _modesplit_given_t_with_infinite_phase: "phase of t must be finite",
 }
 # text a row's error must not give: the rejection names the bound it was decided by
 WRONG_REASONS = {
@@ -464,6 +502,8 @@ WRONG_REASONS = {
     _modesplit_nan_phase,
     _modesplit_infinite_phase,
     _modesplit_nan_t,
+    _modesplit_t_off_the_unit_circle,
+    _modesplit_given_t_with_infinite_phase,
     _sweep_theta_range_through_zero,
     _verify_modesplit_zero_trials,
     _verify_negative_trials,

@@ -88,6 +88,18 @@ def test_epsilon_max_orthogonal_is_infinite():
     assert math.isinf(epsilon_max(orthonormal_set(3)))
 
 
+def test_epsilon_max_is_the_bound_check_split_names():
+    # lambda_min = 1 - 2e-8 puts the bound near 5e7, past EPS_CAP: it is still finite
+    cs = gcnot_classical_pair(math.pi / 2 - 2e-8)
+    emax = epsilon_max(cs)
+    assert 1e6 < emax < math.inf
+    assert default_epsilon(cs) == 1.0
+    conv = build_conversion(cs, make_split(cs, 0.999 * emax))
+    assert schmidt_decompose(conv.convert(random_state(2, np.random.default_rng(3))), 2, 2).rank == 2
+    with pytest.raises(ValueError, match=f"feasible range is eps < {emax:.12g}"):
+        make_split(cs, 1.001 * emax)
+
+
 def uniform_overlap_set(lam_min: float, dim: int) -> ClassicalSet:
     """Classical set whose Gram has minimum eigenvalue lam_min."""
     return ClassicalSet(states=tuple(factor_gram(uniform_overlap_gram(1.0 - lam_min, dim))))
@@ -236,8 +248,12 @@ def test_conversion_of_ill_conditioned_set(dim, lam_min):
     cs = uniform_overlap_set(lam_min, dim)
     split = make_split(cs, default_epsilon(cs))
     conv = build_conversion(cs, split)
+    u = conv.unitary.matrix
+    assert np.max(np.abs(u @ u.conj().T - np.eye(dim * dim))) < 1e-10
     for c, d, e in zip(cs.states, split.d_states, split.e_states):
         assert np.max(np.abs(conv.convert(c).amplitudes - d.tensor(e).amplitudes)) < 1e-10
+        via_unitary = u @ np.kron(c.amplitudes, conv.reference.amplitudes)
+        assert np.max(np.abs(via_unitary - d.tensor(e).amplitudes)) < 1e-10
     psi = random_state(dim, np.random.default_rng(34))
     assert abs(np.linalg.norm(conv.convert(psi).amplitudes) - 1.0) < 1e-12
 
