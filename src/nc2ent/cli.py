@@ -25,6 +25,7 @@ from . import conversion, gcnot, linalg, modesplit, symmetric, witness
 from .verify import SUITES, TOLERANCES, run_suites
 
 STATE_NORM_TOL = 1e-9
+SWEEP_MAX_CELLS = 2**20  # largest (theta, mu) grid a sweep evaluates
 FIELD_TYPES = {"dimension": int, "K": int, "N": int, "max_rounds": int, "seed": int, "states": list,
                "amplitudes": list, "target": (str, list), "r": (int, float), "phase": (int, float),
                "t": (int, float, type(None))}  # JSON field -> the types json.load may give it
@@ -89,7 +90,8 @@ def _parse_vector(text: str, dim: int) -> linalg.StateVector:
     return linalg.StateVector.normalized(np.array([complex(p) for p in parts], dtype=complex))
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str) -> tuple[float, float, int]:
+    """(A, B, n) of a range A:B:n, for np.linspace."""
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
@@ -97,7 +99,9 @@ def _parse_range(text: str) -> np.ndarray:
         raise click.ClickException(f"range must look like A:B:n, got {text!r}")
     if count < 1 or hi < lo:
         raise click.ClickException(f"empty or inverted range {text!r}")
-    return np.linspace(lo, hi, count)
+    if not math.isfinite(hi - lo):  # a NaN or infinite bound, or a width that overflows
+        raise click.ClickException(f"range {text!r} needs finite bounds a finite distance apart")
+    return lo, hi, count
 
 
 def _dump_json(doc: dict, out: str | None) -> None:
@@ -179,10 +183,13 @@ def cmd_convert(states_path, epsilon, input_text, input_file, normalize, out):
 @click.option("--out", type=click.Path(), required=True, help="CSV output path.")
 def cmd_sweep(theta_range, mu_range, input_bit, degrees, out):
     """Emit the output-entanglement surface over a (theta, mu) grid as CSV."""
-    thetas = _parse_range(theta_range)
+    theta_spec, mu_spec = _parse_range(theta_range), _parse_range(mu_range)
+    if theta_spec[2] * mu_spec[2] > SWEEP_MAX_CELLS:  # decided before any grid is allocated
+        raise click.ClickException(f"grid of {theta_spec[2]} x {mu_spec[2]} cells exceeds the cap of "
+                                   f"{SWEEP_MAX_CELLS} cells")
+    thetas, mus = np.linspace(*theta_spec), np.linspace(*mu_spec)
     if degrees:
         thetas = np.deg2rad(thetas)
-    mus = _parse_range(mu_range)
     state = linalg.basis_state(2, int(input_bit))
     rows, skipped = gcnot.sweep_surface(thetas, mus, state)
     with open(out, "w", encoding="utf-8") as fh:

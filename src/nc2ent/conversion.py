@@ -190,8 +190,7 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
 
-def build_conversion(cs: ClassicalSet, split: SplitSpec,
-                     reference: StateVector | None = None) -> Conversion:
+def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     """Build the conversion isometry V = B A^-1, where the columns of A are the
     classical states |c_i> and the columns of B the products |d_i> (x) |e_i>.
 
@@ -200,12 +199,8 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec,
     one triangular R, and V = Q_B Q_A^dag. Built from the orthonormal frames,
     V is an isometry to roundoff however small lambda_min(G) is; a V that
     misses some |d_i> (x) |e_i> by more than 1e-10 raises GramMismatchError.
-    The default reference is the first classical state.
+    The ancilla's reference state is the first classical state.
     """
-    if reference is None:
-        reference = cs.states[0]
-    if reference.dim != cs.dim:
-        raise ValueError(f"reference has dimension {reference.dim}, expected {cs.dim}")
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
     a = np.column_stack([c.amplitudes for c in cs.states])
@@ -217,7 +212,7 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec,
     if residual > UNITARY_TOL:
         raise GramMismatchError(
             f"conversion misses the product states by {residual:.3e}; the Grams differ")
-    return Conversion(isometry=Operator(v), reference=reference)
+    return Conversion(isometry=Operator(v), reference=cs.states[0])
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:

@@ -11,12 +11,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conversion import (INDEPENDENCE_TOL, ClassicalSet, build_conversion, check_split, feasible_split,
-                         make_split)
-from .linalg import StateVector, basis_state, entanglement_entropy, schmidt_decompose
+from .conversion import INDEPENDENCE_TOL, ClassicalSet, check_split, feasible_split
+from .linalg import StateVector, basis_state
 
 MU_FLOOR = 1e-9            # smallest mu used in sweeps; mu -> 0 is the eps -> inf limit
 MAXIMAL_EBITS = 1.0 - 1e-6  # threshold separating the unique optimum from near-misses
+PROBE_POINTS = 1024        # input directions the non-equivalence probe scans
 
 
 def epsilon_to_mu(epsilon: float) -> float:
@@ -68,28 +68,23 @@ def gcnot_classical_pair(theta: float) -> ClassicalSet:
     return ClassicalSet(states=(StateVector([c, s]), StateVector([c, -s])))
 
 
-def _expand_in_pair(theta, amplitudes):
-    """Coefficients (w0, w1) with a|0> + b|1> = w0|c0> + w1|c1> for the
-    amplitudes (a, b), which may be arrays broadcasting with theta."""
-    if len(amplitudes) != 2:
-        raise ValueError(f"input must be 2-dimensional, got dim {len(amplitudes)}")
-    a, b = amplitudes
-    half_sum = a / (2.0 * np.cos(theta / 2.0))
-    half_diff = b / (2.0 * np.sin(theta / 2.0))
-    return half_sum + half_diff, half_sum - half_diff
+def _pair_ebits(theta, mu, amplitudes):
+    """Entropy of entanglement (ebits) of the normalized input a|0> + b|1> after
+    the conversion at mu = 1/(1+eps), elementwise over broadcast arrays (a, b), theta, mu.
 
-
-def _pair_ebits(theta, mu, w0, w1):
-    """Entropy of entanglement (ebits) of the normalized input w0|c0> + w1|c1>
-    after the conversion at mu = 1/(1+eps), elementwise over broadcast arrays.
-
-    The output w0 d0(x)e0 + w1 d1(x)e1, with <d0|d1> = mu and <e0|e1> =
+    The input is w0|c0> + w1|c1> with w0, w1 = a/(2 cos(theta/2)) +/- b/(2 sin(theta/2)),
+    and its output w0 d0(x)e0 + w1 d1(x)e1, with <d0|d1> = mu and <e0|e1> =
     cos(theta)/mu, has concurrence C = 2|w0 w1| sqrt((1 - mu^2)(mu^2 - cos^2 theta))/mu.
     For |cos theta| >= 1/2, mu^2 - cos^2 theta is taken as sin^2 theta - (1 - mu^2),
     since cos theta has lost the digits of 1 - |cos theta|. The reduced state's
     eigenvalues are p = (1 + sqrt(1 - C^2))/2 and q = C^2/(4p), with log p as
     log1p(-q), so that small entropies keep their digits.
     """
+    if len(amplitudes) != 2:
+        raise ValueError(f"input must be 2-dimensional, got dim {len(amplitudes)}")
+    a, b = amplitudes
+    half_sum, half_diff = a / (2.0 * np.cos(theta / 2.0)), b / (2.0 * np.sin(theta / 2.0))
+    w0, w1 = half_sum + half_diff, half_sum - half_diff
     c = np.abs(np.cos(theta))
     gap = np.where(c < 0.5, (mu - c) * (mu + c), np.sin(theta) ** 2 - (1.0 - mu) * (1.0 + mu))
     conc = 2.0 * np.abs(w0 * w1) * np.sqrt((1.0 - mu) * (1.0 + mu) * np.maximum(gap, 0.0)) / mu
@@ -99,21 +94,11 @@ def _pair_ebits(theta, mu, w0, w1):
     return -p * np.log1p(-q) / math.log(2.0) - q * np.log2(np.where(q > 0.0, q, 1.0))
 
 
-def output_entanglement(params: GcnotParams, state: StateVector, method: str = "unitary") -> float:
-    """Entropy of entanglement (ebits) of the converted 2-dimensional input.
-
-    method="unitary" builds the conversion isometry, allowing the boundary
-    values eps = 0 and a saturated overlap bound, and applies it;
-    method="closed" evaluates the closed-form concurrence of the two-term
-    output (same result, no conversion or SVD).
-    """
-    if method == "unitary":
-        cs = gcnot_classical_pair(params.theta)
-        conv = build_conversion(cs, make_split(cs, params.epsilon, boundary_ok=True))
-        return entanglement_entropy(schmidt_decompose(conv.convert(state), 2, 2))
-    if method == "closed":
-        return float(_pair_ebits(params.theta, params.mu, *_expand_in_pair(params.theta, state.amplitudes)))
-    raise ValueError(f"unknown method {method!r}")
+def output_entanglement(params: GcnotParams, state: StateVector) -> float:
+    """Entropy of entanglement (ebits) of the converted 2-dimensional input, in
+    closed form; the general pipeline (make_split, build_conversion,
+    schmidt_decompose) gives the same value and is its test reference."""
+    return float(_pair_ebits(params.theta, params.mu, state.amplitudes))
 
 
 def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
@@ -132,7 +117,7 @@ def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
     cos = abs(math.cos(theta))
     mu = max(math.sqrt(cos), MU_FLOOR)
     mus = np.clip(np.nextafter(mu, [0.0, mu, 2.0]), max(cos, MU_FLOOR), 1.0)
-    ebits = _pair_ebits(theta, mus, *_expand_in_pair(theta, state.amplitudes))
+    ebits = _pair_ebits(theta, mus, state.amplitudes)
     best = int(np.argmax(ebits))
     return mu_to_epsilon(float(mus[best])), float(ebits[best])
 
@@ -161,21 +146,21 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
     _check_theta(theta_ok)
-    ebits = _pair_ebits(theta_ok, mu_ok, *_expand_in_pair(theta_ok, state.amplitudes))
+    ebits = _pair_ebits(theta_ok, mu_ok, state.amplitudes)
     rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), eps[feasible].tolist(), ebits.tolist()))
     skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
 
 
 def maximal_input_count(theta: float, epsilon: float,
-                        n_points: int = 1024) -> tuple[int, list[float], list[float]]:
+                        n_points: int = PROBE_POINTS) -> tuple[int, list[float], list[float]]:
     """Scan pure inputs cos(t)|0> + sin(t)|1> for t = k pi / n_points (one
     point per input direction, up to phase) and count how many convert to at
     least MAXIMAL_EBITS = 1 - 1e-6 ebits at the given parameters. Returns the
     count, the angles that reached it, and all sampled entropies."""
     params = GcnotParams(theta=theta, epsilon=epsilon)
     angles = np.arange(n_points) * math.pi / n_points
-    entropies = _pair_ebits(theta, params.mu, *_expand_in_pair(theta, (np.cos(angles), np.sin(angles))))
+    entropies = _pair_ebits(theta, params.mu, (np.cos(angles), np.sin(angles)))
     hits = angles[entropies >= MAXIMAL_EBITS].tolist()
     return len(hits), hits, entropies.tolist()
 
@@ -193,16 +178,16 @@ class CnotProbeReport:
     entropy_one: float
 
 
-def cnot_equivalence_probe(theta: float, n_points: int = 1024) -> CnotProbeReport:
-    """Count maximal-entanglement input directions at the optimal splitting
-    for the favored computational state (|0> for theta > pi/2, |1> below);
+def cnot_equivalence_probe(theta: float) -> CnotProbeReport:
+    """Count maximal-entanglement input directions (of PROBE_POINTS) at the optimal
+    splitting for the favored computational state (|0> for theta > pi/2, |1> below);
     undefined at theta = pi/2, where the two optima coincide."""
     if abs(theta - math.pi / 2.0) < 1e-12:
         raise ValueError("probe undefined at theta = pi/2")
     favored = basis_state(2, 0) if theta > math.pi / 2.0 else basis_state(2, 1)
     eps_opt, _ = optimal_epsilon(theta, favored)
-    count, _, _ = maximal_input_count(theta, eps_opt, n_points=n_points)
-    entropy_zero, entropy_one = _pair_ebits(theta, epsilon_to_mu(eps_opt), *_expand_in_pair(theta, np.eye(2)))
+    count, _, _ = maximal_input_count(theta, eps_opt)
+    entropy_zero, entropy_one = _pair_ebits(theta, epsilon_to_mu(eps_opt), np.eye(2))
     return CnotProbeReport(theta, count, float(entropy_zero), float(entropy_one))
 
 

@@ -219,6 +219,14 @@ class SchmidtData:
         return m.reshape(-1)
 
 
+def _built_gram(entries: np.ndarray) -> GramMatrix:
+    """A GramMatrix, unchecked, of a fresh array that is a Gram by construction:
+    its diagonal, |c|^2 of accepted unit vectors or the product of two accepted
+    diagonals, may be off by 2e-12, more than the caller check allows. Its one
+    eigvalsh gives lambda_min."""
+    return _built(GramMatrix, entries=entries, _min_eig=float(np.linalg.eigvalsh(entries)[0]))
+
+
 def gram_of(states: list[StateVector]) -> GramMatrix:
     """Gram matrix of a state family: G_ij = <state_i|state_j>."""
     if not states:
@@ -227,7 +235,7 @@ def gram_of(states: list[StateVector]) -> GramMatrix:
     if any(s.dim != dim for s in states):
         raise ValueError("all states must share one dimension")
     mat = np.column_stack([s.amplitudes for s in states])
-    return GramMatrix(mat.conj().T @ mat)
+    return _built_gram(mat.conj().T @ mat)
 
 
 def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
@@ -235,7 +243,7 @@ def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
     theorem, and the Gram of the corresponding product-state family."""
     if g1.n != g2.n:
         raise ValueError(f"size mismatch: {g1.n} vs {g2.n}")
-    return GramMatrix(g1.entries * g2.entries)
+    return _built_gram(g1.entries * g2.entries)
 
 
 def factor_gram(g: GramMatrix) -> list[StateVector]:

@@ -120,12 +120,12 @@ def measure_ebit_maxima(angles: int) -> tuple[float, float]:
     return worst_max, worst_mirror
 
 
-def measure_cnot_nonequivalence(theta: float, n_points: int) -> tuple[int, int, float]:
-    """Returns (input directions of n_points that reach one ebit at the
-    optimal splitting of the pair at theta; the same count for the orthogonal
+def measure_cnot_nonequivalence(theta: float) -> tuple[int, int, float]:
+    """Returns (input directions of gcnot.PROBE_POINTS that reach one ebit at
+    the optimal splitting of the pair at theta; the same count for the orthogonal
     pair at extreme splitting; ebits of the other basis input at the optimum)."""
-    probe = gcnot.cnot_equivalence_probe(theta, n_points=n_points)
-    control, _, _ = gcnot.maximal_input_count(math.pi / 2, gcnot.mu_to_epsilon(1e-6), n_points=n_points)
+    probe = gcnot.cnot_equivalence_probe(theta)
+    control, _, _ = gcnot.maximal_input_count(math.pi / 2, gcnot.mu_to_epsilon(1e-6))
     return probe.maximal_count, control, probe.entropy_one if theta > math.pi / 2 else probe.entropy_zero
 
 
@@ -295,7 +295,7 @@ def run_gcnot_suite(seed: int = 0, trials: int = 16) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     angles = max(trials, 4)
     worst_max, worst_mirror = measure_ebit_maxima(angles)
-    count, control, other = measure_cnot_nonequivalence(2 * math.pi / 3, 1024)
+    count, control, other = measure_cnot_nonequivalence(2 * math.pi / 3)
     other_room = 1.0 - TOLERANCES["other_input_gap"] - other
     chain, target_value, classical_min = measure_witness_chain(10, rng)
     bound, floor = TOLERANCES["witness_detection"], TOLERANCES["witness_classical_floor"]

@@ -76,7 +76,7 @@ def test_criterion_3_mixed_faithfulness():
 
 def test_criterion_4_entanglement_surface():
     worst_max, worst_mirror = verify.measure_ebit_maxima(64)
-    _, _, off_input = verify.measure_cnot_nonequivalence(2 * math.pi / 3, 1024)
+    _, _, off_input = verify.measure_cnot_nonequivalence(2 * math.pi / 3)
     ok = (worst_max <= tol("one_ebit_maxima", 1e-6)
           and worst_mirror <= tol("mirror_symmetry", 1e-9)
           and off_input < 1.0 - tol("other_input_gap", 1e-3))
@@ -86,7 +86,7 @@ def test_criterion_4_entanglement_surface():
 
 
 def test_criterion_5_cnot_nonequivalence():
-    tilted_count, control_count, _ = verify.measure_cnot_nonequivalence(2 * math.pi / 3, 1024)
+    tilted_count, control_count, _ = verify.measure_cnot_nonequivalence(2 * math.pi / 3)
     ok = tilted_count == 1 and control_count >= 2
     assert report("5 cnot-nonequivalence", ok,
                   f"tilted maxima {tilted_count} (want exactly 1), "

@@ -51,6 +51,17 @@ def test_library_built_values_are_not_checked_again(monkeypatch):
     assert [name for name, _ in calls].count("check_unit_vector") == 2 * cs.dim
 
 
+def test_built_grams_are_not_checked_again(monkeypatch):
+    rng = np.random.default_rng(34)
+    states = [random_state(3, rng) for _ in range(3)]
+    g = linalg.gram_of(states)
+    calls = count_checks(monkeypatch)
+    assert linalg.gram_of(states).min_eigenvalue() == g.min_eigenvalue()
+    linalg.hadamard(g, g)
+    conversion.ClassicalSet(tuple(states))
+    assert calls == []
+
+
 def refuse(name):
     def refusing(*args, **kwargs):
         raise AssertionError(f"{name} was called")

@@ -6,7 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from nc2ent import modesplit
-from nc2ent.cli import main
+from nc2ent.cli import load_state_set, main
+from nc2ent.conversion import default_epsilon
+from nc2ent.gcnot import sweep_surface
+from nc2ent.linalg import basis_state
 from nc2ent.verify import run_suites
 
 
@@ -124,6 +127,15 @@ def test_sweep_rejects_empty_range(runner, tmp_path):
     result = runner.invoke(main, ["sweep", "--theta-range", "2.0:1.0:4",
                                   "--out", str(tmp_path / "x.csv")])
     assert result.exit_code != 0
+
+
+def test_sweep_in_degrees(runner, tmp_path):
+    out = tmp_path / "deg.csv"
+    result = runner.invoke(main, ["sweep", "--theta-range", "95:175:5", "--degrees", "--mu-range", "0.1:1:7",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows, _ = sweep_surface(np.deg2rad(np.linspace(95.0, 175.0, 5)), np.linspace(0.1, 1.0, 7), basis_state(2, 0))
+    assert out.read_text().splitlines()[1:] == [f"{r.theta!r},{r.mu!r},{r.epsilon!r},{r.ebits!r}" for r in rows]
 
 
 def test_sweep_deterministic_output(runner, tmp_path):
@@ -295,6 +307,13 @@ def test_witness_pipeline(runner, tmp_path):
     assert doc["min_classical_value"] >= -1e-10
 
 
+def test_witness_defaults_to_half_the_feasible_range(runner, tmp_path):
+    states = gcnot_file(tmp_path, math.acos(0.28))
+    result = runner.invoke(main, ["witness", "--states", states, "--target-state", "1,0", "--test-state", "1,0"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["epsilon"] == default_epsilon(load_state_set(states))
+
+
 # ------------------------------------------------------------- input errors
 
 def _witness_epsilon_beyond_range(tmp_path):
@@ -443,6 +462,67 @@ def _modesplit_given_t_with_infinite_phase(tmp_path):
             "--out", str(tmp_path / "x.jsonl")]
 
 
+def _convert_states_not_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_state_row_of_wrong_length(tmp_path):
+    states = write_state_set(tmp_path / "long.json", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dim=2)
+    return ["convert", "--states", states, "--input", "1,0"]
+
+
+def _convert_wrong_input_count(tmp_path):
+    return ["convert", "--states", gcnot_file(tmp_path), "--input", "1,0,0"]
+
+
+def _convert_both_inputs(tmp_path):
+    states = gcnot_file(tmp_path)
+    return ["convert", "--states", states, "--input", "1,0", "--input-file", states]
+
+
+def _convert_neither_input(tmp_path):
+    return ["convert", "--states", gcnot_file(tmp_path)]
+
+
+def _convert_empty_input_file(tmp_path):
+    states = gcnot_file(tmp_path)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2, "states": []}))
+    return ["convert", "--states", states, "--input-file", str(path)]
+
+
+def _modesplit_input_file_of_another_sector(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": 1, "K": 2, "N": 3, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    return ["modesplit", "-K", "2", "-N", "2", "--input-file", str(path), "--out", str(tmp_path / "x.jsonl")]
+
+
+def _sweep_malformed_range(tmp_path):
+    return ["sweep", "--theta-range", "1:2", "--out", str(tmp_path / "s.csv")]
+
+
+def _sweep_theta_axis_beyond_the_cap(tmp_path):
+    return ["sweep", "--theta-range", "1:2:10000000000000", "--out", str(tmp_path / "s.csv")]
+
+
+def _sweep_grid_beyond_the_cap(tmp_path):
+    return ["sweep", "--theta-range", "1:2:3000000", "--mu-range", "0.5:1:1000", "--out", str(tmp_path / "s.csv")]
+
+
+def _sweep_infinite_mu_bound(tmp_path):
+    return ["sweep", "--theta-range", "1:2:3", "--mu-range", "0:inf:4", "--out", str(tmp_path / "s.csv")]
+
+
+def _sweep_nan_theta_bound(tmp_path):
+    return ["sweep", "--theta-range", "nan:2:3", "--out", str(tmp_path / "s.csv")]
+
+
+def _sweep_range_wider_than_a_float(tmp_path):
+    return ["sweep", "--mu-range", "-1e308:1e308:4", "--out", str(tmp_path / "s.csv")]
+
+
 def _sweep_theta_range_through_zero(tmp_path):
     return ["sweep", "--theta-range", "0:3.2:4", "--out", str(tmp_path / "s.csv")]
 
@@ -468,6 +548,19 @@ REASONS = {
     _witness_epsilon_past_the_psd_floor: "feasible range is eps <= 2.57142857143",
     _modesplit_t_off_the_unit_circle: "|r|^2 + |t|^2 must be 1",
     _modesplit_given_t_with_infinite_phase: "phase of t must be finite",
+    _convert_states_not_an_object: "expected a JSON object",
+    _convert_state_row_of_wrong_length: "state 0 has 3 entries, expected 2",
+    _convert_wrong_input_count: "expected 2 comma-separated amplitudes, got 3",
+    _convert_both_inputs: "provide exactly one of --input or --input-file",
+    _convert_neither_input: "provide exactly one of --input or --input-file",
+    _convert_empty_input_file: "empty.json: no states",
+    _modesplit_input_file_of_another_sector: "input file sector does not match --levels/--particles",
+    _sweep_malformed_range: "range must look like A:B:n, got '1:2'",
+    _sweep_theta_axis_beyond_the_cap: "grid of 10000000000000 x 64 cells exceeds the cap of 1048576 cells",
+    _sweep_grid_beyond_the_cap: "grid of 3000000 x 1000 cells exceeds the cap of 1048576 cells",
+    _sweep_infinite_mu_bound: "range '0:inf:4' needs finite bounds",
+    _sweep_nan_theta_bound: "range 'nan:2:3' needs finite bounds",
+    _sweep_range_wider_than_a_float: "a finite distance apart",
 }
 # text a row's error must not give: the rejection names the bound it was decided by
 WRONG_REASONS = {
@@ -504,6 +597,19 @@ WRONG_REASONS = {
     _modesplit_nan_t,
     _modesplit_t_off_the_unit_circle,
     _modesplit_given_t_with_infinite_phase,
+    _convert_states_not_an_object,
+    _convert_state_row_of_wrong_length,
+    _convert_wrong_input_count,
+    _convert_both_inputs,
+    _convert_neither_input,
+    _convert_empty_input_file,
+    _modesplit_input_file_of_another_sector,
+    _sweep_malformed_range,
+    _sweep_theta_axis_beyond_the_cap,
+    _sweep_grid_beyond_the_cap,
+    _sweep_infinite_mu_bound,
+    _sweep_nan_theta_bound,
+    _sweep_range_wider_than_a_float,
     _sweep_theta_range_through_zero,
     _verify_modesplit_zero_trials,
     _verify_negative_trials,

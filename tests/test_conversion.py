@@ -294,14 +294,6 @@ def test_conversion_default_reference_is_first_classical_state():
     assert np.allclose(conv.reference.amplitudes, cs.states[0].amplitudes)
 
 
-def test_conversion_rejects_wrong_reference_dimension():
-    rng = np.random.default_rng(26)
-    cs = random_classical_set(2, rng)
-    split = make_split(cs, default_epsilon(cs))
-    with pytest.raises(ValueError):
-        build_conversion(cs, split, reference=basis_state(3, 0))
-
-
 # -------------------------------------------------------------- classical_rank
 
 def test_classical_rank_of_classical_state_is_one():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nc2ent.conversion import INDEPENDENCE_TOL, make_split
+from nc2ent.conversion import INDEPENDENCE_TOL, build_conversion, make_split
 from nc2ent.gcnot import (
     MU_FLOOR,
     GcnotParams,
@@ -19,7 +19,15 @@ from nc2ent.gcnot import (
     output_entanglement,
     sweep_surface,
 )
-from nc2ent.linalg import StateVector, basis_state
+from nc2ent.linalg import StateVector, basis_state, entanglement_entropy, schmidt_decompose
+
+
+def pipeline_ebits(params, state):
+    """The general conversion pipeline on the pair, boundary splits allowed:
+    the reference that the closed form in output_entanglement is checked against."""
+    cs = gcnot_classical_pair(params.theta)
+    conv = build_conversion(cs, make_split(cs, params.epsilon, boundary_ok=True))
+    return entanglement_entropy(schmidt_decompose(conv.convert(state), 2, 2))
 
 
 # --------------------------------------------------------------------- params
@@ -75,20 +83,20 @@ def test_classical_inputs_give_zero_entanglement():
         cs = gcnot_classical_pair(theta)
         params = GcnotParams(theta=theta, epsilon=eps)
         for c in cs.states:
-            assert output_entanglement(params, c, method="closed") < 1e-10
+            assert output_entanglement(params, c) < 1e-10
 
 
 def test_large_epsilon_limit_reaches_one_ebit():
     params = GcnotParams(theta=math.pi / 2, epsilon=mu_to_epsilon(1e-6))
-    ent = output_entanglement(params, basis_state(2, 0))
+    ent = pipeline_ebits(params, basis_state(2, 0))
     assert ent > 1.0 - 1e-6
+    assert abs(output_entanglement(params, basis_state(2, 0)) - ent) < 1e-9
 
 
 def test_fine_grid_maximum_is_one_ebit():
     theta = 2 * math.pi / 3
     best = max(
-        output_entanglement(GcnotParams(theta=theta, epsilon=mu_to_epsilon(mu)),
-                            basis_state(2, 0), method="closed")
+        output_entanglement(GcnotParams(theta=theta, epsilon=mu_to_epsilon(mu)), basis_state(2, 0))
         for mu in np.linspace(abs(math.cos(theta)), 1.0, 2000)
     )
     assert abs(best - 1.0) < 1e-6
@@ -103,9 +111,9 @@ def test_routes_agree_on_grid():
         for mu in np.linspace(max(abs(math.cos(theta)), 0.05), 1.0, 64):
             params = GcnotParams(theta=float(theta), epsilon=mu_to_epsilon(float(mu)))
             state = states[i % len(states)]
-            via_unitary = output_entanglement(params, state, method="unitary")
-            via_closed = output_entanglement(params, state, method="closed")
-            assert abs(via_unitary - via_closed) < 1e-9
+            via_pipeline = pipeline_ebits(params, state)
+            via_closed = output_entanglement(params, state)
+            assert abs(via_pipeline - via_closed) < 1e-9
 
 
 def test_gram_preserved_under_conversion():
@@ -145,8 +153,10 @@ def test_optimal_epsilon_known_location():
 def test_other_input_not_maximal():
     theta = 2 * math.pi / 3
     eps_opt, _ = optimal_epsilon(theta, basis_state(2, 0))
-    ent = output_entanglement(GcnotParams(theta=theta, epsilon=eps_opt), basis_state(2, 1))
+    params = GcnotParams(theta=theta, epsilon=eps_opt)
+    ent = pipeline_ebits(params, basis_state(2, 1))
     assert ent < 1.0 - 1e-3
+    assert abs(output_entanglement(params, basis_state(2, 1)) - ent) < 1e-9
 
 
 def test_mirror_profile_matches_reflection():
@@ -188,13 +198,12 @@ def test_closed_form_optimum_properties(theta, parts):
     rows, _ = sweep_surface([theta], np.linspace(floor, 1.0, 2001), state)
     assert ebits >= max(r.ebits for r in rows) - 1e-12
     try:
-        via_unitary = output_entanglement(GcnotParams(theta=theta, epsilon=eps_opt), state,
-                                          method="unitary")
+        via_pipeline = pipeline_ebits(GcnotParams(theta=theta, epsilon=eps_opt), state)
     except ValueError:
         # the conversion exists only above the independence floor of the pair
         assert 1.0 - abs(math.cos(theta)) <= 2.0 * INDEPENDENCE_TOL
     else:
-        assert abs(via_unitary - ebits) < 1e-9
+        assert abs(via_pipeline - ebits) < 1e-9
 
 
 def test_optimum_is_the_best_float_near_the_independence_floor():

@@ -1,5 +1,6 @@
 """Every module of the package except its __init__ (which re-exports) uses
-each name it imports; a name left behind by a change fails here."""
+each name it imports, and the package reads every module-level private name
+it defines; a name left behind by a change fails here."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,36 @@ def test_the_gate_sees_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (_name, not dunder) that some module in
+    sources defines and that no module reads, as a Name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                names = []
+            dead += [f"{module}.{name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return dead
+
+
+def test_the_gate_sees_a_dead_private_helper():
+    sources = {"a": "_LIMIT = 3\n_UNUSED = 4\n\ndef _used():\n    return _LIMIT\n\ndef _dead():\n    pass\n",
+               "b": "from . import a\n\ndef f():\n    return a._used()\n"}
+    assert dead_private_names(sources) == ["a._UNUSED", "a._dead"]
+
+
+def test_package_reads_every_private_name():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nc2ent.conversion import ClassicalSet, build_conversion, default_epsilon, make_split
 from nc2ent.linalg import (
     DENSITY_TOL,
     GramMatrix,
@@ -132,6 +133,21 @@ def test_hadamard_matches_product_state_gram():
     expected = gram_of(products)
     combined = hadamard(gram_of(xs), gram_of(ys))
     assert np.max(np.abs(combined.entries - expected.entries)) < 1e-13
+
+
+def test_grams_built_from_accepted_values_construct():
+    # a unit vector may have norm 1 +/- 1e-12, so a built Gram's diagonal
+    # |c|^2 may be off by 2e-12, more than the caller check's 1e-12
+    states = (StateVector([1 + 0.9e-12, 0]), basis_state(2, 1))
+    cs = ClassicalSet(states)
+    assert cs.gram.min_eigenvalue() == np.linalg.eigvalsh(cs.gram.entries)[0]
+    assert abs(gram_of(list(states)).entries[0, 0] - 1.0) > 1e-12
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    assert abs(np.linalg.norm(conv.convert(StateVector.normalized([1, 1])).amplitudes) - 1.0) < 1e-12
+    g = GramMatrix([[1 + 0.9e-12, 0.5], [0.5, 1 + 0.9e-12]])
+    product = hadamard(g, g)
+    assert np.allclose(product.entries, [[1, 0.25], [0.25, 1]], atol=1e-11)
+    assert product.min_eigenvalue() == np.linalg.eigvalsh(product.entries)[0]
 
 
 def test_hadamard_size_mismatch():
