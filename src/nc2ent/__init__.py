@@ -9,7 +9,6 @@ and transform entanglement witnesses into non-classicality witnesses.
 from .linalg import (
     GramMatrix,
     GramMismatchError,
-    Operator,
     SchmidtData,
     StateVector,
     basis_state,

@@ -17,7 +17,6 @@ import numpy as np
 from .linalg import (
     GramMatrix,
     GramMismatchError,
-    Operator,
     PSD_TOL,
     RANK_RTOL,
     UNITARY_TOL,
@@ -84,28 +83,29 @@ class SplitSpec:
 class Conversion:
     """Conversion isometry V: C^D -> C^D (x) C^D, together with the reference
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
-    unitary; one such unitary is completed on demand. Nothing is checked here:
-    convert relies on V being an isometry, as build_conversion makes it."""
+    unitary; one such unitary, like V a read-only array, is completed on demand.
+    Nothing is checked here: convert relies on V being an isometry, as
+    build_conversion makes it."""
 
-    isometry: Operator
+    isometry: np.ndarray
     reference: StateVector
 
     @property
     def dim(self) -> int:
-        return self.isometry.cols
+        return self.isometry.shape[1]
 
     @cached_property
-    def unitary(self) -> Operator:
+    def unitary(self) -> np.ndarray:
         """A unitary on C^D (x) C^D that maps |k> (x) |ref> onto V|k>: _frame_unitary
         completes the two frames, orthonormal by construction, and checks nothing again."""
         source = np.kron(np.eye(self.dim), self.reference.amplitudes[:, None])  # column k is |k> (x) |ref>
-        return _built(Operator, matrix=_frame_unitary(source, self.isometry.matrix))
+        return _frame_unitary(source, self.isometry)
 
     def convert(self, psi: StateVector) -> StateVector:
         """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
         if psi.dim != self.dim:
             raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
-        return _built(StateVector, amplitudes=self.isometry.matrix @ psi.amplitudes)
+        return _built(StateVector, amplitudes=self.isometry @ psi.amplitudes)
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space, which
@@ -114,8 +114,7 @@ class Conversion:
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
         rho = _check_density(rho)
-        v = self.isometry.matrix
-        return v @ rho @ v.conj().T
+        return self.isometry @ rho @ self.isometry.conj().T
 
 
 def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
@@ -212,7 +211,7 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     if residual > UNITARY_TOL:
         raise GramMismatchError(
             f"conversion misses the product states by {residual:.3e}; the Grams differ")
-    return Conversion(isometry=Operator(v), reference=cs.states[0])
+    return _built(Conversion, isometry=v, reference=cs.states[0])
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:

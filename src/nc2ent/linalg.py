@@ -166,34 +166,6 @@ class GramMatrix:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix; unitarity or Hermiticity is asserted by the
-    operations that require it, not here."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError(f"operator must be a matrix, got ndim={m.ndim}")
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        if self.rows != self.cols:
-            return False
-        delta = self.matrix @ self.matrix.conj().T - np.eye(self.rows)
-        return float(np.max(np.abs(delta))) <= tol
-
-
-@dataclass(frozen=True)
 class SchmidtData:
     """Schmidt decomposition of a bipartite pure state across a declared cut,
     built by :func:`schmidt_decompose` as the record of one SVD of the
@@ -278,18 +250,20 @@ def positive_frame(columns: np.ndarray) -> np.ndarray:
 
 
 def _frame_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[Q_b | C_b][Q_a | C_a]^dag for the positive QR frames Q of the equal-height
-    families a and b, each complement C the trailing columns of one complete QR
-    of its frame: a unitary mapping Q_a onto Q_b, so a onto b when they share R."""
+    """[Q_b | C_b][Q_a | C_a]^dag, read-only, for the positive QR frames Q of the
+    equal-height families a and b, each complement C the trailing columns of one
+    complete QR of its frame: a unitary mapping Q_a onto Q_b, so a onto b when they share R."""
     frames = []
     for q in (positive_frame(a), positive_frame(b)):
         complement = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
         frames.append(np.hstack([q, complement]))
-    return frames[1] @ frames[0].conj().T
+    u = frames[1] @ frames[0].conj().T
+    u.setflags(write=False)
+    return u
 
 
-def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVector]) -> Operator:
-    """Build a unitary mapping each from_state onto the matching to_state.
+def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVector]) -> np.ndarray:
+    """Build a unitary, a read-only array, mapping each from_state onto the matching to_state.
 
     Both families must be linearly independent (else ValueError) and share
     one Gram matrix (a mismatch beyond 1e-8 raises GramMismatchError). Source
@@ -313,8 +287,8 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
     a = np.zeros((dim_to, len(from_states)), dtype=complex)
     a[:dim_from, :] = np.column_stack([s.amplitudes for s in from_states])
     b = np.column_stack([s.amplitudes for s in to_states])
-    u = Operator(_frame_unitary(a, b))
-    if not u.is_unitary():
+    u = _frame_unitary(a, b)
+    if not is_unitary(u, UNITARY_TOL):
         raise GramMismatchError("synthesized map failed the unitarity check")
     return u
 
@@ -336,13 +310,24 @@ def entanglement_entropy(sd: SchmidtData) -> float:
     return float(-np.sum(lam2 * np.log2(lam2)))
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_cut(dim_a: int, dim_b: int, dim: int) -> None:
     """Raise a one-line ValueError unless dim_a and dim_b are positive
-    integers whose product is dim."""
-    if not all(isinstance(d, (int, np.integer)) and d > 0 for d in (dim_a, dim_b)):
+    integers (not bools) whose product is dim."""
+    if not all(_is_integer(d) and d > 0 for d in (dim_a, dim_b)):
         raise ValueError(f"cut {dim_a}x{dim_b} needs two positive integer factors")
     if dim_a * dim_b != dim:
         raise ValueError(f"cut {dim_a}x{dim_b} does not factor dimension {dim}")
+
+
+def is_unitary(m: np.ndarray, tol: float) -> bool:
+    """Whether max |m m^dag - I| <= tol entrywise; False unless m is a square matrix without NaN."""
+    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and float(np.max(np.abs(m @ m.conj().T - np.eye(len(m))))) <= tol)
 
 
 def _positive_definite(m: np.ndarray, shift: float) -> bool:

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _built, check_unit_vector
+from .linalg import _built, _is_integer, check_unit_vector
 from .symmetric import (
     PARTICLE_UNITARY_TOL,
     SymmetricState,
@@ -244,7 +244,8 @@ def binomial_sector_amplitude(n: int, n_a: int, r: complex, t: complex) -> compl
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Tunneling parameters and stopping rule for the repeat-until-success
-    protocol. |r| must differ from 0 and 1 so both modes can be populated."""
+    protocol. |r| must differ from 0 and 1 so both modes can be populated.
+    target is two integers; max_rounds, and seed unless None, are nonnegative integers."""
 
     r: complex
     t: complex
@@ -256,11 +257,18 @@ class ProtocolConfig:
         r, t = _check_mode_pair(self.r, self.t)
         if abs(r) < 1e-12 or abs(abs(r) - 1.0) < 1e-12:
             raise ValueError("|r| must differ from 0 and 1")
+        if not (isinstance(self.target, (tuple, list)) and len(self.target) == 2
+                and all(map(_is_integer, self.target))):
+            raise ValueError(f"target must be two integers, got {self.target!r}")
         n_x, n_y = self.target
         if n_x < 1 or n_y < 1:
             raise ValueError(f"target sector {self.target} must have both counts >= 1")
+        if not _is_integer(self.max_rounds):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be nonnegative")
+        if self.seed is not None and not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be None or a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "target", (int(n_x), int(n_y)))

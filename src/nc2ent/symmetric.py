@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NORM_TOL, Operator, StateVector, _built, _frozen, check_unit_vector
+from .linalg import NORM_TOL, StateVector, _built, _frozen, check_unit_vector, is_unitary
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
@@ -95,12 +95,14 @@ class SuUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        op = Operator(self.matrix)
-        if op.rows < 2:
+        m = _frozen(self.matrix)
+        if m.ndim != 2:
+            raise ValueError(f"SU(K) label must be a matrix, got ndim={m.ndim}")
+        if m.shape[0] < 2:
             raise ValueError("need at least 2 levels")
-        if not op.is_unitary(PARTICLE_UNITARY_TOL):  # False for a non-square or NaN matrix
+        if not is_unitary(m, PARTICLE_UNITARY_TOL):  # False for a non-square or NaN matrix
             raise ValueError("matrix is not unitary within tolerance")
-        object.__setattr__(self, "matrix", op.matrix)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def k(self) -> int:
@@ -359,22 +361,23 @@ def _splitting_gather(k: int, n: int, n_x: int) -> tuple[np.ndarray, np.ndarray]
 
 def apply_splitting(state: SymmetricState, n_x: int, n_y: int) -> np.ndarray:
     """The splitting isometry applied to a state, as a gather: amplitudes on
-    Sym^{N_X}(C^K) (x) Sym^{N_Y}(C^K), equal to splitting_isometry(...).matrix @ amplitudes."""
+    Sym^{N_X}(C^K) (x) Sym^{N_Y}(C^K), equal to splitting_isometry(...) @ amplitudes."""
     _check_split(state.k, state.n, n_x, n_y)
     source, weight = _splitting_gather(state.k, state.n, n_x)
     return state.amplitudes[source] * weight
 
 
-def splitting_isometry(k: int, n: int, n_x: int, n_y: int) -> Operator:
+def splitting_isometry(k: int, n: int, n_x: int, n_y: int) -> np.ndarray:
     """Isometry from Sym^N(C^K) into Sym^{N_X}(C^K) (x) Sym^{N_Y}(C^K) that
     distributes each occupation over the two factors with square-root
     binomial weights; it maps every coherent state |U;N> to the product
-    |U;N_X> (x) |U;N_Y> and preserves all pairwise overlaps. Dense, so it is
-    subject to the MAX_DENSE_BYTES guard; apply_splitting needs no matrix."""
+    |U;N_X> (x) |U;N_Y> and preserves all pairwise overlaps. A dense read-only
+    array, so subject to the MAX_DENSE_BYTES guard; apply_splitting needs no matrix."""
     _check_split(k, n, n_x, n_y)
     rows, cols = dicke_dim(k, n_x) * dicke_dim(k, n_y), dicke_dim(k, n)
     _check_dense(rows, cols, f"splitting isometry (K={k}, N={n}) -> ({n_x}, {n_y})")
     source, weight = _splitting_gather(k, n, n_x)
     out = np.zeros((rows, cols), dtype=complex)
     out[np.arange(rows), source] = weight
-    return Operator(out)
+    out.setflags(write=False)
+    return out

@@ -72,7 +72,7 @@ def measure_conversions(dim: int, sets: int, rng: np.random.Generator) -> tuple[
         conv = conversion.build_conversion(cs, split)
         product = split.gram_d.entries * split.gram_e.entries
         worst_split = max(worst_split, float(np.max(np.abs(product - cs.gram.entries))))
-        u = conv.unitary.matrix
+        u = conv.unitary
         worst_unitary = max(worst_unitary, float(np.max(np.abs(u.conj().T @ u - np.eye(dim * dim)))))
         for support in range(1, dim + 1):
             psi, r_c = conversion.random_superposition(cs, support, rng)

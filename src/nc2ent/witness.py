@@ -61,7 +61,7 @@ def nonclassicality_witness(w: Witness, conv: Conversion) -> Witness:
     """Compress an output-space witness through the conversion isometry:
     V^dag W V, an observable on the input space with Tr(W~ rho) equal to
     Tr(W V rho V^dag)."""
-    v = conv.isometry.matrix
+    v = conv.isometry
     if w.dim != v.shape[0]:
         raise ValueError(f"witness dimension {w.dim} does not match conversion dimension {v.shape[0]}")
     restricted = v.conj().T @ w.operator @ v

@@ -106,7 +106,7 @@ def test_criterion_7_splitting_isometry_action():
     u, v = haar_random_su(k, rng), haar_random_su(k, rng)
     amps = coherent_state(u, n).amplitudes + coherent_state(v, n).amplitudes
     psi = SymmetricState.normalized(k, n, amps)
-    out = StateVector(splitting_isometry(k, n, n_x, n_y).matrix @ psi.amplitudes)
+    out = StateVector(splitting_isometry(k, n, n_x, n_y) @ psi.amplitudes)
     rank = schmidt_decompose(out, dicke_dim(k, n_x), dicke_dim(k, n_y)).rank
     ok = worst_fid <= tol("isometry_fidelity", 1e-10) and rank == 2
     assert report("7 splitting-isometry", ok,

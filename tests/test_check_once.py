@@ -77,12 +77,33 @@ def test_completed_unitary_checks_nothing_again(monkeypatch, dim):
     monkeypatch.setattr(linalg, "synthesize_unitary", refuse("synthesize_unitary"))
     monkeypatch.setattr(conversion, "synthesize_unitary", refuse("synthesize_unitary"), raising=False)
     calls = count_checks(monkeypatch)
-    u = conv.unitary.matrix
+    u = conv.unitary
     assert calls == []
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) < 1e-10
     psi = random_state(dim, np.random.default_rng(33))
     via_unitary = u @ np.kron(psi.amplitudes, conv.reference.amplitudes)
     assert np.max(np.abs(via_unitary - conv.convert(psi).amplitudes)) < 1e-10
+
+
+def conversion_of_three():
+    cs = random_classical_set(3, np.random.default_rng(34))
+    return build_conversion(cs, make_split(cs, default_epsilon(cs)))
+
+
+BASIS = [linalg.basis_state(2, k) for k in range(2)]
+BUILT_MATRICES = {
+    "isometry": lambda: conversion_of_three().isometry,
+    "unitary": lambda: conversion_of_three().unitary,
+    "synthesized": lambda: linalg.synthesize_unitary(BASIS, BASIS[::-1]),
+    "splitting": lambda: symmetric.splitting_isometry(2, 3, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_MATRICES))
+def test_library_built_matrices_are_read_only(name):
+    matrix = BUILT_MATRICES[name]()
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 0.0
 
 
 def test_symmetric_suite_splits_through_apply_splitting(monkeypatch):

@@ -219,7 +219,7 @@ def test_build_conversion_makes_no_product_state_one_at_a_time(monkeypatch):
     # reference: the product family built one Kronecker product at a time, the same arithmetic
     a = np.column_stack([c.amplitudes for c in cs.states])
     b = np.column_stack([np.kron(d.amplitudes, e.amplitudes) for d, e in zip(split.d_states, split.e_states)])
-    assert np.array_equal(conv.isometry.matrix, positive_frame(b) @ positive_frame(a).conj().T)
+    assert np.array_equal(conv.isometry, positive_frame(b) @ positive_frame(a).conj().T)
 
 
 def test_conversion_unitarity():
@@ -227,7 +227,7 @@ def test_conversion_unitarity():
     for dim in (2, 3, 5):
         cs = random_classical_set(dim, rng)
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
-        u = conv.unitary.matrix
+        u = conv.unitary
         assert np.max(np.abs(u @ u.conj().T - np.eye(dim * dim))) < 1e-10
 
 
@@ -238,7 +238,7 @@ def test_completed_unitary_agrees_with_isometry():
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
         for _ in range(5):
             psi = random_state(dim, rng)
-            via_unitary = conv.unitary.matrix @ np.kron(psi.amplitudes, conv.reference.amplitudes)
+            via_unitary = conv.unitary @ np.kron(psi.amplitudes, conv.reference.amplitudes)
             assert np.max(np.abs(via_unitary - conv.convert(psi).amplitudes)) < 1e-10
 
 
@@ -248,7 +248,7 @@ def test_conversion_of_ill_conditioned_set(dim, lam_min):
     cs = uniform_overlap_set(lam_min, dim)
     split = make_split(cs, default_epsilon(cs))
     conv = build_conversion(cs, split)
-    u = conv.unitary.matrix
+    u = conv.unitary
     assert np.max(np.abs(u @ u.conj().T - np.eye(dim * dim))) < 1e-10
     for c, d, e in zip(cs.states, split.d_states, split.e_states):
         assert np.max(np.abs(conv.convert(c).amplitudes - d.tensor(e).amplitudes)) < 1e-10
@@ -400,7 +400,7 @@ def test_rank_equality_random_sets():
         assert matches == trials == 40
         cs = random_classical_set(dim, rng)
         conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
-        v = conv.isometry.matrix
+        v = conv.isometry
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
         converted = np.column_stack([conv.convert(c).amplitudes for c in cs.states])
         assert np.max(np.abs(converted.conj().T @ converted - cs.gram.entries)) < 1e-10

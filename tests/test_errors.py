@@ -10,7 +10,7 @@ from nc2ent import verify
 from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, default_epsilon, make_split,
                                random_classical_set, random_superposition)
 from nc2ent.gcnot import mu_to_epsilon
-from nc2ent.linalg import GramMatrix, Operator, StateVector, basis_state, gram_of, synthesize_unitary
+from nc2ent.linalg import GramMatrix, StateVector, basis_state, gram_of, schmidt_decompose, synthesize_unitary
 from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector
 from nc2ent.symmetric import SuUnitary, SymmetricState, apply_unitary, coherent_state, dicke_dim, overlap
 from nc2ent.witness import nonclassicality_witness, swap_style_witness
@@ -57,8 +57,10 @@ ROWS = [
     ("overlap-dimension", lambda: basis_state(2, 0).overlap(basis_state(3, 0)), "dimension mismatch: 2 vs 3"),
     ("basis-index-above", lambda: basis_state(2, 2), "basis index 2 out of range for dimension 2"),
     ("basis-index-negative", lambda: basis_state(2, -1), "basis index -1 out of range for dimension 2"),
+    ("cut-bool", lambda: schmidt_decompose(basis_state(4, 0), True, 4),
+     "cut Truex4 needs two positive integer factors"),
     ("gram-unit-diagonal", lambda: GramMatrix([[1.0, 0.0], [0.0, 0.5]]), "Gram matrix does not have unit diagonal"),
-    ("operator-ndim", lambda: Operator(np.ones(3)), "operator must be a matrix, got ndim=1"),
+    ("operator-ndim", lambda: SuUnitary(np.ones(3)), "must be a matrix, got ndim=1"),
     ("su-non-square", lambda: SuUnitary(np.eye(3)[:2]), "matrix is not unitary within tolerance"),
     ("su-one-level", lambda: SuUnitary(np.eye(1)), "need at least 2 levels"),
     ("gram-of-nothing", lambda: gram_of([]), "need at least one state"),
@@ -77,6 +79,24 @@ ROWS = [
      "no sector (2, 0) for N=1"),
     ("negative-max-rounds",
      lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=-1), "max_rounds must be nonnegative"),
+    ("target-float", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(2.7, 1)),
+     "target must be two integers, got (2.7, 1)"),
+    ("target-bool", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(True, 2)),
+     "target must be two integers, got (True, 2)"),
+    ("target-one-count", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(2,)),
+     "target must be two integers, got (2,)"),
+    ("max-rounds-float", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=2.5),
+     "max_rounds must be an integer, got 2.5"),
+    ("max-rounds-nan", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=math.nan),
+     "max_rounds must be an integer, got nan"),
+    ("max-rounds-bool", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=True),
+     "max_rounds must be an integer, got True"),
+    ("seed-float", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), seed=1.5),
+     "seed must be None or a nonnegative integer, got 1.5"),
+    ("seed-negative", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), seed=-1),
+     "seed must be None or a nonnegative integer, got -1"),
+    ("seed-bool", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), seed=True),
+     "seed must be None or a nonnegative integer, got True"),
     # symmetric
     ("negative-particle-number", lambda: dicke_dim(2, -1), "particle number must be nonnegative, got -1"),
     ("one-internal-level", lambda: dicke_dim(1, 2), "need at least 2 internal levels, got 1"),

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nc2ent.conversion import ClassicalSet, build_conversion, default_epsilon, make_split
 from nc2ent.linalg import (
     DENSITY_TOL,
+    UNITARY_TOL,
     GramMatrix,
     GramMismatchError,
     StateVector,
@@ -17,6 +18,7 @@ from nc2ent.linalg import (
     fidelity,
     gram_of,
     hadamard,
+    is_unitary,
     negativity,
     partial_transpose,
     random_state,
@@ -194,10 +196,26 @@ def test_factor_gram_rejects_non_psd():
 
 # --------------------------------------------------------- synthesize_unitary
 
+def shear(off: float) -> np.ndarray:
+    # [[1, off], [0, 1]]: |M M^dag - I| is off exactly for off << 1e-8 (1 + off^2 rounds to 1)
+    return np.array([[1.0, off], [0.0, 1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("m, expected", [
+    (shear(UNITARY_TOL), True),
+    (shear(2 * UNITARY_TOL), False),
+    (np.eye(3)[:2], False),
+    (np.ones(3), False),
+    (np.full((2, 2), np.nan), False),
+], ids=["at-tol", "twice-tol", "non-square", "one-dimensional", "nan"])
+def test_is_unitary(m, expected):
+    assert is_unitary(m, UNITARY_TOL) is expected
+
+
 def test_synthesize_identity_on_standard_basis():
     basis = [basis_state(3, k) for k in range(3)]
     u = synthesize_unitary(basis, basis)
-    assert np.allclose(u.matrix, np.eye(3))
+    assert np.allclose(u, np.eye(3))
 
 
 def test_synthesize_recovers_known_unitary():
@@ -207,7 +225,7 @@ def test_synthesize_recovers_known_unitary():
     basis = [basis_state(4, k) for k in range(4)]
     targets = [StateVector(q[:, k]) for k in range(4)]
     u = synthesize_unitary(basis, targets)
-    assert np.max(np.abs(u.matrix - q)) < 1e-10
+    assert np.max(np.abs(u - q)) < 1e-10
 
 
 def test_synthesize_rejects_unequal_grams():
@@ -224,11 +242,11 @@ def test_synthesize_embeds_into_larger_space():
     iso[:2, :] = np.eye(2)
     big = [StateVector(iso @ s.amplitudes) for s in small]
     u = synthesize_unitary(small, big)
-    assert u.rows == 5 and u.is_unitary()
+    assert u.shape[0] == 5 and is_unitary(u, UNITARY_TOL)
     for s, b in zip(small, big):
         padded = np.zeros(5, dtype=complex)
         padded[:2] = s.amplitudes
-        assert np.max(np.abs(u.matrix @ padded - b.amplitudes)) < 1e-8
+        assert np.max(np.abs(u @ padded - b.amplitudes)) < 1e-8
 
 
 def test_synthesize_property_equal_grams_map_exactly():
@@ -240,9 +258,9 @@ def test_synthesize_property_equal_grams_map_exactly():
         q, _ = np.linalg.qr(z)
         targets = [StateVector(q @ s.amplitudes) for s in states]
         u = synthesize_unitary(states, targets)
-        assert np.max(np.abs(u.matrix.conj().T @ u.matrix - np.eye(n + 2))) < 1e-10
+        assert np.max(np.abs(u.conj().T @ u - np.eye(n + 2))) < 1e-10
         for s, t in zip(states, targets):
-            assert np.max(np.abs(u.matrix @ s.amplitudes - t.amplitudes)) < 1e-8
+            assert np.max(np.abs(u @ s.amplitudes - t.amplitudes)) < 1e-8
 
 
 def test_synthesize_rejects_dependent_families():
@@ -268,7 +286,7 @@ def test_synthesize_ill_conditioned_families(n, pad, log_lam, seed):
     q, _ = np.linalg.qr(z)
     padded = [np.concatenate([s.amplitudes, np.zeros(pad)]) for s in states]
     targets = [StateVector(q @ a) for a in padded]
-    u = synthesize_unitary(states, targets).matrix
+    u = synthesize_unitary(states, targets)
     assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-10
     for a, t in zip(padded, targets):
         assert np.max(np.abs(u @ a - t.amplitudes)) < 1e-10

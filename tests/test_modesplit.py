@@ -155,7 +155,7 @@ def test_first_pass_is_binomial_amplitude_times_splitting():
             psi = random_symmetric(k, n, rng)
             out = apply_tunneling(inject(psi), r, t)
             for n_a in range(1, n):
-                dense = splitting_isometry(k, n, n_a, n - n_a).matrix @ psi.amplitudes
+                dense = splitting_isometry(k, n, n_a, n - n_a) @ psi.amplitudes
                 want = binomial_sector_amplitude(n, n_a, r, t) * dense
                 assert np.max(np.abs(out.sectors[(n_a, n - n_a)].reshape(-1) - want)) < 1e-12
 
@@ -207,7 +207,7 @@ def test_project_sector_matches_splitting_isometry():
     psi = random_symmetric(2, 4, rng)
     tw = apply_tunneling(inject(psi), BALANCED, BALANCED)
     block, _ = project_sector(tw, 2, 2)
-    target = splitting_isometry(2, 4, 2, 2).matrix @ psi.amplitudes
+    target = splitting_isometry(2, 4, 2, 2) @ psi.amplitudes
     fid = abs(np.vdot(target, block.reshape(-1))) ** 2
     assert fid >= 1.0 - 1e-10
 
@@ -284,6 +284,15 @@ def test_protocol_deterministic_per_seed():
     a = run_protocol(psi, cfg)
     b = run_protocol(psi, cfg)
     assert a.outcomes == b.outcomes and a.rounds == b.rounds
+
+
+def test_protocol_config_accepts_numpy_integers():
+    cfg = ProtocolConfig(r=0.6, t=0.8, target=(np.int64(2), np.int8(1)), max_rounds=np.int64(32),
+                         seed=np.uint32(123))
+    assert cfg.target == (2, 1) and all(type(count) is int for count in cfg.target)
+    psi = coherent_state(haar_random_su(2, 79), 3)
+    plain = ProtocolConfig(r=0.6, t=0.8, target=(2, 1), max_rounds=32, seed=123)
+    assert run_protocol(psi, cfg).outcomes == run_protocol(psi, plain).outcomes
 
 
 def test_protocol_success_fidelity_for_coherent_input():

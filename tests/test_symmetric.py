@@ -282,7 +282,7 @@ def test_apply_unitary_at_the_caps_moves_coherent_labels():
 
 def test_isometry_property():
     for k, n, n_x in ((2, 4, 2), (3, 5, 1), (4, 3, 2)):
-        m = splitting_isometry(k, n, n_x, n - n_x).matrix
+        m = splitting_isometry(k, n, n_x, n - n_x)
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) < 1e-10
 
 
@@ -298,7 +298,7 @@ def test_isometry_sends_coherent_to_product():
 
 def test_isometry_preserves_coherent_grams():
     rng = np.random.default_rng(61)
-    iso = splitting_isometry(3, 4, 2, 2).matrix
+    iso = splitting_isometry(3, 4, 2, 2)
     unitaries = [haar_random_su(3, rng) for _ in range(10)]
     states = [coherent_state(u, 4).amplitudes for u in unitaries]
     for a in states:
@@ -310,7 +310,7 @@ def test_isometry_preserves_coherent_grams():
 
 def test_isometry_preserves_arbitrary_grams():
     rng = np.random.default_rng(62)
-    iso = splitting_isometry(2, 6, 3, 3).matrix
+    iso = splitting_isometry(2, 6, 3, 3)
     dim = dicke_dim(2, 6)
     vecs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(5)]
     for a in vecs:
@@ -325,14 +325,14 @@ def test_superposition_gets_schmidt_rank_two():
     assert abs(overlap(u, v, 1)) < 1 - 1e-3
     amps = coherent_state(u, 4).amplitudes + coherent_state(v, 4).amplitudes
     psi = SymmetricState.normalized(2, 4, amps)
-    out = StateVector(splitting_isometry(2, 4, 2, 2).matrix @ psi.amplitudes)
+    out = StateVector(splitting_isometry(2, 4, 2, 2) @ psi.amplitudes)
     assert schmidt_decompose(out, dicke_dim(2, 2), dicke_dim(2, 2)).rank == 2
 
 
 def test_image_membership_separates_coherent_products():
     # only matching coherent products lie in the image of the splitting map
     rng = np.random.default_rng(64)
-    iso = splitting_isometry(2, 4, 2, 2).matrix
+    iso = splitting_isometry(2, 4, 2, 2)
     proj = iso @ iso.conj().T
     for _ in range(20):
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -359,7 +359,7 @@ def test_gathered_splitting_matches_dense_isometry():
         for n_x in range(1, n):
             dim = dicke_dim(k, n)
             psi = SymmetricState.normalized(k, n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            dense = splitting_isometry(k, n, n_x, n - n_x).matrix @ psi.amplitudes
+            dense = splitting_isometry(k, n, n_x, n - n_x) @ psi.amplitudes
             assert np.max(np.abs(apply_splitting(psi, n_x, n - n_x) - dense)) < 1e-12
     psi = coherent_state(haar_random_su(2, 68), 4)
     for n_x, n_y in ((0, 4), (4, 0), (2, 3)):
@@ -397,7 +397,7 @@ def test_faithfulness_report_passes():
 
 def test_faithfulness_classical_pure_state_is_product():
     u = haar_random_su(2, 66)
-    iso = splitting_isometry(2, 3, 1, 2).matrix
+    iso = splitting_isometry(2, 3, 1, 2)
     out = StateVector(iso @ coherent_state(u, 3).amplitudes)
     sd = schmidt_decompose(out, dicke_dim(2, 1), dicke_dim(2, 2))
     assert sd.rank == 1
