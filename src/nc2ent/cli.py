@@ -219,7 +219,7 @@ def cmd_sweep(theta_range, mu_range, input_bit, degrees, out):
 @click.option("--runs", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--max-rounds", type=int, default=1, show_default=True,
               help="Rounds per run before giving up (1 = single-shot statistics).")
-@click.option("--seed", type=int, envvar="NC2ENT_SEED", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), envvar="NC2ENT_SEED", default=0, show_default=True)
 @click.option("--config", "config_file", type=click.Path(exists=True), default=None,
               help="JSON protocol config; its fields override the flags above.")
 @click.option("--input-file", type=click.Path(exists=True), default=None,
@@ -239,6 +239,8 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
             target = ":".join(str(p) for p in target)
         max_rounds = cfg_doc.get("max_rounds", max_rounds)
         seed = cfg_doc.get("seed", seed)
+        if seed < 0:
+            raise click.ClickException(f"{config_file}: key 'seed' must be a nonnegative integer, got {seed}")
     try:
         n_x, n_y = (int(p) for p in target.split(":"))
     except ValueError:
@@ -335,7 +337,7 @@ def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(("all",) + SUITES), default="all", show_default=True)
-@click.option("--seed", type=int, envvar="NC2ENT_SEED", default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), envvar="NC2ENT_SEED", default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=None,
               help="Override per-suite trial counts.")
 @click.option("--out", type=click.Path(), default=None)

@@ -22,6 +22,7 @@ from .linalg import (
     UNITARY_TOL,
     StateVector,
     _built,
+    _built_density,
     _check_density,
     _frame_unitary,
     factor_gram,
@@ -109,12 +110,14 @@ class Conversion:
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space, which
-        is checked where it enters (a D x D operator that _check_density passes)."""
+        is checked where it enters (a D x D operator that _check_density passes).
+        The output V rho V^dag is a read-only built density (_built_density),
+        which partial_transpose and negativity do not check again."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
         rho = _check_density(rho)
-        return self.isometry @ rho @ self.isometry.conj().T
+        return _built_density(self.isometry @ rho @ self.isometry.conj().T)
 
 
 def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:

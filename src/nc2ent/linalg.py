@@ -334,14 +334,41 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
     """Whether a Cholesky factorisation of m + shift I succeeds: exactly when
     lambda_min(m) > -shift, up to a backward error of about n * 1e-16 * ||m||.
     Only the lower triangle of m is read, as eigvalsh reads it; the
-    factorisation costs a quarter of the flops of the eigenvalues."""
-    shifted = m.copy()
-    shifted.flat[::m.shape[0] + 1] += shift
+    factorisation costs a quarter of the flops of the eigenvalues. The shift
+    is made on m's own diagonal, which is then restored from a saved copy, so
+    m keeps its bits (subtracting the shift back would round); m must be a
+    writable array that no caller sees."""
+    diagonal = m.diagonal().copy()
+    m.flat[::m.shape[0] + 1] += shift
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        m.flat[::m.shape[0] + 1] = diagonal
     return True
+
+
+class _BuiltDensity(np.ndarray):
+    """A read-only density operator the library built from checked values
+    (_built_density), which partial_transpose trusts. Every array derived
+    from one (a slice, a reshape, arithmetic, a copy) clears the trust."""
+
+    _trusted = False
+
+    def __array_finalize__(self, obj):
+        self._trusted = False
+
+
+def _built_density(rho: np.ndarray) -> np.ndarray:
+    """A density operator, unchecked, of a fresh complex array that is one by
+    construction: V rho V^dag of a checked rho and an isometry V, or a convex
+    mixture of projectors of accepted unit vectors. The array is made
+    read-only in place, so setflags(write=True) on the returned view fails too."""
+    rho.setflags(write=False)
+    built = rho.view(_BuiltDensity)
+    built._trusted = True
+    return built
 
 
 def _check_density(rho) -> np.ndarray:
@@ -352,16 +379,17 @@ def _check_density(rho) -> np.ndarray:
     check_hermitian(rho, "density operator", DENSITY_TOL)
     if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
         raise ValueError("density operator does not have unit trace")
-    if not _positive_definite(rho, DENSITY_TOL):
+    if not _positive_definite(rho.copy(), DENSITY_TOL):
         raise ValueError("density operator is not positive semidefinite")
     return rho
 
 
 def partial_transpose(rho, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the second tensor factor of a density operator on A (x) B.
-    rho must pass _check_density and dim_a x dim_b must be a cut of its
-    dimension (check_cut); otherwise a one-line ValueError is raised."""
-    rho = _check_density(rho)
+    rho must pass _check_density, unless the library built it (_built_density),
+    and dim_a x dim_b must be a cut of its dimension (check_cut); otherwise a
+    one-line ValueError is raised."""
+    rho = np.asarray(rho) if isinstance(rho, _BuiltDensity) and rho._trusted else _check_density(rho)
     check_cut(dim_a, dim_b, rho.shape[0])
     blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
     return blocks.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
@@ -379,6 +407,8 @@ def negativity(rho, dim_a: int, dim_b: int) -> float:
     without a spectrum. Otherwise N comes from the one eigendecomposition of
     rho^T_B."""
     pt = partial_transpose(rho, dim_a, dim_b)
+    if 1 in (dim_a, dim_b):  # then rho^T_B is a view of rho, not a fresh array
+        pt = pt.copy()
     if _positive_definite(pt, DENSITY_TOL / pt.shape[0]):
         return 0.0
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))

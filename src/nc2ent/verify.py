@@ -171,7 +171,7 @@ def measure_splitting_faithfulness(k: int, n: int, n_x: int, samples: int,
         weights = rng.random(3)
         weights /= weights.sum()
         images = [symmetric.apply_splitting(symmetric.coherent_state(u, n), n_x, n - n_x) for u in unitaries]
-        sigma = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, images))
+        sigma = linalg._built_density(sum(w * np.outer(s, s.conj()) for w, s in zip(weights, images)))
         worst_neg = max(worst_neg, linalg.negativity(sigma, *dims))
         factors = [(symmetric.coherent_state(u, n_x).as_state_vector(),
                     symmetric.coherent_state(u, n - n_x).as_state_vector()) for u in unitaries]
@@ -363,6 +363,8 @@ SUITES = tuple(_RUNNERS)
 def run_suites(names, seed: int = 0, trials: int | None = None) -> dict[str, list[CheckResult]]:
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     results: dict[str, list[CheckResult]] = {}
     for name in names:
         if name not in _RUNNERS:

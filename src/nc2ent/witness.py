@@ -37,10 +37,14 @@ def swap_style_witness(dim_a: int, dim_b: int, phi: StateVector) -> Witness:
     target state phi with largest Schmidt coefficient lambda_1; non-negative
     on all product states because no product state overlaps phi by more than
     lambda_1. Entry pairs of |phi><phi| differ by at most one rounding,
-    about 2.2e-16 |phi_i| |phi_j|."""
+    about 2.2e-16 |phi_i| |phi_j|. W is built in the projector's own array,
+    as 0 - |phi><phi| plus lambda_1^2 on the diagonal: the same bits as
+    lambda_1^2 I - |phi><phi|, since 0 - x and (-x) + a = a - x are exact."""
     check_cut(dim_a, dim_b, phi.dim)
     lam1 = float(schmidt_decompose(phi, dim_a, dim_b).coefficients[0])
-    op = lam1**2 * np.eye(phi.dim, dtype=complex) - phi.projector()
+    op = phi.projector()
+    np.subtract(0.0, op, out=op)
+    op.flat[::phi.dim + 1] += lam1**2
     return _built(Witness, operator=op)
 
 

@@ -90,8 +90,20 @@ def conversion_of_three():
     return build_conversion(cs, make_split(cs, default_epsilon(cs)))
 
 
+def converted_mixture(dim: int, seed: int) -> np.ndarray:
+    """convert_density of a three-term classical mixture (fewer terms below D = 3)."""
+    rng = np.random.default_rng(seed)
+    cs = random_classical_set(dim, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    terms = min(dim, 3)
+    weights = rng.random(terms) + 0.1
+    weights /= weights.sum()
+    return conv.convert_density(sum(w * cs.states[k].projector() for w, k in zip(weights, range(terms))))
+
+
 BASIS = [linalg.basis_state(2, k) for k in range(2)]
 BUILT_MATRICES = {
+    "converted density": lambda: converted_mixture(3, 35),
     "isometry": lambda: conversion_of_three().isometry,
     "unitary": lambda: conversion_of_three().unitary,
     "synthesized": lambda: linalg.synthesize_unitary(BASIS, BASIS[::-1]),
@@ -104,6 +116,64 @@ def test_library_built_matrices_are_read_only(name):
     matrix = BUILT_MATRICES[name]()
     with pytest.raises(ValueError, match="read-only"):
         matrix[0, 0] = 0.0
+
+
+def count_density_checks(monkeypatch) -> list[tuple[str, np.ndarray]]:
+    """count_checks, with every call of linalg._check_density recorded too."""
+    calls = count_checks(monkeypatch)
+    check_density = linalg._check_density
+
+    def counting(rho):
+        calls.append(("_check_density", np.array(rho)))
+        return check_density(rho)
+
+    monkeypatch.setattr(linalg, "_check_density", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_converted_densities_are_not_checked_again(monkeypatch, dim):
+    sigma = converted_mixture(dim, 36)
+    calls = count_density_checks(monkeypatch)
+    linalg.partial_transpose(sigma, dim, dim)
+    assert linalg.negativity(sigma, dim, dim) == 0.0
+    assert calls == []
+
+
+DERIVED = {
+    "slice": lambda sigma: sigma[:, :],
+    "reshape": lambda sigma: sigma.reshape(sigma.shape),
+    "times one": lambda sigma: sigma * 1,
+    "copy": lambda sigma: sigma.copy(),
+    "np.array": lambda sigma: np.array(sigma),
+}
+
+
+@pytest.mark.parametrize("check", [linalg.negativity, linalg.partial_transpose])
+@pytest.mark.parametrize("derive", list(DERIVED))
+def test_arrays_derived_from_a_built_density_are_checked_again(monkeypatch, derive, check):
+    sigma = converted_mixture(4, 37)
+    trusted = check(sigma, 4, 4)
+    calls = count_density_checks(monkeypatch)
+    derived = check(DERIVED[derive](sigma), 4, 4)
+    assert [name for name, _ in calls] == ["_check_density", "check_hermitian"]
+    assert np.array_equal(derived, trusted)
+
+
+def test_a_modified_copy_of_a_built_density_is_refused():
+    doubled = converted_mixture(4, 38).copy()
+    doubled *= 2.0
+    for check in (linalg.negativity, linalg.partial_transpose):
+        with pytest.raises(ValueError, match="density operator does not have unit trace"):
+            check(doubled, 4, 4)
+
+
+def test_a_built_density_cannot_be_made_writable():
+    sigma = converted_mixture(4, 39)
+    with pytest.raises(ValueError, match="read-only"):
+        sigma[1, 1] = 2.0
+    with pytest.raises(ValueError):
+        sigma.setflags(write=True)
 
 
 def test_symmetric_suite_splits_through_apply_splitting(monkeypatch):

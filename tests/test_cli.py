@@ -539,6 +539,20 @@ def _verify_discrete_zero_trials(tmp_path):
     return ["verify", "--suite", "discrete", "--trials", "0"]
 
 
+def _modesplit_negative_seed(tmp_path):
+    return ["modesplit", "--seed", "-1", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_config_negative_seed(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -1}))
+    return ["modesplit", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _verify_negative_seed(tmp_path):
+    return ["verify", "--suite", "discrete", "--seed", "-1"]
+
+
 # the reason a row's error must give, where a bare one-line error once hid a wrong one
 REASONS = {
     _convert_nan_epsilon: "epsilon must be finite, got nan",
@@ -561,6 +575,9 @@ REASONS = {
     _sweep_infinite_mu_bound: "range '0:inf:4' needs finite bounds",
     _sweep_nan_theta_bound: "range 'nan:2:3' needs finite bounds",
     _sweep_range_wider_than_a_float: "a finite distance apart",
+    _modesplit_negative_seed: "'--seed'",
+    _modesplit_config_negative_seed: "cfg.json: key 'seed' must be a nonnegative integer, got -1",
+    _verify_negative_seed: "'--seed'",
 }
 # text a row's error must not give: the rejection names the bound it was decided by
 WRONG_REASONS = {
@@ -614,6 +631,9 @@ WRONG_REASONS = {
     _verify_modesplit_zero_trials,
     _verify_negative_trials,
     _verify_discrete_zero_trials,
+    _modesplit_negative_seed,
+    _modesplit_config_negative_seed,
+    _verify_negative_seed,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     result = runner.invoke(main, make_args(tmp_path))
@@ -679,6 +699,11 @@ def test_verify_unknown_suite_rejected(runner):
 def test_run_suites_rejects_trials_below_one(trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_suites(["discrete"], trials=trials)
+
+
+def test_run_suites_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        run_suites(["discrete"], seed=-1)
 
 
 def test_verify_env_seed(runner, monkeypatch):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nc2ent.conversion import ClassicalSet, build_conversion, default_epsilon, make_split
+from nc2ent.conversion import (
+    ClassicalSet,
+    build_conversion,
+    default_epsilon,
+    make_split,
+    random_classical_set,
+    random_superposition,
+)
 from nc2ent.linalg import (
     DENSITY_TOL,
     UNITARY_TOL,
@@ -464,6 +471,64 @@ def test_density_psd_decision_matches_eigenvalue_rule(dim, zero_share, log_offse
 def test_negativity_maximally_entangled(d):
     phi = StateVector(np.eye(d).reshape(-1) / math.sqrt(d))
     assert abs(negativity(phi.projector(), d, d) - (d - 1) / 2) < 1e-10
+
+
+def negativity_with_a_copied_shift(rho: np.ndarray, dim_a: int, dim_b: int) -> float:
+    """The PPT test and spectrum of negativity, with the shift made on a copy of rho^T_B."""
+    n = dim_a * dim_b
+    pt = np.asarray(rho).reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 3, 2, 1).reshape(n, n)
+    shifted = pt.copy()
+    shifted.flat[::n + 1] += DENSITY_TOL / n
+    try:
+        np.linalg.cholesky(shifted)
+        return 0.0
+    except np.linalg.LinAlgError:
+        return max((float(np.sum(np.abs(np.linalg.eigvalsh(pt)))) - 1.0) / 2.0, 0.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_negativity_of_built_densities_is_bit_identical(dim):
+    rng = np.random.default_rng(100 + dim)
+    cs = random_classical_set(dim, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    terms = min(dim, 3)
+    weights = rng.random(terms) + 0.1
+    weights /= weights.sum()
+    mixture = conv.convert_density(sum(w * c.projector() for w, c in zip(weights, cs.states)))
+    psi, _ = random_superposition(cs, dim, rng)
+    npt = conv.convert_density(psi.projector())
+    for sigma, separable in ((mixture, True), (npt, False)):
+        value = negativity(sigma, dim, dim)
+        assert (value == 0.0) == separable, value
+        assert value == negativity(np.array(sigma), dim, dim) == negativity_with_a_copied_shift(sigma, dim, dim)
+
+
+@pytest.mark.parametrize("trivial_a", [False, True])
+@pytest.mark.parametrize("lam_min", [0.0, -DENSITY_TOL / 2])
+def test_cut_with_a_trivial_factor_leaves_the_density_unmodified(trivial_a, lam_min):
+    # with a factor of dimension 1, rho^T_B is a view of rho (or of its transpose)
+    rho = density_with_min_eig(9, lam_min, 1, np.random.default_rng(43))
+    before = rho.copy()
+    cut = (1, 9) if trivial_a else (9, 1)
+    assert negativity(rho, *cut) == negativity_with_a_copied_shift(rho, *cut)
+    assert rho.tobytes() == before.tobytes()
+    rng = np.random.default_rng(44)
+    cs = random_classical_set(3, rng)
+    sigma = build_conversion(cs, make_split(cs, default_epsilon(cs))).convert_density(random_state(3, rng).projector())
+    assert negativity(sigma, *cut) == 0.0  # read-only, so copied before the shift
+
+
+@pytest.mark.parametrize("check", [negativity, partial_transpose])
+@pytest.mark.parametrize("rho, reason", [
+    ([[0.5, 0.1], [0.0, 0.5]], "density operator is not Hermitian within tolerance"),
+    (np.eye(2), "density operator does not have unit trace"),
+    (np.diag([1.5, -0.5]), "density operator is not positive semidefinite"),
+    (np.diag([np.nan, 0.5]), "density operator has a non-finite entry"),
+])
+def test_caller_densities_keep_every_check(check, rho, reason):
+    with pytest.raises(ValueError) as err:
+        check(rho, 2, 1)
+    assert str(err.value) == reason
 
 
 def test_negativity_needs_one_spectrum(monkeypatch):

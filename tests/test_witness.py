@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nc2ent.conversion import build_conversion, default_epsilon, make_split, random_classical_set
 from nc2ent.gcnot import gcnot_classical_pair, mu_to_epsilon
-from nc2ent.linalg import StateVector, basis_state, random_state
+from nc2ent.linalg import StateVector, basis_state, random_state, schmidt_decompose
 from nc2ent.witness import (
     Witness,
     detect,
@@ -34,6 +34,15 @@ def test_bell_witness_values():
     assert np.allclose(w.operator, 0.5 * np.eye(4) - bell().projector())
     value, detected = detect(w, bell().projector())
     assert abs(value + 0.5) < 1e-12 and detected
+
+
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (3, 4), (16, 16)])
+def test_witness_has_the_bits_of_the_identity_form(dim_a, dim_b):
+    rng = np.random.default_rng(91)
+    phi = StateVector.normalized(rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b))
+    lam1 = float(schmidt_decompose(phi, dim_a, dim_b).coefficients[0])
+    expected = lam1**2 * np.eye(phi.dim, dtype=complex) - phi.projector()
+    assert swap_style_witness(dim_a, dim_b, phi).operator.tobytes() == expected.tobytes()
 
 
 def test_product_target_witness_is_psd():
