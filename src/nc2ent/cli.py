@@ -26,6 +26,7 @@ from .verify import SUITES, TOLERANCES, run_suites
 
 STATE_NORM_TOL = 1e-9
 SWEEP_MAX_CELLS = 2**20  # largest (theta, mu) grid a sweep evaluates
+SWEEP_BLOCK_CELLS = 2**15  # cells a sweep evaluates and writes at a time
 FIELD_TYPES = {"dimension": int, "K": int, "N": int, "max_rounds": int, "seed": int, "states": list,
                "amplitudes": list, "target": (str, list), "r": (int, float), "phase": (int, float),
                "t": (int, float, type(None))}  # JSON field -> the types json.load may give it
@@ -191,17 +192,32 @@ def cmd_sweep(theta_range, mu_range, input_bit, degrees, out):
     if degrees:
         thetas = np.deg2rad(thetas)
     state = linalg.basis_state(2, int(input_bit))
-    rows, skipped = gcnot.sweep_surface(thetas, mus, state)
+    blocks = list(_grid_blocks(thetas, mus, SWEEP_BLOCK_CELLS))
+    for block in blocks:  # the whole grid is refused, or accepted, before the file is opened
+        gcnot._sweep_cells(*block)
+    written = skipped_cells = 0
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("theta,mu,epsilon,ebits\n")
-        for row in rows:
-            fh.write(f"{row.theta!r},{row.mu!r},{row.epsilon!r},{row.ebits!r}\n")
+        for block in blocks:
+            rows, skipped = gcnot.sweep_surface(*block, state)
+            fh.writelines(f"{row.theta!r},{row.mu!r},{row.epsilon!r},{row.ebits!r}\n" for row in rows)
+            written, skipped_cells = written + len(rows), skipped_cells + len(skipped)
     click.echo(json.dumps({
         "schema": 1,
         "command": "sweep",
-        "rows": len(rows),
-        "skipped_infeasible": len(skipped),
+        "rows": written,
+        "skipped_infeasible": skipped_cells,
     }, sort_keys=True))
+
+
+def _grid_blocks(thetas: np.ndarray, mus: np.ndarray, cells: int):
+    """The theta-major (theta, mu) grid as sub-grids of at most `cells` cells
+    (whole mu rows, or slices of one row when a row is longer), in grid order."""
+    per_block = max(cells // mus.size, 1)
+    mu_slices = [mus[i:i + cells] for i in range(0, mus.size, cells)]
+    for start in range(0, thetas.size, per_block):
+        for mu_slice in mu_slices:
+            yield thetas[start:start + per_block], mu_slice
 
 
 @main.command("modesplit")

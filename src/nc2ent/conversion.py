@@ -25,6 +25,7 @@ from .linalg import (
     _built_density,
     _check_density,
     _frame_unitary,
+    _sealed,
     factor_gram,
     gram_of,
     positive_frame,
@@ -33,6 +34,7 @@ from .linalg import (
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
 EPS_CAP = 1e6              # beyond this default_epsilon takes 1.0, not half the range
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,14 @@ class Conversion:
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
     unitary; one such unitary, like V a read-only array, is completed on demand.
     Nothing is checked here: convert relies on V being an isometry, as
-    build_conversion makes it."""
+    build_conversion makes it. build_conversion also keeps the classical
+    states A (columns) and the residuals |V c_i - d_i (x) e_i|, from which
+    convert_density bounds how far V rho V^dag is from separable."""
 
     isometry: np.ndarray
     reference: StateVector
+    _classical: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _residuals: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -112,12 +118,52 @@ class Conversion:
         """Apply the conversion to a density operator on the input space, which
         is checked where it enters (a D x D operator that _check_density passes).
         The output V rho V^dag is a read-only built density (_built_density),
-        which partial_transpose and negativity do not check again."""
+        which partial_transpose and negativity do not check again. A conversion
+        from build_conversion attaches _separability_bound's beta to it, so that
+        negativity at the cut D x D returns 0.0 without forming rho^T_B where
+        beta <= DENSITY_TOL / D^2."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
         rho = _check_density(rho)
-        return _built_density(self.isometry @ rho @ self.isometry.conj().T)
+        sigma = self.isometry @ rho @ self.isometry.conj().T
+        if self._classical is None:
+            return _built_density(sigma)
+        beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)
+        return _built_density(sigma, (self.dim, beta))
+
+
+def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> float:
+    """beta with lambda_min(H) >= -beta, for H the Hermitian matrix that
+    eigvalsh and Cholesky read (one triangle) of fl(V rho V^dag)^T_B at the
+    cut D x D, from D x D data and one D x D product of V.
+
+    For w >= 0, T = sum_i w_i |d_i e_i><d_i e_i| is separable with T^T_B PSD,
+    and H - T^T_B is the one-triangle Hermitian part of Y^T_B with
+    Y = V(rho - A diag(w) A^dag)V^dag + sum_i w_i (x_i x_i^dag - b_i b_i^dag) + E,
+    x_i = V c_i, b_i = d_i (x) e_i, E = fl(V rho V^dag) - V rho V^dag. Partial
+    transposition keeps the Frobenius norm, and one triangle's Hermitian part
+    at most multiplies it by sqrt(2) (not at all for the Hermitian middle
+    term, whose norm is at most |x_i - b_i| (|V| + 1)). So
+    beta = sqrt(2) (|V|^2 |rho - A diag(w) A^dag|_F + |E|_F)
+           + (|V| + 1) sum_i w_i |V c_i - b_i|
+    holds for any w >= 0 and however inexact V is; w is the clamped diagonal
+    of A^-1 rho A^-dag, from two solves. |V|^2 <= 1 + |V^dag V - I|_F, and
+    every computed term carries its first-order roundoff allowance (complex
+    inner products of length m within sqrt(2) (m + 2) u, u the unit roundoff)."""
+    dim = a.shape[0]
+    gamma = math.sqrt(2.0) * (dim + 2) * UNIT_ROUNDOFF
+    v_frob = float(np.linalg.norm(v))
+    gram = v.conj().T @ v
+    gram.flat[::dim + 1] -= 1.0
+    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * UNIT_ROUNDOFF * v_frob**2
+    v_norm = math.sqrt(v_sq)
+    x = np.linalg.solve(a, np.linalg.solve(a, rho).conj().T)
+    w = np.maximum(x.diagonal().real, 0.0)
+    mixture_miss = float(np.linalg.norm(rho - (a * w) @ a.conj().T)) + 2.0 * gamma * float(w.sum())
+    product_miss = float(w @ (residuals + gamma * v_frob + 4.0 * UNIT_ROUNDOFF))
+    rounding = 2.0 * gamma * v_norm * v_frob * float(np.linalg.norm(rho))
+    return math.sqrt(2.0) * (v_sq * mixture_miss + rounding) + (v_norm + 1.0) * product_miss
 
 
 def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
@@ -210,11 +256,13 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     e = np.column_stack([s.amplitudes for s in split.e_states])
     b = (d[:, None, :] * e[None, :, :]).reshape(-1, cs.dim)  # column i is d_i (x) e_i
     v = positive_frame(b) @ positive_frame(a).conj().T
-    residual = float(np.max(np.abs(v @ a - b)))
+    miss = v @ a - b
+    residual = float(np.max(np.abs(miss)))
     if residual > UNITARY_TOL:
         raise GramMismatchError(
             f"conversion misses the product states by {residual:.3e}; the Grams differ")
-    return _built(Conversion, isometry=v, reference=cs.states[0])
+    return _built(Conversion, isometry=_sealed(v), reference=cs.states[0],
+                  _classical=_sealed(a), _residuals=_sealed(np.linalg.norm(miss, axis=0)))
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:

@@ -349,26 +349,47 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
     return True
 
 
+def _sealed(array: np.ndarray) -> np.ndarray:
+    """A read-only copy of array over immutable bytes: neither it nor any view
+    of it, its .base included, can be made writable."""
+    return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+
+
 class _BuiltDensity(np.ndarray):
     """A read-only density operator the library built from checked values
-    (_built_density), which partial_transpose trusts. Every array derived
-    from one (a slice, a reshape, arithmetic, a copy) clears the trust."""
+    (_built_density), which partial_transpose trusts, with the separability
+    bound convert_density may attach. Every array derived from one (a slice,
+    a reshape, arithmetic, a copy) clears the trust and the bound."""
 
     _trusted = False
+    _separable_within = None  # (D, beta): lambda_min(rho^T_B) >= -beta at the cut D x D
 
     def __array_finalize__(self, obj):
         self._trusted = False
+        self._separable_within = None
 
 
-def _built_density(rho: np.ndarray) -> np.ndarray:
-    """A density operator, unchecked, of a fresh complex array that is one by
-    construction: V rho V^dag of a checked rho and an isometry V, or a convex
-    mixture of projectors of accepted unit vectors. The array is made
-    read-only in place, so setflags(write=True) on the returned view fails too."""
-    rho.setflags(write=False)
-    built = rho.view(_BuiltDensity)
+def _built_density(rho: np.ndarray, separable_within: tuple[int, float] | None = None) -> np.ndarray:
+    """A density operator, unchecked, of an array that is one by construction:
+    V rho V^dag of a checked rho and an isometry V, or a convex mixture of
+    projectors of accepted unit vectors. The result is a _sealed copy, so no
+    view of it can be made writable again. separable_within = (D, beta), from
+    convert_density, bounds lambda_min(rho^T_B) >= -beta at the cut D x D;
+    negativity reads it."""
+    built = _sealed(rho).view(_BuiltDensity)
     built._trusted = True
+    built._separable_within = separable_within
     return built
+
+
+def _attached_bound(rho, dim_a: int, dim_b: int) -> float | None:
+    """beta of the bound convert_density attached to rho, where rho is a
+    trusted built density and dim_a x dim_b its cut D x D; otherwise None."""
+    certificate = rho._separable_within if isinstance(rho, _BuiltDensity) else None
+    if certificate is None:
+        return None
+    check_cut(dim_a, dim_b, rho.shape[0])
+    return certificate[1] if dim_a == dim_b == certificate[0] else None
 
 
 def _check_density(rho) -> np.ndarray:
@@ -399,13 +420,19 @@ def negativity(rho, dim_a: int, dim_b: int) -> float:
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2; a value above 1e-10
     certifies entanglement (PPT is necessary for separability).
 
-    rho has the precondition of :func:`partial_transpose`. The Peres PPT test
-    comes first: when a Cholesky factorisation of rho^T_B + s I succeeds, with
-    s = DENSITY_TOL / n and n = dim_a * dim_b, every eigenvalue of rho^T_B
-    exceeds -s up to the backward error of about n * 1e-16, and at most n - 1
-    of them are negative (the trace is 1), so N < 1e-10 and 0.0 is returned
-    without a spectrum. Otherwise N comes from the one eigendecomposition of
-    rho^T_B."""
+    rho has the precondition of :func:`partial_transpose`. With s =
+    DENSITY_TOL / n and n = dim_a * dim_b, 0.0 is returned wherever every
+    eigenvalue of rho^T_B is at least -s: at most n - 1 of them are negative
+    (the trace is 1), so N < 1e-10. Two routes decide this. A density that
+    convert_density built carries a bound beta on -lambda_min(rho^T_B) at the
+    cut D x D (_attached_bound); at that cut, beta <= s decides without
+    forming rho^T_B. Otherwise the Peres PPT test runs: when a Cholesky
+    factorisation of rho^T_B + s I succeeds, every eigenvalue exceeds -s up to
+    the backward error of about n * 1e-16. Where neither decides, N comes from
+    the one eigendecomposition of rho^T_B."""
+    beta = _attached_bound(rho, dim_a, dim_b)
+    if beta is not None and beta <= DENSITY_TOL / (dim_a * dim_b):
+        return 0.0
     pt = partial_transpose(rho, dim_a, dim_b)
     if 1 in (dim_a, dim_b):  # then rho^T_B is a view of rho, not a fresh array
         pt = pt.copy()

@@ -236,8 +236,11 @@ def project_sector(state: TwoModeState, n_a: int, n_b: int) -> tuple[np.ndarray,
 
 
 def binomial_sector_amplitude(n: int, n_a: int, r: complex, t: complex) -> complex:
-    """Amplitude sqrt(binom(N, N_A)) r^{N_A} t^{N_B} with which a coherent
-    input populates sector (N_A, N_B) after one tunneling pass."""
+    """Amplitude sqrt(binom(N, N_A)) r^{N_A} t^{N_B} with which any symmetric
+    input loaded into mode A (inject), coherent or not, populates sector
+    (N_A, N_B) after one tunneling pass: the rotation acts on the mode index
+    alike for every internal level, so the sector weights are independent of
+    K and of the input."""
     return math.sqrt(math.comb(n, n_a)) * r**n_a * t ** (n - n_a)
 
 

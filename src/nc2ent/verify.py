@@ -81,21 +81,25 @@ def measure_conversions(dim: int, sets: int, rng: np.random.Generator) -> tuple[
     return trials, matches, worst_split, worst_unitary
 
 
-def measure_mixed_faithfulness(dim: int, rng: np.random.Generator) -> tuple[float, float, float]:
+def measure_mixed_faithfulness(dim: int, rng: np.random.Generator) -> tuple[float, float, float, float]:
     """Convert one random classical set of dimension dim, one random mixture
     per size 1..min(dim, 5) and one random superposition per support 2..dim.
     Returns (worst mixture negativity, worst distance from the product
-    mixture, least superposition entropy)."""
+    mixture, least superposition entropy, worst beta/s of the separability
+    bound that negativity reads, inf where a mixture's bound fails)."""
     cs = conversion.random_classical_set(dim, rng)
     split = conversion.make_split(cs, conversion.default_epsilon(cs))
     conv = conversion.build_conversion(cs, split)
-    worst_neg = worst_product = 0.0
+    worst_neg = worst_product = worst_ratio = 0.0
+    floor = linalg.DENSITY_TOL / (dim * dim)
     for terms in range(1, min(dim, 5) + 1):
         weights = rng.random(terms)
         weights /= weights.sum()
         idx = rng.choice(dim, size=terms, replace=False)
         sigma = conv.convert_density(sum(w * cs.states[i].projector() for w, i in zip(weights, idx)))
         worst_neg = max(worst_neg, linalg.negativity(sigma, dim, dim))
+        beta = linalg._attached_bound(sigma, dim, dim)
+        worst_ratio = max(worst_ratio, beta / floor if beta is not None and beta <= floor else math.inf)
         explicit = sum(w * split.d_states[i].tensor(split.e_states[i]).projector()
                        for w, i in zip(weights, idx))
         worst_product = max(worst_product, float(np.max(np.abs(sigma - explicit))))
@@ -104,7 +108,7 @@ def measure_mixed_faithfulness(dim: int, rng: np.random.Generator) -> tuple[floa
         psi, _ = conversion.random_superposition(cs, support, rng)
         sd = linalg.schmidt_decompose(conv.convert(psi), dim, dim)
         min_entropy = min(min_entropy, linalg.entanglement_entropy(sd))
-    return worst_neg, worst_product, min_entropy
+    return worst_neg, worst_product, min_entropy, worst_ratio
 
 
 def measure_ebit_maxima(angles: int) -> tuple[float, float]:
@@ -283,8 +287,9 @@ def run_discrete_suite(seed: int = 0, trials: int = 20) -> list[CheckResult]:
     ]
     floor = TOLERANCES["superposition_entropy"]
     for dim in dims:
-        neg, product, entropy = measure_mixed_faithfulness(dim, rng)
-        checks.append(_within(f"mixture-negativity-D{dim}", mixture_negativity=neg, mixture_product=product))
+        neg, product, entropy, ratio = measure_mixed_faithfulness(dim, rng)
+        route = f"certificate \u03b2/s={ratio:.2e}" if ratio <= 1.0 else "cholesky"
+        checks.append(_within(f"mixture-negativity-D{dim}", route, mixture_negativity=neg, mixture_product=product))
         checks.append(_check(f"superposition-entropy-D{dim}", entropy > floor, entropy - floor))
     return checks
 

@@ -174,6 +174,22 @@ def test_a_built_density_cannot_be_made_writable():
         sigma[1, 1] = 2.0
     with pytest.raises(ValueError):
         sigma.setflags(write=True)
+    base = sigma.base
+    while isinstance(base, np.ndarray):  # the buffer is immutable all the way down
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+    assert linalg.negativity(sigma, 4, 4) == 0.0 and np.trace(sigma).real == pytest.approx(1.0)
+
+
+def test_what_the_separability_bound_rests_on_cannot_be_made_writable():
+    # the bound itself is a float on the density; it is computed from V, A and the residuals
+    cs = random_classical_set(4, np.random.default_rng(40))
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    for array in (conv.isometry, conv._classical, conv._residuals):
+        for view in (array, array.base):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)
 
 
 def test_symmetric_suite_splits_through_apply_splitting(monkeypatch):

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nc2ent import modesplit
+from nc2ent import cli, conversion, modesplit
 from nc2ent.cli import load_state_set, main
 from nc2ent.conversion import default_epsilon
 from nc2ent.gcnot import sweep_surface
@@ -145,6 +146,37 @@ def test_sweep_deterministic_output(runner, tmp_path):
     assert runner.invoke(main, args + ["--out", str(a)]).exit_code == 0
     assert runner.invoke(main, args + ["--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("block_cells", [1, 5, 13, 64, 2**15])
+@pytest.mark.parametrize("mu_count", [1, 9, 40])
+def test_sweep_in_blocks_writes_the_whole_grid_csv(runner, tmp_path, monkeypatch, block_cells, mu_count):
+    # blocks of whole mu rows, or of slices of one row when a row exceeds the block
+    thetas, mus = np.linspace(1.0, 2.0, 11), np.linspace(0.02, 1.0, mu_count)
+    rows, skipped = sweep_surface(thetas, mus, basis_state(2, 0))
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_CELLS", block_cells)
+    out = tmp_path / "blocks.csv"
+    result = runner.invoke(main, ["sweep", "--theta-range", "1:2:11", "--mu-range", f"0.02:1:{mu_count}",
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    expected = "".join(f"{r.theta!r},{r.mu!r},{r.epsilon!r},{r.ebits!r}\n" for r in rows)
+    assert out.read_text() == "theta,mu,epsilon,ebits\n" + expected
+    assert json.loads(result.output) == {"schema": 1, "command": "sweep", "rows": len(rows),
+                                         "skipped_infeasible": len(skipped)}
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_sweep_refused_in_a_late_block_writes_no_file(runner, tmp_path, monkeypatch, exists):
+    # theta = 3.2 > pi, in the last block, is feasible at mu = 1
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_CELLS", 8)
+    out = tmp_path / "refused.csv"
+    if exists:
+        out.write_text("earlier\n")
+    result = runner.invoke(main, ["sweep", "--theta-range", "1:3.2:12", "--mu-range", "0.5:1:8",
+                                  "--out", str(out)])
+    assert result.exit_code != 0
+    assert "theta must lie in (0, pi)" in result.output
+    assert out.read_text() == "earlier\n" if exists else not out.exists()
 
 
 # ------------------------------------------------------------------ modesplit
@@ -688,6 +720,18 @@ def test_verify_all_is_deterministic_and_keeps_its_checks(runner):
     assert first.stdout == second.stdout
     checks = {(c["suite"], c["name"]) for c in json.loads(first.stdout)["checks"]}
     assert {(suite, name) for suite, names in VERIFY_CHECKS.items() for name in names.split()} <= checks
+
+
+def test_verify_mixture_checks_name_the_route(monkeypatch):
+    def details():
+        checks = run_suites(["discrete"], seed=0)["discrete"]
+        return [c.detail for c in checks if c.name.startswith("mixture-negativity-D")]
+
+    certified = details()
+    assert len(certified) == 3
+    assert all(re.fullmatch(r"certificate β/s=\d\.\d\de-\d\d", d) for d in certified), certified
+    monkeypatch.setattr(conversion, "_separability_bound", lambda *args: 1.0)  # a bound that never decides
+    assert details() == ["cholesky"] * 3
 
 
 def test_verify_unknown_suite_rejected(runner):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nc2ent.linalg import StateVector, entanglement_entropy, schmidt_decompose
 from nc2ent.modesplit import (
     ProtocolConfig,
     TwoModeState,
@@ -18,7 +19,9 @@ from nc2ent.modesplit import (
 from nc2ent.symmetric import (
     SuUnitary,
     SymmetricState,
+    apply_splitting,
     coherent_state,
+    dicke_dim,
     haar_random_su,
     occupation_basis,
     splitting_isometry,
@@ -85,6 +88,20 @@ def test_coherent_balanced_sector_weights():
 
 def test_coherent_sector_amplitudes_all_n():
     assert measure_sector_probabilities(2, range(1, 7), 0.6, 0.8, np.random.default_rng(73)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_binomial_sector_law_holds_for_non_coherent_inputs(k):
+    # a random symmetric state is not coherent (its split is entangled); the law still holds for it
+    rng = np.random.default_rng(80 + k)
+    r, t = 0.6, 0.8 * cmath.exp(0.3j)
+    for n in range(2, 5):
+        psi = random_symmetric(k, n, rng)
+        split = StateVector(apply_splitting(psi, 1, n - 1))
+        assert entanglement_entropy(schmidt_decompose(split, dicke_dim(k, 1), dicke_dim(k, n - 1))) > 1e-3
+        probs = sector_probabilities(apply_tunneling(inject(psi), r, t))
+        for n_a in range(n + 1):
+            assert abs(probs[(n_a, n - n_a)] - abs(binomial_sector_amplitude(n, n_a, r, t)) ** 2) < 1e-14
 
 
 EDGE_OFFSETS = st.floats(min_value=-11.0, max_value=-2.0).map(lambda e: 10.0 ** e)
