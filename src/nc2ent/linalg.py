@@ -304,10 +304,15 @@ def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
 
 def entanglement_entropy(sd: SchmidtData) -> float:
     """Entropy of entanglement in ebits: -sum lambda^2 log2 lambda^2."""
-    lam2 = sd.coefficients[sd.coefficients > ENTROPY_CUT] ** 2
+    return _ebits(sd.coefficients)
+
+
+def _ebits(coefficients: np.ndarray) -> float:
+    """-sum lambda^2 log2 lambda^2 over the Schmidt coefficients above ENTROPY_CUT."""
+    lam2 = coefficients[coefficients > ENTROPY_CUT] ** 2
     if lam2.size == 0:
         return 0.0
-    return float(-np.sum(lam2 * np.log2(lam2)))
+    return float(-np.sum(lam2 * np.log2(lam2))) + 0.0  # + 0.0: a product state gives 0.0, not -0.0
 
 
 def _is_integer(value) -> bool:

@@ -13,11 +13,18 @@ level pair (j_A, j_B): one (m+1) x (m+1) matrix per total m, in closed form,
 applied to every group of amplitudes that differ only in how level j's m
 particles are split. No matrix on the whole two-mode space is built.
 
-A round runs on the bare vector: _tunnel rotates it in place, _sector_weights
-reads every sector weight in one pass, and _post_select normalizes the
-counted block. run_protocol keeps one vector for all its rounds;
-apply_tunneling, sector_probabilities and project_sector are thin wrappers
-over the same steps for a TwoModeState."""
+A round of the kernel runs on the bare vector: _tunnel rotates it in place,
+_sector_weights reads every sector weight in one pass, and _post_select
+normalizes the counted block. apply_tunneling, sector_probabilities and
+project_sector are thin wrappers over the same steps for a TwoModeState.
+
+The counting sees only the two-mode "spin": tunneling acts on the mode index
+and the SU(K) label on the level index (Howe duality). A pre-state c S_j psi,
+alone in sector j, tunnels to sum_i c D_N[i, j] S_i psi, with D_N the N-th
+symmetric power of the 2 x 2 tunneling matrix and S_i psi the splitting
+isometry's output (psi itself at (N, 0) and (0, N)), for any K and any
+symmetric psi. So run_protocol samples the (N+1)-state chain on D_N and runs
+the kernel once, on the transition that reaches the target."""
 
 from __future__ import annotations
 
@@ -195,12 +202,19 @@ def _sector_weights(k: int, n: int, amps: np.ndarray) -> np.ndarray:
     return np.add.reduceat(parts * parts, _float_starts(k, n))
 
 
-def _post_select(k: int, n: int, amps: np.ndarray, weights: np.ndarray, index: int) -> tuple[np.ndarray, float]:
-    """The raveled block of sector _sector_keys(n)[index], normalized, and its
-    probability weights[index]."""
+def _count_probability(n: int, weights: np.ndarray, index: int) -> float:
+    """weights[index], the probability of counting sector _sector_keys(n)[index];
+    a one-line ValueError if it is at most MIN_SECTOR_PROB."""
     prob = float(weights[index])
     if prob <= MIN_SECTOR_PROB:
         raise ValueError(f"sector {_sector_keys(n)[index]} has vanishing probability {prob!r}")
+    return prob
+
+
+def _post_select(k: int, n: int, amps: np.ndarray, weights: np.ndarray, index: int) -> tuple[np.ndarray, float]:
+    """The raveled block of sector _sector_keys(n)[index], normalized, and its
+    probability weights[index]."""
+    prob = _count_probability(n, weights, index)
     return amps[_blocks(k, n)[index][2]] / math.sqrt(prob), prob
 
 
@@ -315,46 +329,96 @@ def _sample_sector(weights: np.ndarray, rng: np.random.Generator) -> int:
     return weights.size - 1
 
 
+def _transitions(n: int, r: complex, t: complex) -> np.ndarray:
+    """D_N, the amplitudes of the sector chain: one tunneling pass takes the
+    pre-state c S_j psi of sector j = _sector_keys(n)[j] to c D_N[i, j] S_i psi
+    in every sector i, for any K and any symmetric psi, so |D_N[i, j]|^2 is the
+    probability of counting i after j."""
+    return _level_rotations(n, r, t)[n]
+
+
+def _target_index(cfg: ProtocolConfig, n: int) -> int:
+    """Index of cfg.target in _sector_keys(n); a one-line ValueError unless it partitions N."""
+    if sum(cfg.target) != n:
+        raise ValueError(f"target {cfg.target} does not partition N={n}")
+    return _sector_keys(n).index(cfg.target)
+
+
+def success_probability_by_round(cfg: ProtocolConfig, n: int, rounds: int) -> list[float]:
+    """Exact probability that a run of N particles first counts cfg.target in
+    round 1, 2, ..., rounds: the absorbing chain on |D_N|^2 from (N, 0), with
+    the weights run_protocol draws from. It holds for any K and any symmetric
+    input."""
+    goal = _target_index(cfg, n)
+    amps = _transitions(n, cfg.r, cfg.t)
+    moves = amps.real**2 + amps.imag**2
+    alive = np.zeros(n + 1)
+    alive[0] = 1.0
+    out = []
+    for _ in range(rounds):
+        alive = moves @ alive
+        out.append(float(alive[goal]))
+        alive[goal] = 0.0
+    return out
+
+
+def _sector_image(state: SymmetricState, index: int) -> np.ndarray:
+    """S psi raveled on sector _sector_keys(n)[index]: apply_splitting, or psi
+    itself in (N, 0) and (0, N)."""
+    n_a, n_b = _sector_keys(state.n)[index]
+    return state.amplitudes if n_a == 0 or n_b == 0 else apply_splitting(state, n_a, n_b)
+
+
+def _last_transition(state: SymmetricState, prev: int, phase: complex, goal: int,
+                     r: complex, t: complex) -> np.ndarray:
+    """The kernel's one pass on the transition that reaches the target: the
+    pre-state phase S_prev psi, alone in sector prev, tunneled, counted in
+    sector goal and normalized, as a block."""
+    k, n = state.k, state.n
+    blocks = _blocks(k, n)
+    amps = np.zeros(blocks[-1][2].stop, dtype=complex)
+    amps[blocks[prev][2]] = phase * _sector_image(state, prev)
+    _tunnel(k, n, amps, r, t)
+    weights = _sector_weights(k, n, amps)
+    check_unit_vector(amps, "two-mode state", squared_norm=float(weights.sum()))
+    block, _ = _post_select(k, n, amps, weights, goal)
+    return block.reshape(blocks[goal][1])
+
+
 def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolResult:
     """Run the tunnel-measure-repeat loop until the target sector is counted
     or max_rounds is exhausted.
 
-    After a failed round the post-measurement two-mode state (modes already
-    populated) is carried into the next tunneling pass unchanged; the
-    coherent-label structure is untouched by counting, so on success the
-    post-selected state reproduces the splitting isometry output exactly.
-    The fidelity is taken against apply_splitting, which shares no code with
-    the tunneling kernel.
-
-    All rounds work on one amplitude vector; each round checks its unit norm
-    from the summed sector weights.
+    A run walks the sector chain of the module docstring and keeps only the
+    last count's sector prev and the phase of its block. Each round checks
+    that the weights |c|^2 of c = phase D_N[:, prev] sum to 1 and draws a
+    count from them. On success the kernel runs once, from the pre-state
+    phase S_prev psi, and its post-selected block is the output; the fidelity
+    compares it with apply_splitting, which shares no code with the kernel.
+    A success in round 1 is the kernel's pass from inject(psi), bit for bit.
     """
-    n_x, n_y = cfg.target
-    if n_x + n_y != input_state.n:
-        raise ValueError(f"target {cfg.target} does not partition N={input_state.n}")
+    goal = _target_index(cfg, input_state.n)
     rng = np.random.default_rng(cfg.seed)
-    reference = apply_splitting(input_state, n_x, n_y)
+    reference = apply_splitting(input_state, *cfg.target)
 
-    k, n = input_state.k, input_state.n
-    keys, blocks = _sector_keys(n), _blocks(k, n)
-    amps = np.zeros(blocks[-1][2].stop, dtype=complex)
-    amps[blocks[0][2]] = input_state.amplitudes  # inject: all of it in sector (N, 0)
+    keys = _sector_keys(input_state.n)
+    transitions = _transitions(input_state.n, cfg.r, cfg.t)
+    prev, phase = 0, complex(1.0)
     outcomes: list[tuple[int, int]] = []
     probs_seen: list[float] = []
     for round_no in range(1, cfg.max_rounds + 1):
-        _tunnel(k, n, amps, cfg.r, cfg.t)
-        weights = _sector_weights(k, n, amps)
-        check_unit_vector(amps, "two-mode state", squared_norm=float(weights.sum()))
+        column = phase * transitions[:, prev]
+        weights = column.real**2 + column.imag**2
+        check_unit_vector(column, "two-mode state", squared_norm=float(weights.sum()))
         index = _sample_sector(weights, rng)
-        block, prob = _post_select(k, n, amps, weights, index)
+        prob = _count_probability(input_state.n, weights, index)
         outcomes.append(keys[index])
         probs_seen.append(prob)
-        if keys[index] == cfg.target:
+        if index == goal:
+            block = _last_transition(input_state, prev, phase, goal, cfg.r, cfg.t)
             fid = abs(np.vdot(reference, block)) ** 2
             return ProtocolResult(succeeded=True, rounds=round_no, outcomes=tuple(outcomes),
-                                  probabilities=tuple(probs_seen), fidelity=float(fid),
-                                  final_block=block.reshape(blocks[index][1]))
-        amps[:] = 0.0
-        amps[blocks[index][2]] = block
+                                  probabilities=tuple(probs_seen), fidelity=float(fid), final_block=block)
+        prev, phase = index, complex(column[index]) / math.sqrt(prob)
     return ProtocolResult(succeeded=False, rounds=cfg.max_rounds, outcomes=tuple(outcomes),
                           probabilities=tuple(probs_seen), fidelity=None, final_block=None)

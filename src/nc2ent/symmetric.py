@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NORM_TOL, StateVector, _built, _frozen, check_unit_vector, is_unitary
+from .linalg import NORM_TOL, StateVector, _built, _frozen, _is_integer, check_unit_vector, is_unitary
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
@@ -31,6 +31,12 @@ def _check_dense(rows: int, cols: int, what: str) -> None:
 
 
 def _check_caps(k: int, n: int) -> None:
+    """Raise a one-line ValueError unless K and N are integers (not bools)
+    within the desk-scale caps."""
+    if not _is_integer(k):
+        raise ValueError(f"level count K must be an integer, got {k!r}")
+    if not _is_integer(n):
+        raise ValueError(f"particle number N must be an integer, got {n!r}")
     if k < 2:
         raise ValueError(f"need at least 2 internal levels, got {k}")
     if n < 0:

@@ -5,6 +5,8 @@ judge the values against TOLERANCES; the acceptance criteria, at full size."""
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, asdict
 
@@ -25,6 +27,8 @@ TOLERANCES = {
     "overlap_splitting": 1e-12,
     "isometry_fidelity": 1e-10,
     "sector_probabilities": 1e-10,
+    "chain_weights": 1e-12,            # kernel sector weights against the |D_N|^2 column
+    "chain_blocks": 1e-10,             # kernel post-selected blocks against phase * S psi
     "postselected_fidelity": 1e-9,
     "witness_chain": 1e-10,
     "witness_detection": -0.01,        # the witness must go below this on the target
@@ -205,17 +209,51 @@ def measure_sector_probabilities(k: int, ns, r: complex, t: complex, rng: np.ran
     return worst
 
 
-def measure_success_frequency(runs: int, seed: int, rng: np.random.Generator) -> tuple[int, float]:
-    """Single-shot balanced runs, K = 2, N = 2, target (1, 1), on a Haar
-    coherent input, one per child of SeedSequence(seed). Returns (successes,
-    the analytic success probability)."""
-    psi = symmetric.coherent_state(symmetric.haar_random_su(2, rng), 2)
+def measure_success_frequency(runs: int, seed: int, rng: np.random.Generator, n: int = 2,
+                              max_rounds: int = 1) -> tuple[int, float]:
+    """Balanced runs of at most max_rounds rounds, K = 2, target (1, N - 1), on
+    a Haar coherent input, one per child of SeedSequence(seed). Returns
+    (successes, the exact probability of success within max_rounds, from the
+    sector chain)."""
+    psi = symmetric.coherent_state(symmetric.haar_random_su(2, rng), n)
+    base = modesplit.ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, n - 1), max_rounds=max_rounds)
     hits = 0
     for child in np.random.SeedSequence(seed).spawn(runs):
-        cfg = modesplit.ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=1,
-                                       seed=int(child.generate_state(1)[0]))
-        hits += modesplit.run_protocol(psi, cfg).succeeded
-    return hits, abs(modesplit.binomial_sector_amplitude(2, 1, BALANCED, BALANCED)) ** 2
+        hits += modesplit.run_protocol(psi, dataclasses.replace(base, seed=int(child.generate_state(1)[0]))).succeeded
+    return hits, sum(modesplit.success_probability_by_round(base, n, max_rounds))
+
+
+CHAIN_SHAPES = ((2, 5), (3, 4), (4, 3), (5, 2), (6, 2))  # (K, N): small N at large K
+
+
+def measure_chain_transitions(rounds: int, rng: np.random.Generator) -> tuple[float, float]:
+    """One full two-mode kernel path of `rounds` rounds per (K, N) in
+    CHAIN_SHAPES (inject, then apply_tunneling, sector_probabilities and
+    project_sector, the counted block carried by TwoModeState.single_sector),
+    on a random non-coherent input with random complex r and t, each count
+    drawn from the kernel's weights. Returns (worst deviation of a round's
+    sector weights from the |D_N|^2 column of the previous count, worst
+    deviation of a counted block from c S psi, c the chain's phase)."""
+    worst_weight = worst_block = 0.0
+    for k, n in CHAIN_SHAPES:
+        dim = symmetric.dicke_dim(k, n)
+        psi = symmetric.SymmetricState.normalized(k, n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        r_mag, phase_r, phase_t = rng.uniform(0.2, 0.9), *rng.uniform(0.0, 2 * math.pi, 2)
+        r, t = r_mag * cmath.exp(1j * phase_r), math.sqrt(1.0 - r_mag**2) * cmath.exp(1j * phase_t)
+        transitions, keys = modesplit._transitions(n, r, t), modesplit._sector_keys(n)
+        state, prev, phase = modesplit.inject(psi), 0, 1.0
+        for _ in range(rounds):
+            state = modesplit.apply_tunneling(state, r, t)
+            weights = np.array(list(modesplit.sector_probabilities(state).values()))
+            column = phase * transitions[:, prev]
+            worst_weight = max(worst_weight, float(np.max(np.abs(weights - np.abs(column) ** 2))))
+            prev = int(rng.choice(n + 1, p=weights / weights.sum()))
+            block, _ = modesplit.project_sector(state, *keys[prev])
+            phase = column[prev] / abs(column[prev])
+            image = phase * modesplit._sector_image(psi, prev)
+            worst_block = max(worst_block, float(np.max(np.abs(block.reshape(-1) - image))))
+            state = modesplit.TwoModeState.single_sector(k, n, keys[prev], block)
+    return worst_weight, worst_block
 
 
 def measure_postselected_fidelity(runs: int, r: complex, t: complex,
@@ -336,23 +374,35 @@ def run_symmetric_suite(seed: int = 0, trials: int = 20) -> list[CheckResult]:
     return checks
 
 
+def _rate_check(name: str, hits: int, trials: int, p: float, detail: str) -> CheckResult:
+    """Pass iff the success frequency hits/trials is within success_rate_sigmas binomial sigmas of p."""
+    allowed = TOLERANCES["success_rate_sigmas"] * math.sqrt(p * (1.0 - p) / trials)
+    dev = abs(hits / trials - p)
+    return _check(name, dev <= allowed, allowed - dev, detail=detail)
+
+
 def run_modesplit_suite(seed: int = 0, trials: int = 2000) -> list[CheckResult]:
     """Sector statistics against the binomial amplitudes, empirical success
-    frequency, and post-selected fidelity for a superposition input."""
+    frequency, post-selected fidelity for a superposition input, the kernel
+    against the sector chain, and the success frequency over several rounds
+    against the chain's exact probability."""
     rng = np.random.default_rng(seed)
     worst = measure_sector_probabilities(2, (4,), BALANCED, BALANCED, rng)
     hits, p = measure_success_frequency(trials, seed, rng)
-    allowed = TOLERANCES["success_rate_sigmas"] * math.sqrt(p * (1.0 - p) / trials)
-    dev = abs(hits / trials - p)
     runs = 50
     successes, min_fid = measure_postselected_fidelity(runs, BALANCED, BALANCED, rng)
     fid_floor = 1.0 - TOLERANCES["postselected_fidelity"]
+    chain_weight, chain_block = measure_chain_transitions(6, rng)
+    multi_hits, multi_p = measure_success_frequency(trials, seed + 1, rng, n=3, max_rounds=4)  # a stream of its own
     return [
         _within("sector-probabilities", sector_probabilities=worst),
-        _check("empirical-success-rate", dev <= allowed, allowed - dev,
-               detail=f"{hits}/{trials} vs p={p:.4f}"),
+        _rate_check("empirical-success-rate", hits, trials, p, detail=f"{hits}/{trials} vs p={p:.4f}"),
         _check("postselected-fidelity", successes == runs and min_fid >= fid_floor, min_fid - fid_floor,
                detail=f"{successes}/{runs} successes, min fidelity {min_fid!r}"),
+        _within("chain-transitions", detail=f"6 rounds at each (K, N) in {CHAIN_SHAPES}",
+                chain_weights=chain_weight, chain_blocks=chain_block),
+        _rate_check("multi-round-success-rate", multi_hits, trials, multi_p,
+                    detail=f"{multi_hits}/{trials} within 4 rounds vs p={multi_p:.4f}"),
     ]
 
 

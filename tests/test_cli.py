@@ -11,6 +11,7 @@ from nc2ent.cli import load_state_set, main
 from nc2ent.conversion import default_epsilon
 from nc2ent.gcnot import sweep_surface
 from nc2ent.linalg import basis_state
+from nc2ent.symmetric import SymmetricState, coherent_state, haar_random_su
 from nc2ent.verify import run_suites
 
 
@@ -208,8 +209,6 @@ def test_modesplit_zero_runs_empty_summary(runner, tmp_path):
 
 
 def test_modesplit_superposition_input_fidelity(runner, tmp_path):
-    from nc2ent.symmetric import SymmetricState, coherent_state, haar_random_su
-
     u, v = haar_random_su(2, 1), haar_random_su(2, 2)
     amps = coherent_state(u, 3).amplitudes + coherent_state(v, 3).amplitudes
     psi = SymmetricState.normalized(2, 3, amps)
@@ -301,6 +300,41 @@ def test_modesplit_outcomes_by_round(runner, tmp_path):
         assert sum(after.values()) == sum(before.values()) - before.get("2:1", 0)
     traces = [json.loads(line) for line in a.read_text().splitlines()]
     assert sum(sum(c.values()) for c in by_round) == sum(t["rounds"] for t in traces)
+
+
+def test_modesplit_explains_its_result(runner, tmp_path):
+    # the exact success probability of every round reported, from the sector
+    # chain, and the entropy of S psi at the target cut: 0 for a coherent input
+    args = ["modesplit", "-K", "2", "-N", "3", "--target", "2:1", "--runs", "400", "--max-rounds", "5",
+            "--seed", "3", "--out", str(tmp_path / "a.jsonl")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    summary = json.loads(result.output)
+    exact = summary["success_probability_by_round"]
+    assert len(exact) == len(summary["outcomes_by_round"]) == 5
+    assert abs(exact[0] - summary["single_round_success_probability"]) < 1e-15
+    for counts, p in zip(summary["outcomes_by_round"], exact):
+        assert abs(counts.get("2:1", 0) / 400 - p) < 4 * math.sqrt(p * (1 - p) / 400)
+    assert summary["split_entropy"] == 0.0
+
+    u, v = haar_random_su(2, 1), haar_random_su(2, 2)
+    psi = SymmetricState.normalized(2, 3, coherent_state(u, 3).amplitudes + coherent_state(v, 3).amplitudes)
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps({"schema": 1, "K": 2, "N": 3,
+                                      "amplitudes": [[z.real, z.imag] for z in psi.amplitudes.tolist()]}))
+    superposed = runner.invoke(main, args + ["--input-file", str(input_file)])
+    assert superposed.exit_code == 0, superposed.output
+    doc = json.loads(superposed.output)
+    assert doc["success_probability_by_round"] == exact  # the counting statistics ignore the input
+    assert doc["split_entropy"] > 0.1
+
+
+def test_modesplit_zero_runs_still_checks_the_target(runner, tmp_path):
+    out = tmp_path / "none.jsonl"
+    result = runner.invoke(main, ["modesplit", "-N", "2", "--target", "2:1", "--runs", "0", "--out", str(out)])
+    assert result.exit_code != 0
+    assert "target (2, 1) does not partition N=2" in result.output
+    assert not out.exists()
 
 
 def test_modesplit_runs_at_the_documented_cap(runner, tmp_path):
@@ -708,7 +742,8 @@ VERIFY_CHECKS = {
     "discrete": "rank-equality gram-splitting unitarity mixture-negativity-D2 superposition-entropy-D2 "
                 "mixture-negativity-D3 superposition-entropy-D3 mixture-negativity-D5 superposition-entropy-D5",
     "symmetric": "overlap-splitting isometry-coherent-action mixed-faithfulness",
-    "modesplit": "sector-probabilities empirical-success-rate postselected-fidelity",
+    "modesplit": "sector-probabilities empirical-success-rate postselected-fidelity chain-transitions "
+                 "multi-round-success-rate",
     "gcnot": "one-ebit-maxima mirror-symmetry unique-maximal-input cnot-control-two-maxima witness-chain "
              "witness-detects witness-classical-safe beamsplitter-point beamsplitter-identity",
 }

@@ -99,6 +99,12 @@ ROWS = [
      "seed must be None or a nonnegative integer, got True"),
     # symmetric
     ("negative-particle-number", lambda: dicke_dim(2, -1), "particle number must be nonnegative, got -1"),
+    ("particle-number-bool", lambda: coherent_state(SuUnitary(np.eye(2)), True),
+     "particle number N must be an integer, got True"),
+    ("particle-number-float", lambda: coherent_state(SuUnitary(np.eye(2)), 3.0),
+     "particle number N must be an integer, got 3.0"),
+    ("level-count-float", lambda: SymmetricState(2.0, 1, [1, 0]), "level count K must be an integer, got 2.0"),
+    ("level-count-bool", lambda: SymmetricState(True, 1, [1, 0]), "level count K must be an integer, got True"),
     ("one-internal-level", lambda: dicke_dim(1, 2), "need at least 2 internal levels, got 1"),
     ("state-overlap-sectors", lambda: identity_coherent(2, 2).overlap(identity_coherent(2, 3)),
      "symmetric states live in different sectors"),
@@ -123,6 +129,12 @@ def test_refused_input_gives_one_line_reason(call, reason):
     message = str(info.value)
     assert "\n" not in message
     assert reason in message
+
+
+def test_numpy_integer_sizes_are_accepted():
+    state = coherent_state(SuUnitary(np.eye(2)), np.int64(3))
+    assert state.dim == 4 == dicke_dim(np.int8(2), np.uint16(3))
+    assert SymmetricState(np.int32(2), np.int64(1), [1, 0]).dim == 2
 
 
 def test_public_symmetric_state_constructor():

@@ -1,13 +1,17 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nc2ent.linalg import StateVector, entanglement_entropy, schmidt_decompose
 from nc2ent.modesplit import (
     ProtocolConfig,
+    ProtocolResult,
+    _sector_keys,
+    _transitions,
     TwoModeState,
     apply_tunneling,
     binomial_sector_amplitude,
@@ -15,6 +19,7 @@ from nc2ent.modesplit import (
     project_sector,
     run_protocol,
     sector_probabilities,
+    success_probability_by_round,
 )
 from nc2ent.symmetric import (
     SuUnitary,
@@ -337,11 +342,15 @@ def test_protocol_success_fidelity_for_superposition_input():
 
 
 def test_protocol_first_round_matches_the_public_steps():
-    # run_protocol works on one amplitude vector; its first round must agree
-    # exactly with inject, apply_tunneling, sector_probabilities and project_sector
+    # run_protocol draws its counts from the sector chain: the first-round
+    # probability is the chain's column weight |D_N[i, 0]|^2 exactly, and the
+    # kernel's weight (inject, apply_tunneling, sector_probabilities) within 4
+    # ulps; a first-round success is the kernel's pass, block for block
     rng = np.random.default_rng(88)
     for k, n in ((2, 3), (3, 4), (2, 6)):
         u, v = haar_random_su(k, rng), haar_random_su(k, rng)
+        column = _transitions(n, 0.6, 0.8j)[:, 0]
+        chain = dict(zip(_sector_keys(n), (column.real**2 + column.imag**2).tolist()))
         for psi in (coherent_state(u, n),
                     SymmetricState.normalized(k, n, coherent_state(u, n).amplitudes
                                               + coherent_state(v, n).amplitudes)):
@@ -350,7 +359,8 @@ def test_protocol_first_round_matches_the_public_steps():
             for seed in range(6):
                 cfg = ProtocolConfig(r=0.6, t=0.8j, target=(1, n - 1), max_rounds=1, seed=seed)
                 res = run_protocol(psi, cfg)
-                assert res.probabilities[0] == probs[res.outcomes[0]]
+                assert res.probabilities[0] == chain[res.outcomes[0]]
+                assert abs(res.probabilities[0] - probs[res.outcomes[0]]) <= 4 * np.spacing(res.probabilities[0])
                 if res.succeeded:
                     block, _ = project_sector(tunneled, 1, n - 1)
                     assert np.array_equal(res.final_block, block)
@@ -389,3 +399,99 @@ def test_empirical_success_rate_single_round():
             hits += 1
     sigma = math.sqrt(p * (1 - p) / runs)
     assert abs(hits / runs - p) < 3 * sigma
+
+
+# ----------------------------------------------------------- the sector chain
+
+def must_hold(condition: bool) -> None:
+    assert condition
+
+
+def replay(psi: SymmetricState, cfg: ProtocolConfig, clear_draw=must_hold):
+    """run_protocol rebuilt from the public steps on the whole two-mode state,
+    with the same generator and the same first-reach draw. Every draw must lie
+    more than 1e-12 from a cumulative weight, as clear_draw (assume, in a
+    Hypothesis test) decides. Returns (outcomes, probabilities, the
+    post-selected block on success or None)."""
+    rng = np.random.default_rng(cfg.seed)
+    state = inject(psi)
+    outcomes, probs = [], []
+    for _ in range(cfg.max_rounds):
+        state = apply_tunneling(state, cfg.r, cfg.t)
+        weights = sector_probabilities(state)
+        u = rng.random()
+        cumulative = list(itertools.accumulate(weights.values()))
+        clear_draw(min(abs(u - acc) for acc in cumulative) > 1e-12)
+        key = next((key for key, acc in zip(weights, cumulative) if u <= acc), (0, psi.n))
+        block, prob = project_sector(state, *key)
+        outcomes.append(key)
+        probs.append(prob)
+        if key == cfg.target:
+            return outcomes, probs, block
+        state = TwoModeState.single_sector(psi.k, psi.n, key, block)
+    return outcomes, probs, None
+
+
+def assert_matches_replay(psi: SymmetricState, cfg: ProtocolConfig, clear_draw=must_hold) -> ProtocolResult:
+    outcomes, probs, block = replay(psi, cfg, clear_draw)
+    res = run_protocol(psi, cfg)
+    assert list(res.outcomes) == outcomes
+    assert np.max(np.abs(np.subtract(res.probabilities, probs)), initial=0.0) <= 1e-14
+    assert res.succeeded == (block is not None)
+    if res.succeeded:
+        assert res.fidelity >= 1.0 - 1e-12
+        assert np.max(np.abs(res.final_block - block)) <= 1e-12  # the chain carries the kernel's phase
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 4), n=st.integers(2, 6), r_mag=st.floats(0.15, 0.95), phase_r=PHASES, phase_t=PHASES,
+       split=st.integers(0, 4), max_rounds=st.integers(0, 8), input_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_protocol_matches_the_full_two_mode_path(k, n, r_mag, phase_r, phase_t, split, max_rounds, input_seed, seed):
+    # run_protocol samples the sector chain and runs the kernel once; the
+    # replay runs the kernel on the whole state every round
+    psi = random_symmetric(k, n, np.random.default_rng(input_seed))
+    r, t = r_mag * cmath.exp(1j * phase_r), math.sqrt(1.0 - r_mag**2) * cmath.exp(1j * phase_t)
+    n_a = 1 + split % (n - 1)
+    cfg = ProtocolConfig(r=r, t=t, target=(n_a, n - n_a), max_rounds=max_rounds, seed=seed)
+    assert_matches_replay(psi, cfg, clear_draw=assume)
+
+
+def test_success_after_an_endpoint_count_matches_the_full_path():
+    # a success whose pre-state sits in (N, 0) after round 1, or in (0, N),
+    # starts the kernel pass from psi itself rather than from apply_splitting
+    psi = random_symmetric(3, 3, np.random.default_rng(89))
+    seen = set()
+    for seed in range(200):
+        cfg = ProtocolConfig(r=0.45, t=math.sqrt(1 - 0.45**2) * cmath.exp(0.4j), target=(1, 2),
+                             max_rounds=8, seed=seed)
+        res = assert_matches_replay(psi, cfg)
+        if res.succeeded and res.rounds >= 2 and res.outcomes[-2] in ((3, 0), (0, 3)):
+            seen.add(res.outcomes[-2])
+    assert seen == {(3, 0), (0, 3)}
+
+
+def test_success_probability_by_round_is_the_kernel_chain():
+    # the transition matrix read off the kernel, one pre-state S_j psi per
+    # sector, is |D_N|^2; the absorbing chain on it gives the same law
+    rng = np.random.default_rng(90)
+    k, n, r, t = 3, 4, 0.6 + 0.3j, math.sqrt(0.55) * cmath.exp(0.2j)
+    psi = random_symmetric(k, n, rng)
+    keys = _sector_keys(n)
+    moves = np.empty((n + 1, n + 1))
+    for j, key in enumerate(keys):
+        image = psi.amplitudes if 0 in key else apply_splitting(psi, *key)
+        pre = TwoModeState.single_sector(k, n, key, image.reshape(dicke_dim(k, key[0]), dicke_dim(k, key[1])))
+        moves[:, j] = list(sector_probabilities(apply_tunneling(pre, r, t)).values())
+    assert np.max(np.abs(moves - np.abs(_transitions(n, r, t)) ** 2)) < 1e-14
+    cfg = ProtocolConfig(r=r, t=t, target=(1, 3))
+    alive, want = np.eye(n + 1)[0], []
+    for _ in range(10):
+        alive = moves @ alive
+        want.append(alive[keys.index((1, 3))])
+        alive[keys.index((1, 3))] = 0.0
+    assert np.max(np.abs(np.subtract(success_probability_by_round(cfg, n, 10), want))) < 1e-14
+    assert success_probability_by_round(cfg, n, 0) == []
+    with pytest.raises(ValueError, match=r"target \(1, 3\) does not partition N=5"):
+        success_probability_by_round(cfg, 5, 3)
