@@ -70,6 +70,8 @@ def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSe
     """Read a classical state set from a JSON state-set file."""
     doc = _read_json(path, "dimension", "states")
     dim = doc["dimension"]
+    if dim < 1:
+        raise click.ClickException(f"{path}: key 'dimension' must be a positive integer, got {dim}")
     states = []
     for i, row in enumerate(doc["states"]):
         vec = _pairs_to_array(row)
@@ -192,13 +194,13 @@ def cmd_sweep(theta_range, mu_range, input_bit, degrees, out):
     if degrees:
         thetas = np.deg2rad(thetas)
     state = linalg.basis_state(2, int(input_bit))
-    blocks = list(_grid_blocks(thetas, mus, SWEEP_BLOCK_CELLS))
-    for block in blocks:  # the whole grid is refused, or accepted, before the file is opened
-        gcnot._sweep_cells(*block)
+    mu_in_range = mus[(mus > 0.0) & (mus <= 1.0)]
+    if mu_in_range.size:  # refused as its column at the largest mu is, before the file is opened
+        gcnot.sweep_surface(thetas, [mu_in_range.max()], state)
     written = skipped_cells = 0
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("theta,mu,epsilon,ebits\n")
-        for block in blocks:
+        for block in _grid_blocks(thetas, mus, SWEEP_BLOCK_CELLS):
             rows, skipped = gcnot.sweep_surface(*block, state)
             fh.writelines(f"{row.theta!r},{row.mu!r},{row.epsilon!r},{row.ebits!r}\n" for row in rows)
             written, skipped_cells = written + len(rows), skipped_cells + len(skipped)

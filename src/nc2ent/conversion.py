@@ -23,6 +23,7 @@ from .linalg import (
     StateVector,
     _built,
     _built_density,
+    _check_dense,
     _check_density,
     _frame_unitary,
     _sealed,
@@ -88,14 +89,14 @@ class Conversion:
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
     unitary; one such unitary, like V a read-only array, is completed on demand.
     Nothing is checked here: convert relies on V being an isometry, as
-    build_conversion makes it. build_conversion also keeps the classical
-    states A (columns) and the residuals |V c_i - d_i (x) e_i|, from which
-    convert_density bounds how far V rho V^dag is from separable."""
+    build_conversion, the one constructor, makes it. It also keeps the
+    classical states A (columns) and the residuals |V c_i - d_i (x) e_i|, from
+    which convert_density certifies how far V rho V^dag is from separable."""
 
     isometry: np.ndarray
     reference: StateVector
-    _classical: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _residuals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _classical: np.ndarray = field(repr=False, compare=False)
+    _residuals: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -117,20 +118,18 @@ class Conversion:
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space, which
         is checked where it enters (a D x D operator that _check_density passes).
-        The output V rho V^dag is a read-only built density (_built_density),
-        which partial_transpose and negativity do not check again. A conversion
-        from build_conversion attaches _separability_bound's beta to it, so that
-        negativity at the cut D x D returns 0.0 without forming rho^T_B where
-        beta <= DENSITY_TOL / D^2."""
+        The output V rho V^dag is a read-only built density (_built_density)
+        that carries one fact, _separability_bound's beta at the cut D x D.
+        That certificate is the trust: partial_transpose and negativity do not
+        check the density again, and negativity at the cut D x D returns 0.0
+        without forming rho^T_B where beta <= DENSITY_TOL / D^2."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
         rho = _check_density(rho)
         sigma = self.isometry @ rho @ self.isometry.conj().T
-        if self._classical is None:
-            return _built_density(sigma)
         beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)
-        return _built_density(sigma, (self.dim, beta))
+        return _built_density(sigma, self.dim, beta)
 
 
 def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> float:
@@ -247,10 +246,12 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     one triangular R, and V = Q_B Q_A^dag. Built from the orthonormal frames,
     V is an isometry to roundoff however small lambda_min(G) is; a V that
     misses some |d_i> (x) |e_i> by more than 1e-10 raises GramMismatchError.
-    The ancilla's reference state is the first classical state.
+    The ancilla's reference state is the first classical state. The peak, about
+    five D^2 x D arrays, is refused past MAX_DENSE_BYTES (D >= 343) before B is formed.
     """
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
+    _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
     a = np.column_stack([c.amplitudes for c in cs.states])
     d = np.column_stack([s.amplitudes for s in split.d_states])
     e = np.column_stack([s.amplitudes for s in split.e_states])

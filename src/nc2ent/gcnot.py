@@ -129,19 +129,6 @@ class SweepRow(NamedTuple):
     ebits: float
 
 
-def _sweep_cells(theta_axis: np.ndarray, mu_axis: np.ndarray):
-    """(thetas, mus, eps, feasible) over the theta-major grid of two 1-D axes:
-    feasible marks the cells with mu in (0, 1] where GcnotParams' split
-    decision holds. Raises ValueError where a feasible cell's theta is refused."""
-    thetas, mus = np.repeat(theta_axis, mu_axis.size), np.tile(mu_axis, theta_axis.size)
-    in_range = (mus > 0.0) & (mus <= 1.0)
-    eps = 1.0 / np.where(in_range, mus, 1.0) - 1.0
-    min_eig, split_ok = feasible_split(1.0 - np.abs(np.cos(thetas)), eps, boundary_ok=True)
-    feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
-    _check_theta(thetas[feasible])
-    return thetas, mus, eps, feasible
-
-
 def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRow], list[tuple[float, float]]]:
     """Entanglement surface over a (theta, mu) grid for one input state,
     evaluated in closed form over the whole grid at once.
@@ -149,10 +136,18 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     Returns the feasible rows, theta-major in grid order, and the list of
     (theta, mu) cells skipped because mu lies outside (0, 1] or GcnotParams'
     split decision fails there. A feasible cell whose theta GcnotParams
-    rejects raises ValueError.
+    rejects raises ValueError. At fixed theta feasibility only grows with mu
+    (every step of the split decision is monotone in floating point too), so
+    the grid is refused exactly when its column at the largest mu in (0, 1] is.
     """
-    thetas, mus, eps, feasible = _sweep_cells(np.ravel(np.asarray(theta_grid, float)),
-                                              np.ravel(np.asarray(mu_grid, float)))
+    theta_axis, mu_axis = np.ravel(np.asarray(theta_grid, float)), np.ravel(np.asarray(mu_grid, float))
+    thetas, mus = np.repeat(theta_axis, mu_axis.size), np.tile(mu_axis, theta_axis.size)
+    in_range = (mus > 0.0) & (mus <= 1.0)
+    with np.errstate(over="ignore"):  # a subnormal mu gives eps = inf, an infeasible split
+        eps = 1.0 / np.where(in_range, mus, 1.0) - 1.0
+    min_eig, split_ok = feasible_split(1.0 - np.abs(np.cos(thetas)), eps, boundary_ok=True)
+    feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
+    _check_theta(thetas[feasible])
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
     ebits = _pair_ebits(theta_ok, mu_ok, state.amplitudes)
     rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), eps[feasible].tolist(), ebits.tolist()))

@@ -22,11 +22,21 @@ GRAM_MATCH_TOL = 1e-8    # Gram equality required for unitary synthesis
 UNITARY_TOL = 1e-10
 DENSITY_TOL = 1e-10
 ENTROPY_CUT = 1e-12      # Schmidt coefficients below this are dropped from entropy sums
+MAX_DENSE_BYTES = 3 * 2**30  # per dense complex working set; Sym^6(C^12) (benchmarks/reference.py) takes 2.3 GiB
 
 
 class GramMismatchError(ValueError):
     """Raised when two state families have unequal Gram matrices, so no unitary
     can map one family onto the other."""
+
+
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """Refuse a dense complex rows x cols working set whose estimated size
+    exceeds MAX_DENSE_BYTES, before anything is allocated."""
+    size = 16 * rows * cols
+    if size > MAX_DENSE_BYTES:
+        raise ValueError(f"dense {what} of {rows} x {cols} would take {size / 2**30:.1f} GiB, "
+                         f"over the {MAX_DENSE_BYTES / 2**30:.0f} GiB cap")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -252,7 +262,10 @@ def positive_frame(columns: np.ndarray) -> np.ndarray:
 def _frame_unitary(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[Q_b | C_b][Q_a | C_a]^dag, read-only, for the positive QR frames Q of the
     equal-height families a and b, each complement C the trailing columns of one
-    complete QR of its frame: a unitary mapping Q_a onto Q_b, so a onto b when they share R."""
+    complete QR of its frame: a unitary mapping Q_a onto Q_b, so a onto b when they share R.
+    Its peak, about five n x n arrays for height n, is refused past MAX_DENSE_BYTES."""
+    n = a.shape[0]
+    _check_dense(n, 5 * n, f"unitary completion on C^{n} (five {n} x {n} arrays)")
     frames = []
     for q in (positive_frame(a), positive_frame(b)):
         complement = np.linalg.qr(q, mode="complete")[0][:, q.shape[1]:]
@@ -361,35 +374,27 @@ def _sealed(array: np.ndarray) -> np.ndarray:
 
 
 class _BuiltDensity(np.ndarray):
-    """A read-only density operator the library built from checked values
-    (_built_density), which partial_transpose trusts, with the separability
-    bound convert_density may attach. Every array derived from one (a slice,
-    a reshape, arithmetic, a copy) clears the trust and the bound."""
-
-    _trusted = False
-    _separable_within = None  # (D, beta): lambda_min(rho^T_B) >= -beta at the cut D x D
+    """A read-only density V rho V^dag that convert_density built (_built_density).
+    It carries one fact, the certificate (D, beta): lambda_min(rho^T_B) >= -beta
+    at the cut D x D. The certificate is the trust that spares it partial_transpose's
+    density check. An array derived from one (a slice, a reshape, arithmetic, a copy) carries none."""
 
     def __array_finalize__(self, obj):
-        self._trusted = False
         self._separable_within = None
 
 
-def _built_density(rho: np.ndarray, separable_within: tuple[int, float] | None = None) -> np.ndarray:
-    """A density operator, unchecked, of an array that is one by construction:
-    V rho V^dag of a checked rho and an isometry V, or a convex mixture of
-    projectors of accepted unit vectors. The result is a _sealed copy, so no
-    view of it can be made writable again. separable_within = (D, beta), from
-    convert_density, bounds lambda_min(rho^T_B) >= -beta at the cut D x D;
-    negativity reads it."""
+def _built_density(rho: np.ndarray, dim: int, beta: float) -> np.ndarray:
+    """V rho V^dag of a checked rho and an isometry V, a density by construction, as
+    a _sealed copy that no view can make writable again, with the certificate that
+    lambda_min(rho^T_B) >= -beta at the cut dim x dim."""
     built = _sealed(rho).view(_BuiltDensity)
-    built._trusted = True
-    built._separable_within = separable_within
+    built._separable_within = (dim, beta)
     return built
 
 
 def _attached_bound(rho, dim_a: int, dim_b: int) -> float | None:
-    """beta of the bound convert_density attached to rho, where rho is a
-    trusted built density and dim_a x dim_b its cut D x D; otherwise None."""
+    """beta of the certificate convert_density attached to rho, where rho
+    carries one and dim_a x dim_b is its cut D x D; otherwise None."""
     certificate = rho._separable_within if isinstance(rho, _BuiltDensity) else None
     if certificate is None:
         return None
@@ -412,10 +417,10 @@ def _check_density(rho) -> np.ndarray:
 
 def partial_transpose(rho, dim_a: int, dim_b: int) -> np.ndarray:
     """Transpose the second tensor factor of a density operator on A (x) B.
-    rho must pass _check_density, unless the library built it (_built_density),
-    and dim_a x dim_b must be a cut of its dimension (check_cut); otherwise a
-    one-line ValueError is raised."""
-    rho = np.asarray(rho) if isinstance(rho, _BuiltDensity) and rho._trusted else _check_density(rho)
+    rho must pass _check_density, unless it carries convert_density's
+    certificate (_built_density), and dim_a x dim_b must be a cut of its
+    dimension (check_cut); otherwise a one-line ValueError is raised."""
+    rho = np.asarray(rho) if isinstance(rho, _BuiltDensity) and rho._separable_within else _check_density(rho)
     check_cut(dim_a, dim_b, rho.shape[0])
     blocks = rho.reshape(dim_a, dim_b, dim_a, dim_b)
     return blocks.transpose(0, 3, 2, 1).reshape(dim_a * dim_b, dim_a * dim_b)
@@ -429,12 +434,12 @@ def negativity(rho, dim_a: int, dim_b: int) -> float:
     DENSITY_TOL / n and n = dim_a * dim_b, 0.0 is returned wherever every
     eigenvalue of rho^T_B is at least -s: at most n - 1 of them are negative
     (the trace is 1), so N < 1e-10. Two routes decide this. A density that
-    convert_density built carries a bound beta on -lambda_min(rho^T_B) at the
-    cut D x D (_attached_bound); at that cut, beta <= s decides without
-    forming rho^T_B. Otherwise the Peres PPT test runs: when a Cholesky
-    factorisation of rho^T_B + s I succeeds, every eigenvalue exceeds -s up to
-    the backward error of about n * 1e-16. Where neither decides, N comes from
-    the one eigendecomposition of rho^T_B."""
+    convert_density built carries its certificate, a bound beta on
+    -lambda_min(rho^T_B) at the cut D x D (_attached_bound); at that cut,
+    beta <= s decides without forming rho^T_B. Otherwise the Peres PPT test
+    runs: when a Cholesky factorisation of rho^T_B + s I succeeds, every
+    eigenvalue exceeds -s up to the backward error of about n * 1e-16. Where
+    neither decides, N comes from the one eigendecomposition of rho^T_B."""
     beta = _attached_bound(rho, dim_a, dim_b)
     if beta is not None and beta <= DENSITY_TOL / (dim_a * dim_b):
         return 0.0

@@ -11,23 +11,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NORM_TOL, StateVector, _built, _frozen, _is_integer, check_unit_vector, is_unitary
+from .linalg import NORM_TOL, StateVector, _built, _check_dense, _frozen, _is_integer, check_unit_vector, is_unitary
 
 MAX_PARTICLES = 12
 MAX_LEVELS = 6
 # entrywise |UU^dag - I| of a single-particle map (SU(K) label, tunneling pair); it moves a
 # column's squared norm by at most K times this, an N-fold product's norm by NK/2 times
 PARTICLE_UNITARY_TOL = NORM_TOL / (MAX_LEVELS * MAX_PARTICLES)
-MAX_DENSE_BYTES = 3 * 2**30  # per dense complex matrix; Sym^6(C^12), timed by benchmarks/reference.py, takes 2.3 GiB
-
-
-def _check_dense(rows: int, cols: int, what: str) -> None:
-    """Refuse a dense complex matrix whose estimated size exceeds MAX_DENSE_BYTES,
-    before anything is allocated."""
-    size = 16 * rows * cols
-    if size > MAX_DENSE_BYTES:
-        raise ValueError(f"dense {what} of {rows} x {cols} would take {size / 2**30:.1f} GiB, "
-                         f"over the {MAX_DENSE_BYTES / 2**30:.0f} GiB cap")
 
 
 def _check_caps(k: int, n: int) -> None:

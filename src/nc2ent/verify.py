@@ -179,7 +179,7 @@ def measure_splitting_faithfulness(k: int, n: int, n_x: int, samples: int,
         weights = rng.random(3)
         weights /= weights.sum()
         images = [symmetric.apply_splitting(symmetric.coherent_state(u, n), n_x, n - n_x) for u in unitaries]
-        sigma = linalg._built_density(sum(w * np.outer(s, s.conj()) for w, s in zip(weights, images)))
+        sigma = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, images))
         worst_neg = max(worst_neg, linalg.negativity(sigma, *dims))
         factors = [(symmetric.coherent_state(u, n_x).as_state_vector(),
                     symmetric.coherent_state(u, n - n_x).as_state_vector()) for u in unitaries]

@@ -1,10 +1,12 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from nc2ent import cli, conversion, modesplit
 from nc2ent.cli import load_state_set, main
@@ -178,6 +180,37 @@ def test_sweep_refused_in_a_late_block_writes_no_file(runner, tmp_path, monkeypa
     assert result.exit_code != 0
     assert "theta must lie in (0, pi)" in result.output
     assert out.read_text() == "earlier\n" if exists else not out.exists()
+
+
+THETA_LOWS = st.sampled_from([-1.0, 0.0, 1e-9, 1e-5, 1.0, 3.0, 3.14159, math.pi, 3.2])
+MU_LOWS = st.sampled_from([-1.0, 0.0, 1e-9, 0.01, 0.5, 0.99, 1.0, 1.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta_lo=THETA_LOWS, theta_width=st.floats(0.0, 4.0), theta_count=st.integers(1, 9),
+       mu_lo=MU_LOWS, mu_width=st.floats(0.0, 1.5), mu_count=st.integers(1, 9), block_cells=st.integers(1, 20))
+def test_sweep_refuses_exactly_as_the_whole_grid_sweep_surface(theta_lo, theta_width, theta_count, mu_lo,
+                                                                 mu_width, mu_count, block_cells):
+    # one column at the largest mu decides; a refused grid writes no file
+    theta_range = f"{theta_lo!r}:{theta_lo + theta_width!r}:{theta_count}"
+    mu_range = f"{mu_lo!r}:{mu_lo + mu_width!r}:{mu_count}"
+    thetas, mus = (np.linspace(*cli._parse_range(r)) for r in (theta_range, mu_range))
+    try:
+        rows, _ = sweep_surface(thetas, mus, basis_state(2, 0))
+        refusal = None
+    except ValueError as exc:
+        refusal = str(exc)
+    runner = CliRunner()
+    with runner.isolated_filesystem(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "SWEEP_BLOCK_CELLS", block_cells)
+        result = runner.invoke(main, ["sweep", "--theta-range", theta_range, "--mu-range", mu_range,
+                                      "--out", "grid.csv"])
+        if refusal is None:
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["rows"] == len(rows)
+        else:
+            assert result.exit_code != 0 and result.output == f"Error: {refusal}\n"
+            assert not os.path.exists("grid.csv")
 
 
 # ------------------------------------------------------------------ modesplit
@@ -457,6 +490,12 @@ def _convert_dimension_of_wrong_type(tmp_path):
     return ["convert", "--states", str(path), "--input", "1,0"]
 
 
+def _convert_dimension_below_one(tmp_path):
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": -1, "states": [[[1, 0]]]}))
+    return ["convert", "--states", str(path), "--input", "1"]
+
+
 def _convert_state_rows_of_objects(tmp_path):
     path = tmp_path / "objects.json"
     path.write_text(json.dumps({"schema": 1, "dimension": 2,
@@ -630,6 +669,7 @@ REASONS = {
     _modesplit_given_t_with_infinite_phase: "phase of t must be finite",
     _convert_states_not_an_object: "expected a JSON object",
     _convert_state_row_of_wrong_length: "state 0 has 3 entries, expected 2",
+    _convert_dimension_below_one: "dims.json: key 'dimension' must be a positive integer, got -1",
     _convert_wrong_input_count: "expected 2 comma-separated amplitudes, got 3",
     _convert_both_inputs: "provide exactly one of --input or --input-file",
     _convert_neither_input: "provide exactly one of --input or --input-file",
@@ -666,6 +706,7 @@ WRONG_REASONS = {
     _convert_infinite_epsilon_on_orthonormal_set,
     _convert_epsilon_beyond_an_orthonormal_range,
     _convert_dimension_of_wrong_type,
+    _convert_dimension_below_one,
     _convert_state_rows_of_objects,
     _modesplit_config_of_wrong_type,
     _modesplit_config_target_of_nested_lists,

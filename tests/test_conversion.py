@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nc2ent import conversion, linalg, symmetric
 from nc2ent.conversion import (
     ClassicalSet,
     build_conversion,
@@ -292,6 +293,24 @@ def test_conversion_default_reference_is_first_classical_state():
     cs = random_classical_set(2, rng)
     conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
     assert np.allclose(conv.reference.amplitudes, cs.states[0].amplitudes)
+
+
+def test_dense_working_sets_share_one_cap_and_are_refused_before_allocation(monkeypatch):
+    # the cap sits just below five 64 x 8 arrays: D = 8 is refused, D = 7 is built;
+    # the unitary completion (five D^2 x D^2 arrays) is refused from D = 5 on
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 5 * 8**3 - 1)
+    sets = {dim: orthonormal_set(dim) for dim in (4, 5, 7, 8)}
+    conversions = {dim: build_conversion(cs, make_split(cs, 1.0)) for dim, cs in sets.items() if dim != 8}
+    assert conversions[4].unitary.shape == (16, 16)
+    with pytest.raises(ValueError, match="unitary completion on C\\^25 .* of 25 x 125 would take"):
+        conversions[5].unitary
+    monkeypatch.setattr(conversion, "positive_frame", lambda *args: pytest.fail("positive_frame was called"))
+    with pytest.raises(ValueError, match="conversion working set at D=8 .* of 64 x 40 would take"):
+        build_conversion(sets[8], make_split(sets[8], 1.0))
+    with pytest.raises(ValueError, match="unitary completion on C\\^25"):
+        linalg.synthesize_unitary(list(sets[5].states), [basis_state(25, k) for k in range(5)])
+    with pytest.raises(ValueError, match="splitting isometry"):
+        symmetric.splitting_isometry(3, 6, 3, 3)
 
 
 # -------------------------------------------------------------- classical_rank

@@ -257,6 +257,12 @@ def test_sweep_flags_infeasible_cells():
     assert skipped == [(2 * math.pi / 3, 0.2)]
 
 
+def test_sweep_skips_a_subnormal_mu_without_a_warning():
+    # 1/mu overflows to eps = inf, an infeasible split; the suite turns any warning into an error
+    rows, skipped = sweep_surface([2.0], [5e-324, 1.0], basis_state(2, 0))
+    assert skipped == [(2.0, 5e-324)] and [row.mu for row in rows] == [1.0]
+
+
 def test_sweep_row_maxima_reach_one_ebit():
     # a fixed mu grid resolves the optimum only while the feasible band
     # [|cos theta|, 1] holds several grid points; the adaptive search in
