@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -86,11 +87,19 @@ def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSe
     return conversion.ClassicalSet(states=tuple(states))
 
 
-def _parse_vector(text: str, dim: int) -> linalg.StateVector:
+def _parse_vector(text: str, dim: int, option: str) -> linalg.StateVector:
+    """The state of an option's comma-separated amplitudes, or a one-line
+    error that names the option and, for a malformed amplitude, its position and text."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
-        raise click.ClickException(f"expected {dim} comma-separated amplitudes, got {len(parts)}")
-    return linalg.StateVector.normalized(np.array([complex(p) for p in parts], dtype=complex))
+        raise click.ClickException(f"{option}: expected {dim} comma-separated amplitudes, got {len(parts)}")
+    amps = []
+    for i, part in enumerate(parts):
+        try:
+            amps.append(complex(part))
+        except ValueError:
+            raise click.ClickException(f"{option}: amplitude {i} ({part!r}) is not a complex number")
+    return linalg.StateVector.normalized(np.array(amps, dtype=complex))
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -152,7 +161,7 @@ def cmd_convert(states_path, epsilon, input_text, input_file, normalize, out):
     if (input_text is None) == (input_file is None):
         raise click.ClickException("provide exactly one of --input or --input-file")
     if input_text is not None:
-        psi = _parse_vector(input_text, cs.dim)
+        psi = _parse_vector(input_text, cs.dim, "--input")
     else:
         rows = _read_json(input_file, "states")["states"]
         if not rows:
@@ -275,37 +284,32 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     base_cfg = (modesplit.ProtocolConfig.from_magnitudes(r_mag, phase, **cfg_fields) if t_mag is None else
                 modesplit.ProtocolConfig(r=complex(r_mag), t=t_mag * modesplit._phase_factor(phase), **cfg_fields))
 
-    successes = 0
-    total_rounds = 0
+    successes = total_rounds = 0
     min_fidelity = None
-    traces = []  # written only once every run has finished, so a rejected job keeps an old file
     outcomes_by_round: list[Counter] = []
-    seq = np.random.SeedSequence(seed)
-    for run, child in enumerate(seq.spawn(runs)):
-        cfg = dataclasses.replace(base_cfg, seed=int(child.generate_state(1)[0]))
-        res = modesplit.run_protocol(state, cfg)
-        for round_no, (n_a, n_b) in enumerate(res.outcomes):
-            if round_no == len(outcomes_by_round):
-                outcomes_by_round.append(Counter())
-            outcomes_by_round[round_no][f"{n_a}:{n_b}"] += 1
-        if res.succeeded:
-            successes += 1
-            total_rounds += res.rounds
-            if min_fidelity is None or res.fidelity < min_fidelity:
-                min_fidelity = res.fidelity
-        traces.append(json.dumps({
-            "run": run,
-            "succeeded": res.succeeded,
-            "rounds": res.rounds,
-            "outcomes": [list(o) for o in res.outcomes],
-            "probabilities": list(res.probabilities),
-            "fidelity": res.fidelity,
-        }, sort_keys=True) + "\n")
-    by_round = modesplit.success_probability_by_round(base_cfg, n, len(outcomes_by_round))
-    split = symmetric.apply_splitting(state, n_x, n_y).reshape(symmetric.dicke_dim(k, n_x), -1)
-    split_entropy = linalg._ebits(np.linalg.svd(split, compute_uv=False))  # no Schmidt vectors: 12 MiB less at the cap
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(traces)
+    partial = f"{out}.{os.getpid()}.part"  # traces stream here and replace --out only when the job succeeds
+    fh = open(partial, "w", encoding="utf-8")
+    try:
+        with fh:
+            for run in range(runs):
+                res = modesplit.run_protocol(state, dataclasses.replace(base_cfg, seed=modesplit._run_seed(seed, run)))
+                outcomes_by_round += [Counter() for _ in range(len(res.outcomes) - len(outcomes_by_round))]
+                for counts, (n_a, n_b) in zip(outcomes_by_round, res.outcomes):
+                    counts[f"{n_a}:{n_b}"] += 1
+                if res.succeeded:
+                    successes, total_rounds = successes + 1, total_rounds + res.rounds
+                    min_fidelity = res.fidelity if min_fidelity is None else min(min_fidelity, res.fidelity)
+                fh.write(json.dumps({"run": run, "succeeded": res.succeeded, "rounds": res.rounds,
+                                     "outcomes": res.outcomes, "probabilities": res.probabilities,
+                                     "fidelity": res.fidelity}, sort_keys=True) + "\n")
+        by_round = modesplit.success_probability_by_round(base_cfg, n, len(outcomes_by_round))
+        split = linalg.StateVector(symmetric.apply_splitting(state, n_x, n_y))
+        split_entropy = linalg.entanglement_entropy(
+            linalg.schmidt_decompose(split, symmetric.dicke_dim(k, n_x), symmetric.dicke_dim(k, n_y)))
+        os.replace(partial, out)
+    except BaseException:
+        os.remove(partial)  # a rejected job leaves an earlier file at --out as it was
+        raise
     expected = abs(modesplit.binomial_sector_amplitude(n, n_x, base_cfg.r, base_cfg.t)) ** 2
     click.echo(json.dumps({
         "schema": 1,
@@ -340,10 +344,10 @@ def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
         epsilon = conversion.default_epsilon(cs)
     split = conversion.make_split(cs, epsilon, boundary_ok=True)
     conv = conversion.build_conversion(cs, split)
-    phi = conv.convert(_parse_vector(target_state, cs.dim))
+    phi = conv.convert(_parse_vector(target_state, cs.dim, "--target-state"))
     w = witness.swap_style_witness(cs.dim, cs.dim, phi)
     w_tilde = witness.nonclassicality_witness(w, conv)
-    psi = _parse_vector(test_state, cs.dim)
+    psi = _parse_vector(test_state, cs.dim, "--test-state")
     value, detected = witness.detect(w_tilde, psi.projector())
     classical_values = [witness.detect(w_tilde, c.projector())[0] for c in cs.states]
     _dump_json({

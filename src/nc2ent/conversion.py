@@ -18,7 +18,6 @@ from .linalg import (
     GramMatrix,
     GramMismatchError,
     PSD_TOL,
-    RANK_RTOL,
     UNITARY_TOL,
     StateVector,
     _built,
@@ -26,6 +25,7 @@ from .linalg import (
     _check_dense,
     _check_density,
     _frame_unitary,
+    _numerical_rank,
     _sealed,
     factor_gram,
     gram_of,
@@ -268,14 +268,12 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
     """Number of classical states needed to expand psi: the expansion is
-    unique by linear independence, and coefficients below 1e-10 times the
-    largest count as zero."""
+    unique by linear independence, and coefficients at or below the one rank
+    cut (_numerical_rank, 1e-10 times the largest) count as zero."""
     if psi.dim != cs.dim:
         raise ValueError(f"state has dimension {psi.dim}, expected {cs.dim}")
     basis = np.column_stack([c.amplitudes for c in cs.states])
-    coeffs = np.linalg.solve(basis, psi.amplitudes)
-    mags = np.abs(coeffs)
-    return int(np.sum(mags > RANK_RTOL * mags.max()))
+    return _numerical_rank(np.abs(np.linalg.solve(basis, psi.amplitudes)))
 
 
 def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:

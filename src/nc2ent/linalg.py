@@ -17,7 +17,7 @@ EIG_ZERO_TOL = 1e-12     # eigenvalues below this are clamped to zero in factori
 PSD_TOL = NORM_TOL       # the one PSD floor; factor_gram's clamp above it moves a column norm < NORM_TOL/2
 
 # Operation tolerances.
-RANK_RTOL = 1e-10        # singular/eigen values below RANK_RTOL * largest are zero
+RANK_RTOL = 1e-10        # values at or below RANK_RTOL * largest are zero: the one rank cut, _numerical_rank
 GRAM_MATCH_TOL = 1e-8    # Gram equality required for unitary synthesis
 UNITARY_TOL = 1e-10
 DENSITY_TOL = 1e-10
@@ -177,28 +177,26 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class SchmidtData:
-    """Schmidt decomposition of a bipartite pure state across a declared cut,
-    built by :func:`schmidt_decompose` as the record of one SVD of the
-    coefficient matrix: coefficients are its singular values (descending, as
-    LAPACK returns them), left/right vectors the columns of U and rows of Vh.
-    The arrays are made read-only in place; rank counts the coefficients
-    above 1e-10 times the largest.
+    """Schmidt spectrum of a bipartite pure state across a declared cut, built by
+    :func:`schmidt_decompose` from one values-only SVD of the coefficient
+    matrix: the coefficients are its singular values (descending, as LAPACK
+    returns them), made read-only in place, and rank counts those above the
+    one rank cut (_numerical_rank). The rank, the entropy and a witness's
+    lambda_1 are functions of the coefficients alone.
     """
 
     coefficients: np.ndarray
-    left_vectors: np.ndarray   # shape (dimA, m), columns orthonormal
-    right_vectors: np.ndarray  # shape (m, dimB), rows orthonormal
     rank: int = field(init=False)
 
     def __post_init__(self):
-        for array in (self.coefficients, self.left_vectors, self.right_vectors):
-            array.setflags(write=False)
-        object.__setattr__(self, "rank", int(np.sum(self.coefficients > RANK_RTOL * self.coefficients[0])))
+        self.coefficients.setflags(write=False)
+        object.__setattr__(self, "rank", _numerical_rank(self.coefficients))
 
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the bipartite amplitude vector sum_k c_k (left_k x right_k)."""
-        m = (self.left_vectors * self.coefficients) @ self.right_vectors
-        return m.reshape(-1)
+
+def _numerical_rank(values: np.ndarray) -> int:
+    """The one rank cut: how many of the nonnegative values exceed RANK_RTOL
+    times the largest; a value exactly at the cut is dropped."""
+    return int(np.count_nonzero(values > RANK_RTOL * values.max()))
 
 
 def _built_gram(entries: np.ndarray) -> GramMatrix:
@@ -250,11 +248,11 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
 def positive_frame(columns: np.ndarray) -> np.ndarray:
     """Q of the thin QR factorization, with phases moved so that R has a
     positive diagonal; two families with one Gram R^dag R then share R.
-    Dependent columns (some |R_ii| <= RANK_RTOL max |R_jj|) raise ValueError."""
+    Dependent columns (some |R_ii| at or below the rank cut, _numerical_rank) raise ValueError."""
     q, r = np.linalg.qr(columns)
     diag = np.diag(r)
     mags = np.abs(diag)
-    if columns.shape[1] > columns.shape[0] or mags.min() <= RANK_RTOL * mags.max():
+    if columns.shape[1] > columns.shape[0] or _numerical_rank(mags) < mags.size:
         raise ValueError("the family is linearly dependent; need independent states")
     return q * (diag / mags)
 
@@ -307,24 +305,16 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
 
 
 def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
-    """Schmidt decomposition of psi across the dim_a x dim_b cut (SVD of the
-    reshaped coefficient matrix)."""
+    """Schmidt spectrum of psi across the dim_a x dim_b cut: the singular values
+    of the reshaped coefficient matrix, from one SVD that forms no vectors."""
     check_cut(dim_a, dim_b, psi.dim)
-    mat = psi.amplitudes.reshape(dim_a, dim_b)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return SchmidtData(coefficients=s, left_vectors=u, right_vectors=vh)
+    return SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False))
 
 
 def entanglement_entropy(sd: SchmidtData) -> float:
-    """Entropy of entanglement in ebits: -sum lambda^2 log2 lambda^2."""
-    return _ebits(sd.coefficients)
-
-
-def _ebits(coefficients: np.ndarray) -> float:
-    """-sum lambda^2 log2 lambda^2 over the Schmidt coefficients above ENTROPY_CUT."""
-    lam2 = coefficients[coefficients > ENTROPY_CUT] ** 2
-    if lam2.size == 0:
-        return 0.0
+    """Entropy of entanglement in ebits: -sum lambda^2 log2 lambda^2 over the
+    Schmidt coefficients above ENTROPY_CUT."""
+    lam2 = sd.coefficients[sd.coefficients > ENTROPY_CUT] ** 2
     return float(-np.sum(lam2 * np.log2(lam2))) + 0.0  # + 0.0: a product state gives 0.0, not -0.0
 
 

@@ -385,6 +385,12 @@ def _last_transition(state: SymmetricState, prev: int, phase: complex, goal: int
     return block.reshape(blocks[goal][1])
 
 
+def _run_seed(seed: int, run: int) -> int:
+    """The seed of a job's run `run`, that of SeedSequence(seed).spawn(runs)[run] bit for bit,
+    made without the other children, so a job's memory does not grow with its run count."""
+    return int(np.random.SeedSequence(seed, spawn_key=(run,)).generate_state(1)[0])
+
+
 def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolResult:
     """Run the tunnel-measure-repeat loop until the target sector is counted
     or max_rounds is exhausted.

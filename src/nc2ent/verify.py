@@ -212,14 +212,13 @@ def measure_sector_probabilities(k: int, ns, r: complex, t: complex, rng: np.ran
 def measure_success_frequency(runs: int, seed: int, rng: np.random.Generator, n: int = 2,
                               max_rounds: int = 1) -> tuple[int, float]:
     """Balanced runs of at most max_rounds rounds, K = 2, target (1, N - 1), on
-    a Haar coherent input, one per child of SeedSequence(seed). Returns
+    a Haar coherent input, run i seeded by modesplit._run_seed(seed, i). Returns
     (successes, the exact probability of success within max_rounds, from the
     sector chain)."""
     psi = symmetric.coherent_state(symmetric.haar_random_su(2, rng), n)
     base = modesplit.ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, n - 1), max_rounds=max_rounds)
-    hits = 0
-    for child in np.random.SeedSequence(seed).spawn(runs):
-        hits += modesplit.run_protocol(psi, dataclasses.replace(base, seed=int(child.generate_state(1)[0]))).succeeded
+    hits = sum(modesplit.run_protocol(psi, dataclasses.replace(base, seed=modesplit._run_seed(seed, run))).succeeded
+               for run in range(runs))
     return hits, sum(modesplit.success_probability_by_round(base, n, max_rounds))
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,26 @@ def test_modesplit_zero_runs_still_checks_the_target(runner, tmp_path):
     assert not out.exists()
 
 
+def test_modesplit_memory_does_not_grow_with_the_run_count(runner, tmp_path, monkeypatch):
+    # run_protocol stubbed, so what is traced is the command's own cost per run: its seed and its trace line
+    done = modesplit.ProtocolResult(succeeded=True, rounds=1, outcomes=((1, 1),), probabilities=(0.5,), fidelity=1.0)
+    monkeypatch.setattr(modesplit, "run_protocol", lambda state, cfg: done)
+    out = tmp_path / "x.jsonl"
+    peaks = []
+    for runs in (10, 500, 5000):  # the first job warms up
+        tracemalloc.start()
+        result = runner.invoke(main, ["modesplit", "--runs", str(runs), "--out", str(out)])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+    assert peaks[2] - peaks[1] < 2**20
+    assert len(out.read_text().splitlines()) == 5000
+    rejected = runner.invoke(main, ["modesplit", "--runs", "5", "--target", "2:1", "--out", str(out)])
+    assert rejected.exit_code != 0
+    assert os.listdir(tmp_path) == ["x.jsonl"]  # the trace streams to a file beside --out, removed on failure
+    assert len(out.read_text().splitlines()) == 5000
+
+
 def test_modesplit_runs_at_the_documented_cap(runner, tmp_path):
     # K=6, N=12: 1352078 two-mode amplitudes
     result = runner.invoke(main, ["modesplit", "-K", "6", "-N", "12", "--target", "6:6",
@@ -582,6 +603,20 @@ def _convert_wrong_input_count(tmp_path):
     return ["convert", "--states", gcnot_file(tmp_path), "--input", "1,0,0"]
 
 
+def _convert_malformed_input(tmp_path):
+    return ["convert", "--states", gcnot_file(tmp_path), "--input", "1,"]
+
+
+def _witness_malformed_test_state(tmp_path):
+    return ["witness", "--states", gcnot_file(tmp_path), "--epsilon", "99",
+            "--target-state", "1,0", "--test-state", "1,x"]
+
+
+def _witness_target_state_of_wrong_count(tmp_path):
+    return ["witness", "--states", gcnot_file(tmp_path), "--epsilon", "99",
+            "--target-state", "1", "--test-state", "1,0"]
+
+
 def _convert_both_inputs(tmp_path):
     states = gcnot_file(tmp_path)
     return ["convert", "--states", states, "--input", "1,0", "--input-file", states]
@@ -671,6 +706,9 @@ REASONS = {
     _convert_state_row_of_wrong_length: "state 0 has 3 entries, expected 2",
     _convert_dimension_below_one: "dims.json: key 'dimension' must be a positive integer, got -1",
     _convert_wrong_input_count: "expected 2 comma-separated amplitudes, got 3",
+    _convert_malformed_input: "--input: amplitude 1 ('') is not a complex number",
+    _witness_malformed_test_state: "--test-state: amplitude 1 ('x') is not a complex number",
+    _witness_target_state_of_wrong_count: "--target-state: expected 2 comma-separated amplitudes, got 1",
     _convert_both_inputs: "provide exactly one of --input or --input-file",
     _convert_neither_input: "provide exactly one of --input or --input-file",
     _convert_empty_input_file: "empty.json: no states",
@@ -724,6 +762,9 @@ WRONG_REASONS = {
     _convert_states_not_an_object,
     _convert_state_row_of_wrong_length,
     _convert_wrong_input_count,
+    _convert_malformed_input,
+    _witness_malformed_test_state,
+    _witness_target_state_of_wrong_count,
     _convert_both_inputs,
     _convert_neither_input,
     _convert_empty_input_file,

@@ -2,6 +2,7 @@
 that names the reason; one row per check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from nc2ent import verify
 from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, default_epsilon, make_split,
                                random_classical_set, random_superposition)
 from nc2ent.gcnot import mu_to_epsilon
-from nc2ent.linalg import GramMatrix, StateVector, basis_state, gram_of, schmidt_decompose, synthesize_unitary
+from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, gram_of, schmidt_decompose,
+                           synthesize_unitary)
 from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector
 from nc2ent.symmetric import SuUnitary, SymmetricState, apply_unitary, coherent_state, dicke_dim, overlap
 from nc2ent.witness import nonclassicality_witness, swap_style_witness
@@ -129,6 +131,15 @@ def test_refused_input_gives_one_line_reason(call, reason):
     message = str(info.value)
     assert "\n" not in message
     assert reason in message
+
+
+def test_a_split_of_another_set_of_the_same_size_is_a_gram_mismatch():
+    cs, other = random_classical_set(3, np.random.default_rng(1)), conversion_of(3)[0]
+    with pytest.raises(GramMismatchError) as info:
+        build_conversion(cs, make_split(other, default_epsilon(other)))
+    message = str(info.value)
+    assert "\n" not in message
+    assert re.fullmatch(r"conversion misses the product states by \S+; the Grams differ", message)
 
 
 def test_numpy_integer_sizes_are_accepted():

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nc2ent.conversion import (
     ClassicalSet,
     build_conversion,
+    classical_rank,
     default_epsilon,
     make_split,
     random_classical_set,
@@ -19,6 +20,7 @@ from nc2ent.linalg import (
     GramMatrix,
     GramMismatchError,
     StateVector,
+    _numerical_rank,
     basis_state,
     entanglement_entropy,
     factor_gram,
@@ -28,6 +30,7 @@ from nc2ent.linalg import (
     is_unitary,
     negativity,
     partial_transpose,
+    positive_frame,
     random_state,
     schmidt_decompose,
     synthesize_unitary,
@@ -325,12 +328,30 @@ def test_schmidt_rank_three_construction():
     assert schmidt_decompose(psi, 4, 5).rank == 3
 
 
-def test_schmidt_reconstruction():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        psi = random_state(12, rng)
-        sd = schmidt_decompose(psi, 3, 4)
-        assert np.max(np.abs(sd.reconstruct() - psi.amplitudes)) < 1e-10
+@pytest.mark.parametrize("dim_a, dim_b", [(1, 1), (1, 7), (9, 1), (3, 4), (4, 4), (16, 3), (16, 16)])
+def test_schmidt_coefficients_are_the_full_svd_singular_values(dim_a, dim_b):
+    rng = np.random.default_rng(dim_a * 17 + dim_b)
+    for _ in range(5):
+        psi = random_state(dim_a * dim_b, rng)
+        full = np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), full_matrices=False)[1]
+        coefficients = schmidt_decompose(psi, dim_a, dim_b).coefficients
+        assert coefficients.shape == full.shape == (min(dim_a, dim_b),)
+        assert np.max(np.abs(coefficients - full)) <= 1e-14
+
+
+def test_a_value_exactly_at_the_rank_cut_is_dropped():
+    # 1e-10 is RANK_RTOL times the largest value 1.0 exactly; each rank decision drops it and keeps 2e-10
+    assert _numerical_rank(np.array([1.0, 1e-10])) == 1
+    assert _numerical_rank(np.array([1.0, 2e-10])) == 2
+    sd = schmidt_decompose(StateVector([1.0, 0.0, 0.0, 1e-10]), 2, 2)  # the norm is 1.0 in floating point
+    assert sd.coefficients.tolist() == [1.0, 1e-10] and sd.rank == 1
+    assert schmidt_decompose(StateVector([1.0, 0.0, 0.0, 2e-10]), 2, 2).rank == 2
+    basis = ClassicalSet((basis_state(2, 0), basis_state(2, 1)))
+    assert classical_rank(StateVector([1.0, 1e-10]), basis) == 1
+    assert classical_rank(StateVector([1.0, 2e-10]), basis) == 2
+    with pytest.raises(ValueError, match="linearly dependent"):
+        positive_frame(np.diag([1.0, 1e-10]).astype(complex))
+    assert positive_frame(np.diag([1.0, 2e-10]).astype(complex)).shape == (2, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ from nc2ent.linalg import StateVector, entanglement_entropy, schmidt_decompose
 from nc2ent.modesplit import (
     ProtocolConfig,
     ProtocolResult,
+    _run_seed,
     _sector_keys,
     _transitions,
     TwoModeState,
@@ -399,6 +400,12 @@ def test_empirical_success_rate_single_round():
             hits += 1
     sigma = math.sqrt(p * (1 - p) / runs)
     assert abs(hits / runs - p) < 3 * sigma
+
+
+def test_run_seed_is_the_seed_of_the_spawned_child():
+    for seed in (0, 7, 2**63 + 5):
+        children = np.random.SeedSequence(seed).spawn(50)
+        assert [_run_seed(seed, run) for run in range(50)] == [int(c.generate_state(1)[0]) for c in children]
 
 
 # ----------------------------------------------------------- the sector chain
