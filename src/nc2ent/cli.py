@@ -15,8 +15,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
+import shutil
 import sys
+import tempfile
 from collections import Counter
 
 import click
@@ -284,32 +285,40 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     base_cfg = (modesplit.ProtocolConfig.from_magnitudes(r_mag, phase, **cfg_fields) if t_mag is None else
                 modesplit.ProtocolConfig(r=complex(r_mag), t=t_mag * modesplit._phase_factor(phase), **cfg_fields))
 
-    successes = total_rounds = 0
+    successes = 0
+    total_rounds = 0
     min_fidelity = None
     outcomes_by_round: list[Counter] = []
-    partial = f"{out}.{os.getpid()}.part"  # traces stream here and replace --out only when the job succeeds
-    fh = open(partial, "w", encoding="utf-8")
-    try:
-        with fh:
-            for run in range(runs):
-                res = modesplit.run_protocol(state, dataclasses.replace(base_cfg, seed=modesplit._run_seed(seed, run)))
-                outcomes_by_round += [Counter() for _ in range(len(res.outcomes) - len(outcomes_by_round))]
-                for counts, (n_a, n_b) in zip(outcomes_by_round, res.outcomes):
-                    counts[f"{n_a}:{n_b}"] += 1
-                if res.succeeded:
-                    successes, total_rounds = successes + 1, total_rounds + res.rounds
-                    min_fidelity = res.fidelity if min_fidelity is None else min(min_fidelity, res.fidelity)
-                fh.write(json.dumps({"run": run, "succeeded": res.succeeded, "rounds": res.rounds,
-                                     "outcomes": res.outcomes, "probabilities": res.probabilities,
-                                     "fidelity": res.fidelity}, sort_keys=True) + "\n")
+    # traces stream to a temporary file, copied to --out only once every run has
+    # finished, so a rejected job keeps an old file and memory does not grow with --runs
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as traces:
+        for run in range(runs):
+            cfg = dataclasses.replace(base_cfg, seed=modesplit._run_seed(seed, run))
+            res = modesplit.run_protocol(state, cfg)
+            for round_no, (n_a, n_b) in enumerate(res.outcomes):
+                if round_no == len(outcomes_by_round):
+                    outcomes_by_round.append(Counter())
+                outcomes_by_round[round_no][f"{n_a}:{n_b}"] += 1
+            if res.succeeded:
+                successes += 1
+                total_rounds += res.rounds
+                if min_fidelity is None or res.fidelity < min_fidelity:
+                    min_fidelity = res.fidelity
+            traces.write(json.dumps({
+                "run": run,
+                "succeeded": res.succeeded,
+                "rounds": res.rounds,
+                "outcomes": [list(o) for o in res.outcomes],
+                "probabilities": list(res.probabilities),
+                "fidelity": res.fidelity,
+            }, sort_keys=True) + "\n")
         by_round = modesplit.success_probability_by_round(base_cfg, n, len(outcomes_by_round))
         split = linalg.StateVector(symmetric.apply_splitting(state, n_x, n_y))
         split_entropy = linalg.entanglement_entropy(
             linalg.schmidt_decompose(split, symmetric.dicke_dim(k, n_x), symmetric.dicke_dim(k, n_y)))
-        os.replace(partial, out)
-    except BaseException:
-        os.remove(partial)  # a rejected job leaves an earlier file at --out as it was
-        raise
+        traces.seek(0)
+        with open(out, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(traces, fh)
     expected = abs(modesplit.binomial_sector_amplitude(n, n_x, base_cfg.r, base_cfg.t)) ** 2
     click.echo(json.dumps({
         "schema": 1,

@@ -68,7 +68,7 @@ def gcnot_classical_pair(theta: float) -> ClassicalSet:
     return ClassicalSet(states=(StateVector([c, s]), StateVector([c, -s])))
 
 
-def _pair_entropy(theta, mu, amplitudes):
+def _pair_ebits(theta, mu, amplitudes):
     """Entropy of entanglement (ebits) of the normalized input a|0> + b|1> after
     the conversion at mu = 1/(1+eps), elementwise over broadcast arrays (a, b), theta, mu.
 
@@ -98,7 +98,7 @@ def output_entanglement(params: GcnotParams, state: StateVector) -> float:
     """Entropy of entanglement (ebits) of the converted 2-dimensional input, in
     closed form; the general pipeline (make_split, build_conversion,
     schmidt_decompose) gives the same value and is its test reference."""
-    return float(_pair_entropy(params.theta, params.mu, state.amplitudes))
+    return float(_pair_ebits(params.theta, params.mu, state.amplitudes))
 
 
 def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
@@ -117,7 +117,7 @@ def optimal_epsilon(theta: float, state: StateVector) -> tuple[float, float]:
     cos = abs(math.cos(theta))
     mu = max(math.sqrt(cos), MU_FLOOR)
     mus = np.clip(np.nextafter(mu, [0.0, mu, 2.0]), max(cos, MU_FLOOR), 1.0)
-    ebits = _pair_entropy(theta, mus, state.amplitudes)
+    ebits = _pair_ebits(theta, mus, state.amplitudes)
     best = int(np.argmax(ebits))
     return mu_to_epsilon(float(mus[best])), float(ebits[best])
 
@@ -149,7 +149,7 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
     _check_theta(thetas[feasible])
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
-    ebits = _pair_entropy(theta_ok, mu_ok, state.amplitudes)
+    ebits = _pair_ebits(theta_ok, mu_ok, state.amplitudes)
     rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), eps[feasible].tolist(), ebits.tolist()))
     skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
@@ -163,7 +163,7 @@ def maximal_input_count(theta: float, epsilon: float,
     count, the angles that reached it, and all sampled entropies."""
     params = GcnotParams(theta=theta, epsilon=epsilon)
     angles = np.arange(n_points) * math.pi / n_points
-    entropies = _pair_entropy(theta, params.mu, (np.cos(angles), np.sin(angles)))
+    entropies = _pair_ebits(theta, params.mu, (np.cos(angles), np.sin(angles)))
     hits = angles[entropies >= MAXIMAL_EBITS].tolist()
     return len(hits), hits, entropies.tolist()
 
@@ -190,7 +190,7 @@ def cnot_equivalence_probe(theta: float) -> CnotProbeReport:
     favored = basis_state(2, 0) if theta > math.pi / 2.0 else basis_state(2, 1)
     eps_opt, _ = optimal_epsilon(theta, favored)
     count, _, _ = maximal_input_count(theta, eps_opt)
-    entropy_zero, entropy_one = _pair_entropy(theta, epsilon_to_mu(eps_opt), np.eye(2))
+    entropy_zero, entropy_one = _pair_ebits(theta, epsilon_to_mu(eps_opt), np.eye(2))
     return CnotProbeReport(theta, count, float(entropy_zero), float(entropy_one))
 
 

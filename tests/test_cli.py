@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import stat
+import threading
 import tracemalloc
 
 import numpy as np
@@ -387,8 +389,31 @@ def test_modesplit_memory_does_not_grow_with_the_run_count(runner, tmp_path, mon
     assert len(out.read_text().splitlines()) == 5000
     rejected = runner.invoke(main, ["modesplit", "--runs", "5", "--target", "2:1", "--out", str(out)])
     assert rejected.exit_code != 0
-    assert os.listdir(tmp_path) == ["x.jsonl"]  # the trace streams to a file beside --out, removed on failure
+    assert os.listdir(tmp_path) == ["x.jsonl"]  # nothing is left beside --out
     assert len(out.read_text().splitlines()) == 5000
+
+
+def test_modesplit_writes_through_a_symlink_and_into_a_fifo(runner, tmp_path):
+    # --out is opened as named, once every run has finished: a link stays a link, a FIFO a FIFO
+    args = ["modesplit", "--runs", "20", "--seed", "3", "--out"]
+    plain = tmp_path / "plain.jsonl"
+    assert runner.invoke(main, args + [str(plain)]).exit_code == 0
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    result = runner.invoke(main, args + [str(link)])
+    assert result.exit_code == 0, result.output
+    assert link.is_symlink() and target.read_text() == plain.read_text()
+    fifo = tmp_path / "traces.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    result = runner.invoke(main, args + [str(fifo)])
+    reader.join(timeout=30)
+    assert result.exit_code == 0, result.output
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [plain.read_text()]
 
 
 def test_modesplit_runs_at_the_documented_cap(runner, tmp_path):
