@@ -13,8 +13,10 @@ File formats (all versioned with a "schema": 1 field):
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
@@ -79,7 +81,7 @@ def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSe
         vec = _pairs_to_array(row)
         if vec.size != dim:
             raise click.ClickException(f"state {i} has {vec.size} entries, expected {dim}")
-        norm = float(np.linalg.norm(vec))
+        norm = math.hypot(*vec.real, *vec.imag)  # scaled as it is summed, so a finite norm never overflows
         if abs(norm - 1.0) > STATE_NORM_TOL and not normalize:
             raise click.ClickException(
                 f"state {i} has norm {norm!r}; pass --normalize to accept unnormalized input"
@@ -117,6 +119,18 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
+def _check_out(out: str | None) -> None:
+    """Raise the OSError that opening --out for writing would give for a
+    missing directory, a directory, or a path under a regular file, before
+    any work. It creates and truncates nothing, so an earlier file stays as it was."""
+    if out is None:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out) or not os.path.isdir(parent):
+        code = errno.EISDIR if os.path.isdir(out) else errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+
+
 def _dump_json(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
@@ -127,8 +141,9 @@ def _dump_json(doc: dict, out: str | None) -> None:
 
 
 class _Main(click.Group):
-    """The one error boundary: a bad option value or a ValueError from the
-    library ends the command with a one-line error, not a traceback."""
+    """The one error boundary: a bad option value, a ValueError from the
+    library, or an OSError on a named path ends the command with a one-line
+    error, not a traceback."""
 
     def invoke(self, ctx):
         try:
@@ -138,6 +153,8 @@ class _Main(click.Group):
             raise
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
+        except OSError as exc:
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from exc
 
 
 @click.group(cls=_Main)
@@ -258,6 +275,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     """Monte-Carlo the tunnel-count-repeat protocol and summarize success
     statistics and post-selected fidelities, next to the exact success
     probability of each round and the entanglement entropy of the split input."""
+    _check_out(out)
     if config_file is not None:
         cfg_doc = _read_json(config_file)
         r_mag = float(cfg_doc.get("r", r_mag))
@@ -380,6 +398,7 @@ def cmd_witness(states_path, epsilon, target_state, test_state, normalize, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_verify(suite, seed, trials, out):
     """Run the self-check suites; exit code 0 iff every check passes."""
+    _check_out(out)
     names = SUITES if suite == "all" else (suite,)
     results = run_suites(names, seed=seed, trials=trials)
     checks = []

@@ -40,10 +40,14 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 @dataclass(frozen=True)
 class ClassicalSet:
-    """Ordered family of D linearly independent unit vectors spanning C^D."""
+    """Ordered family of D linearly independent unit vectors spanning C^D: 1 + nu
+    must exceed 1e-10, for nu = lambda_min(G - diag G), the one number every split
+    decision reads. It is G's lambda_min - 1 with G read with an exact unit
+    diagonal, and it keeps its digits however small the overlaps are."""
 
     states: tuple[StateVector, ...]
     gram: GramMatrix = field(init=False)
+    nu: float = field(init=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -53,21 +57,23 @@ class ClassicalSet:
         if any(s.dim != dim for s in states):
             raise ValueError("classical states must share one dimension")
         if len(states) != dim:
-            raise ValueError(
-                f"need exactly {dim} states in dimension {dim}, got {len(states)}"
-            )
+            raise ValueError(f"need exactly {dim} states in dimension {dim}, got {len(states)}")
         gram = gram_of(list(states))
-        lam = gram.min_eigenvalue()
-        if lam <= INDEPENDENCE_TOL:
-            raise ValueError(
-                f"classical states are not linearly independent (min Gram eigenvalue {lam:.3e})"
-            )
+        nu = _off_diagonal_min(gram)
+        if not 1.0 + nu > INDEPENDENCE_TOL:
+            raise ValueError(f"classical states are not linearly independent (min Gram eigenvalue {1.0 + nu:.3e})")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "nu", nu)
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
+
+
+def _off_diagonal_min(gram: GramMatrix) -> float:
+    """nu = lambda_min(G - diag G), from one eigvalsh of the off-diagonal part."""
+    return float(np.linalg.eigvalsh(gram.entries - np.diag(gram.entries.diagonal()))[0])
 
 
 @dataclass(frozen=True)
@@ -175,40 +181,40 @@ def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
     return GramMatrix(g)
 
 
-def feasible_split(lam, epsilon, boundary_ok: bool = False):
-    """The one split-feasibility decision, elementwise: for lam = lambda_min(G),
-    lambda_min((1+eps)G - eps I) = 1 - (1+eps)(1 - lam) must exceed 1e-10, or
-    with boundary_ok reach -PSD_TOL. Returns (that eigenvalue, the verdict)."""
-    min_eig = 1.0 - (1.0 + epsilon) * (1.0 - lam)
-    return min_eig, (min_eig >= -PSD_TOL if boundary_ok else min_eig > INDEPENDENCE_TOL)
+def feasible_split(nu, mu, boundary_ok: bool = False):
+    """The one split-feasibility decision, elementwise, for nu = lambda_min(G - diag G)
+    and mu = 1/(1+eps) in (0, 1]: lambda_min of the scaled factor, 1 + nu/mu, must
+    exceed 1e-10, or with boundary_ok reach -PSD_TOL. It is decided times mu, as
+    mu (1 - floor) + nu against 0, which forms no eps and neither divides nor overflows."""
+    margin = mu * (1.0 - (-PSD_TOL if boundary_ok else INDEPENDENCE_TOL)) + nu
+    return margin >= 0.0 if boundary_ok else margin > 0.0
 
 
-def _epsilon_bound(lam: float, floor: float) -> float:
-    """The eps at which 1 - (1+eps)(1 - lam) meets floor; inf for lam >= 1."""
-    return (lam - floor) / (1.0 - lam) if lam < 1.0 else math.inf
+def _epsilon_bound(nu: float, floor: float) -> float:
+    """The eps at which 1 + (1+eps) nu meets floor; inf only for nu >= 0 (G = I exactly)."""
+    return (1.0 - floor) / -nu - 1.0 if nu < 0.0 else math.inf
 
 
-def check_split(lam: float, epsilon: float, boundary_ok: bool = False) -> float:
-    """feasible_split's eigenvalue, or a one-line ValueError for an eps that is
-    not finite, negative, zero without boundary_ok, or infeasible (naming the bound)."""
+def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> float:
+    """lambda_min of the scaled factor, 1 + (1+eps) nu, for an eps that
+    feasible_split accepts, or a one-line ValueError for an eps that is not
+    finite, negative, zero without boundary_ok, or infeasible (naming the bound)."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be {'nonnegative' if boundary_ok else 'positive'}, got {epsilon}")
-    min_eig, feasible = feasible_split(lam, epsilon, boundary_ok)
-    if not feasible:  # then lam < 1: the bound is finite
+    min_eig = 1.0 + (1.0 + epsilon) * nu
+    if not feasible_split(nu, 1.0 / (1.0 + epsilon), boundary_ok):  # then nu < 0: the bound is finite
         floor, relation = (-PSD_TOL, "<=") if boundary_ok else (INDEPENDENCE_TOL, "<")
-        raise ValueError(
-            f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
-            f"{min_eig:.3e} (feasible range is eps {relation} {_epsilon_bound(lam, floor):.12g})"
-        )
+        raise ValueError(f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue {min_eig:.3e} "
+                         f"(feasible range is eps {relation} {_epsilon_bound(nu, floor):.12g})")
     return min_eig
 
 
 def epsilon_max(cs: ClassicalSet) -> float:
-    """Supremum of the feasible eps, (lambda_min(G) - 1e-10) / (1 - lambda_min(G)),
-    the bound check_split names; finite unless lambda_min(G) >= 1 (an orthonormal set)."""
-    return _epsilon_bound(cs.gram.min_eigenvalue(), INDEPENDENCE_TOL)
+    """Supremum of the feasible eps, (1 - 1e-10) / -nu - 1 with nu = cs.nu,
+    the bound check_split names; infinite only when G = I exactly."""
+    return _epsilon_bound(cs.nu, INDEPENDENCE_TOL)
 
 
 def default_epsilon(cs: ClassicalSet) -> float:
@@ -218,17 +224,13 @@ def default_epsilon(cs: ClassicalSet) -> float:
 
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:
-    """Split the classical Gram into the constant-overlap factor (overlap
-    1/(1+eps)) and the scaled-overlap factor, and factor both into explicit
-    state families.
-
-    check_split is the only feasibility decision (with boundary_ok it admits
-    eps = 0 and lambda_min down to -PSD_TOL). The scaled factor is built with
-    that eigenvalue and not re-checked. The entrywise product of the factors
-    is the classical Gram by construction, to a few ulps off the diagonal and
-    exactly 1 on it.
-    """
-    min_eig = check_split(cs.gram.min_eigenvalue(), epsilon, boundary_ok)
+    """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps))
+    and the scaled factor I + (1+eps)(G - diag G), and factor both into state families.
+    check_split is the only feasibility decision (with boundary_ok it admits eps = 0
+    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose
+    lambda_min is 1 + (1+eps) nu exactly; that value is kept and not re-checked. The
+    factors' entrywise product is G to a few ulps off the diagonal, and 1 on it."""
+    min_eig = check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
     gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
@@ -241,14 +243,14 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     """Build the conversion isometry V = B A^-1, where the columns of A are the
     classical states |c_i> and the columns of B the products |d_i> (x) |e_i>.
 
-    Both families share the classical Gram (the product-family Gram is the
-    entrywise product of the factor Grams), so A = Q_A R and B = Q_B R with
-    one triangular R, and V = Q_B Q_A^dag. Built from the orthonormal frames,
-    V is an isometry to roundoff however small lambda_min(G) is; a V that
-    misses some |d_i> (x) |e_i> by more than 1e-10 raises GramMismatchError.
-    The ancilla's reference state is the first classical state. The peak, about
-    five D^2 x D arrays, is refused past MAX_DENSE_BYTES (D >= 343) before B is formed.
-    """
+    Where both families share the classical Gram, A = Q_A R and B = Q_B R with one
+    triangular R, and V = Q_B Q_A^dag sends each |c_i> to |d_i> (x) |e_i>. That is
+    decided on the Grams: a product-family Gram (D^dag D) o (E^dag E) more than 1e-10
+    from G raises GramMismatchError, naming how far V misses the products. V is an
+    isometry to roundoff however small lambda_min(G) is; its misses |V c_i - d_i (x) e_i|
+    are kept as the certificate's residuals. The ancilla's reference state is the first
+    classical state. The peak, about five D^2 x D arrays, is refused past
+    MAX_DENSE_BYTES (D >= 343) before B is formed."""
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
     _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
@@ -258,10 +260,8 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     b = (d[:, None, :] * e[None, :, :]).reshape(-1, cs.dim)  # column i is d_i (x) e_i
     v = positive_frame(b) @ positive_frame(a).conj().T
     miss = v @ a - b
-    residual = float(np.max(np.abs(miss)))
-    if residual > UNITARY_TOL:
-        raise GramMismatchError(
-            f"conversion misses the product states by {residual:.3e}; the Grams differ")
+    if np.max(np.abs((d.conj().T @ d) * (e.conj().T @ e) - cs.gram.entries)) > UNITARY_TOL:
+        raise GramMismatchError(f"conversion misses the product states by {np.max(np.abs(miss)):.3e}; the Grams differ")
     return _built(Conversion, isometry=_sealed(v), reference=cs.states[0],
                   _classical=_sealed(a), _residuals=_sealed(np.linalg.norm(miss, axis=0)))
 
@@ -277,13 +277,14 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
 
 
 def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
-    """Random classical set, resampled until its Gram's min eigenvalue exceeds
-    1e-3, far above the independence floor; that Gram becomes the set's own."""
+    """Random classical set, resampled until 1 + nu, its Gram's min eigenvalue,
+    exceeds 1e-3, far above the independence floor; that Gram becomes the set's own."""
     for _ in range(200):
         states = tuple(random_state(dim, rng) for _ in range(dim))
         gram = gram_of(list(states))
-        if gram.min_eigenvalue() > 1e-3:
-            return _built(ClassicalSet, states=states, gram=gram)
+        nu = _off_diagonal_min(gram)
+        if 1.0 + nu > 1e-3:
+            return _built(ClassicalSet, states=states, gram=gram, nu=nu)
     raise RuntimeError("failed to sample a well-conditioned classical set")
 
 

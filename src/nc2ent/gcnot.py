@@ -36,23 +36,22 @@ def _check_theta(theta) -> None:
     thetas = np.ravel(np.asarray(theta, dtype=float))
     bad = thetas[~((thetas > 0.0) & (thetas < math.pi) & (1.0 - np.abs(np.cos(thetas)) > INDEPENDENCE_TOL))]
     if bad.size:
-        raise ValueError(f"theta must lie in (0, pi) with 1 - |cos theta| > {INDEPENDENCE_TOL:g}, "
-                         f"got {bad[0]}")
+        raise ValueError(f"theta must lie in (0, pi) with 1 - |cos theta| > {INDEPENDENCE_TOL:g}, got {bad[0]}")
 
 
 @dataclass(frozen=True)
 class GcnotParams:
     """Classical-pair angle theta in (0, pi), with the pair above the
     independence floor, and splitting parameter eps >= 0, feasible as
-    check_split(1 - |cos theta|, eps, boundary_ok=True) decides, which
-    admits (1+eps)|cos theta| up to 1 + PSD_TOL."""
+    check_split(nu, eps, boundary_ok=True) decides on the pair's exact
+    nu = -|cos theta|, which admits (1+eps)|cos theta| up to 1 + PSD_TOL."""
 
     theta: float
     epsilon: float
 
     def __post_init__(self):
         _check_theta(self.theta)
-        check_split(1.0 - abs(math.cos(self.theta)), self.epsilon, boundary_ok=True)
+        check_split(-abs(math.cos(self.theta)), self.epsilon, boundary_ok=True)
 
     @property
     def mu(self) -> float:
@@ -134,23 +133,21 @@ def sweep_surface(theta_grid, mu_grid, state: StateVector) -> tuple[list[SweepRo
     evaluated in closed form over the whole grid at once.
 
     Returns the feasible rows, theta-major in grid order, and the list of
-    (theta, mu) cells skipped because mu lies outside (0, 1] or GcnotParams'
-    split decision fails there. A feasible cell whose theta GcnotParams
+    (theta, mu) cells skipped because mu lies outside (0, 1] or the split
+    decision, made in mu on nu = -|cos theta|, fails there; eps = 1/mu - 1 is
+    formed for the feasible cells only. A feasible cell whose theta GcnotParams
     rejects raises ValueError. At fixed theta feasibility only grows with mu
     (every step of the split decision is monotone in floating point too), so
     the grid is refused exactly when its column at the largest mu in (0, 1] is.
     """
     theta_axis, mu_axis = np.ravel(np.asarray(theta_grid, float)), np.ravel(np.asarray(mu_grid, float))
     thetas, mus = np.repeat(theta_axis, mu_axis.size), np.tile(mu_axis, theta_axis.size)
-    in_range = (mus > 0.0) & (mus <= 1.0)
-    with np.errstate(over="ignore"):  # a subnormal mu gives eps = inf, an infeasible split
-        eps = 1.0 / np.where(in_range, mus, 1.0) - 1.0
-    min_eig, split_ok = feasible_split(1.0 - np.abs(np.cos(thetas)), eps, boundary_ok=True)
-    feasible = in_range & (split_ok | np.isnan(min_eig))  # a NaN theta is kept, for _check_theta to name
-    _check_theta(thetas[feasible])
+    nu = -np.abs(np.cos(thetas))
+    feasible = (mus > 0.0) & (mus <= 1.0) & (feasible_split(nu, mus, boundary_ok=True) | np.isnan(nu))
+    _check_theta(thetas[feasible])  # a NaN theta was kept above, for this check to name
     theta_ok, mu_ok = thetas[feasible], mus[feasible]
     ebits = _pair_ebits(theta_ok, mu_ok, state.amplitudes)
-    rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), eps[feasible].tolist(), ebits.tolist()))
+    rows = list(map(SweepRow, theta_ok.tolist(), mu_ok.tolist(), (1.0 / mu_ok - 1.0).tolist(), ebits.tolist()))
     skipped = list(zip(thetas[~feasible].tolist(), mus[~feasible].tolist()))
     return rows, skipped
 
@@ -212,6 +209,6 @@ def beamsplitter_params(overlap: float, epsilon: float) -> tuple[float, float]:
     """
     if not 0.0 < overlap < 1.0:
         raise ValueError(f"overlap must lie in (0, 1), got {overlap}")
-    check_split(1.0 - overlap, epsilon, boundary_ok=True)
+    check_split(-overlap, epsilon, boundary_ok=True)
     y = min(math.log(1.0 / (1.0 + epsilon)) / math.log(overlap), 1.0)
     return 1.0 - y, y

@@ -4,7 +4,7 @@ Cholesky route with the value it had before the bound existed."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nc2ent import linalg
 from nc2ent.conversion import (
@@ -26,12 +26,16 @@ def partial_transpose_spectrum(sigma: np.ndarray, dim: int) -> np.ndarray:
     return np.linalg.eigvalsh(pt)
 
 
-def classical_set_near(dim: int, lam_min: float, rng) -> ClassicalSet:
-    """States whose Gram, before each is normalized, has eigenvalues lam_min
-    and dim - 1 others uniform in [0.1, 2]."""
+def near_dependent_columns(dim: int, lam_min: float, rng) -> np.ndarray:
+    """Columns whose Gram has eigenvalues lam_min and dim - 1 others uniform in [0.1, 2]."""
     spectrum = np.concatenate([[lam_min], rng.uniform(0.1, 2.0, dim - 1)])
     q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
-    columns = np.sqrt(spectrum)[:, None] * q.conj().T
+    return np.sqrt(spectrum)[:, None] * q.conj().T
+
+
+def classical_set_near(dim: int, lam_min: float, rng) -> ClassicalSet:
+    """The columns of near_dependent_columns, each normalized."""
+    columns = near_dependent_columns(dim, lam_min, rng)
     return ClassicalSet(tuple(StateVector.normalized(columns[:, i]) for i in range(dim)))
 
 
@@ -42,6 +46,7 @@ ADMIXTURES = st.one_of(st.just(0.0), st.floats(-16.0, -8.0).map(lambda e: 10.0**
 @settings(max_examples=80, deadline=None)
 @given(dim=st.integers(2, 16), log_lam=st.floats(-8.0, -3.0),
        weights=st.lists(WEIGHTS, min_size=16, max_size=16), admixture=ADMIXTURES, seed=st.integers(0, 2**32 - 1))
+@example(dim=15, log_lam=-7.0, weights=[0.0] * 14 + [1.0, 0.0], admixture=0.0, seed=1539)
 def test_the_certificate_decides_only_where_rho_pt_is_above_the_floor(dim, log_lam, weights, admixture, seed):
     # a classical mixture, with a share `admixture` of a superposition of every
     # classical state, which can put lambda_min(rho^T_B) on either side of -s
@@ -64,6 +69,20 @@ def test_the_certificate_decides_only_where_rho_pt_is_above_the_floor(dim, log_l
         assert partial_transpose_spectrum(sigma, dim)[0] >= -floor
     else:
         assert value == negativity(np.array(sigma), dim, dim)
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32])
+@pytest.mark.parametrize("lam_min", [2e-10, 1e-9])
+def test_every_set_above_the_independence_floor_converts(lam_min, dim):
+    # the Gram decision reads the product family's Gram, not the map's miss,
+    # which 1/sqrt(lambda_min) amplifies past 1e-10 near the floor
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        try:
+            cs = classical_set_near(dim, lam_min, rng)
+        except ValueError:  # refused at the floor, where ClassicalSet decides
+            continue
+        build_conversion(cs, make_split(cs, default_epsilon(cs)))
 
 
 def refusing_cholesky(*args, **kwargs):

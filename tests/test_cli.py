@@ -5,6 +5,7 @@ import re
 import stat
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from nc2ent.gcnot import sweep_surface
 from nc2ent.linalg import basis_state
 from nc2ent.symmetric import SymmetricState, coherent_state, haar_random_su
 from nc2ent.verify import run_suites
+
+from test_certificate import near_dependent_columns
 
 
 @pytest.fixture
@@ -718,6 +721,50 @@ def _verify_negative_seed(tmp_path):
     return ["verify", "--suite", "discrete", "--seed", "-1"]
 
 
+def huge_pair_file(tmp_path):
+    """A pair whose amplitudes are 1e200: |row| = 1.414e200, finite, while its sum of squares overflows."""
+    return write_state_set(tmp_path / "huge.json", [[1e200, 1e200], [1e200, -1e200]])
+
+
+def _convert_huge_amplitudes_without_normalize(tmp_path):
+    return ["convert", "--states", huge_pair_file(tmp_path), "--input", "1,0"]
+
+
+# every command that writes --out, run on a quick input
+OUT_COMMANDS = {
+    "convert": lambda tmp_path: ["convert", "--states", gcnot_file(tmp_path), "--input", "1,0"],
+    "witness": lambda tmp_path: ["witness", "--states", gcnot_file(tmp_path), "--target-state", "1,0",
+                                 "--test-state", "1,0"],
+    "sweep": lambda tmp_path: ["sweep", "--theta-range", "1:2:3", "--mu-range", "0.5:1:3"],
+    "modesplit": lambda tmp_path: ["modesplit", "--runs", "2"],
+    "verify": lambda tmp_path: ["verify", "--suite", "gcnot"],
+}
+
+
+def _regular_file(tmp_path):
+    (tmp_path / "plain").write_text("")
+    return tmp_path / "plain"
+
+
+# an --out that cannot be opened for writing, and the reason the error names
+UNWRITABLE_OUTS = {
+    "missing-directory": (lambda tmp_path: tmp_path / "missing" / "out", "missing/out: No such file or directory"),
+    "directory": (lambda tmp_path: tmp_path, ": Is a directory"),
+    "under-a-regular-file": (lambda tmp_path: _regular_file(tmp_path) / "out", "plain/out: Not a directory"),
+}
+
+
+def _unwritable_out_row(command, target):
+    def make_args(tmp_path):
+        return OUT_COMMANDS[command](tmp_path) + ["--out", str(UNWRITABLE_OUTS[target][0](tmp_path))]
+    make_args.__name__ = f"_{command}_out_{target}".replace("-", "_")
+    return make_args
+
+
+OUT_ROWS = {_unwritable_out_row(command, target): UNWRITABLE_OUTS[target][1]
+            for command in OUT_COMMANDS for target in UNWRITABLE_OUTS}
+
+
 # the reason a row's error must give, where a bare one-line error once hid a wrong one
 REASONS = {
     _convert_nan_epsilon: "epsilon must be finite, got nan",
@@ -747,6 +794,8 @@ REASONS = {
     _modesplit_negative_seed: "'--seed'",
     _modesplit_config_negative_seed: "cfg.json: key 'seed' must be a nonnegative integer, got -1",
     _verify_negative_seed: "'--seed'",
+    _convert_huge_amplitudes_without_normalize: "state 0 has norm 1.414213562373095e+200; pass --normalize",
+    **OUT_ROWS,
 }
 # text a row's error must not give: the rejection names the bound it was decided by
 WRONG_REASONS = {
@@ -807,6 +856,8 @@ WRONG_REASONS = {
     _modesplit_negative_seed,
     _modesplit_config_negative_seed,
     _verify_negative_seed,
+    _convert_huge_amplitudes_without_normalize,
+    *OUT_ROWS,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
     result = runner.invoke(main, make_args(tmp_path))
@@ -823,6 +874,43 @@ def test_nan_input_error_names_the_amplitude(runner, tmp_path):
     result = runner.invoke(main, _convert_nan_input(tmp_path))
     assert result.exit_code != 0
     assert "non-finite amplitude (nan+0j)" in result.output
+
+
+def test_convert_normalizes_huge_amplitudes(runner, tmp_path):
+    result = runner.invoke(main, ["convert", "--states", huge_pair_file(tmp_path), "--normalize", "--input", "1,0"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["classical_rank"] == 2
+
+
+EPSILONS = ["default", "0", "emax-", "emax+", "1e15", "1e16", "1e17", "inf", "nan"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 32), log_lam=st.floats(-11.0, -6.0), log_scales=st.lists(st.floats(-200.0, 200.0),
+       min_size=32, max_size=32), epsilon=st.sampled_from(EPSILONS), seed=st.integers(0, 2**32 - 1))
+def test_convert_and_witness_answer_or_give_one_line_near_the_floor(dim, log_lam, log_scales, epsilon, seed):
+    # every invocation exits 0 with JSON, or nonzero with one error line and no exception
+    columns = near_dependent_columns(dim, 10.0**log_lam, np.random.default_rng(seed))
+    rows = list(columns.T * 10.0 ** np.array(log_scales[:dim])[:, None])  # row i scaled by 10^log_scales[i]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        states = write_state_set(Path("states.json"), rows)
+        if epsilon.startswith("emax"):
+            try:
+                emax = conversion.epsilon_max(load_state_set(states, normalize=True))
+            except ValueError:  # a dependent set: the commands refuse it whatever eps is
+                emax = 1.0
+            epsilon = repr(emax * (1.0 - 1e-12 if epsilon == "emax-" else 1.0 + 1e-12))
+        eps_args = [] if epsilon == "default" else ["--epsilon", epsilon]
+        ones, first = ",".join(["1"] * dim), ",".join(["1"] + ["0"] * (dim - 1))
+        for args in (["convert", "--input", ones], ["witness", "--target-state", ones, "--test-state", first]):
+            result = runner.invoke(main, args + ["--states", states, "--normalize"] + eps_args)
+            assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+            if result.exit_code == 0:
+                assert json.loads(result.stdout)["command"] == args[0] and not result.stderr
+            else:
+                lines = result.output.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
 
 
 def test_modesplit_rejected_target_keeps_earlier_trace(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,39 @@ def test_make_split_feasible_just_below_epsilon_max(lam_min):
     # and epsilon_max must agree to better than that
     cs = uniform_overlap_set(lam_min, 3)
     make_split(cs, 0.999 * epsilon_max(cs))
+
+
+def qr_orthonormal_set(dim: int, rng) -> ClassicalSet:
+    """An orthonormal set from a QR factorisation: its Gram is I to roundoff."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return ClassicalSet(states=tuple(StateVector(q[:, i]) for i in range(dim)))
+
+
+@pytest.mark.parametrize("epsilon", [1e15, 1e16, 1e17])
+def test_orthonormal_sets_near_the_coherence_limit_convert_or_name_the_bound(epsilon):
+    # the decision reads nu = lambda_min(G - diag G), the matrix make_split scales,
+    # so its verdict is the factored G_e's own and no split fails later as "not normalized"
+    rng = np.random.default_rng(0)
+    for cs in (qr_orthonormal_set(dim, rng) for dim in range(2, 9) for _ in range(20)):
+        scaled = cs.gram.entries * (1.0 + epsilon)
+        np.fill_diagonal(scaled, 1.0)
+        try:
+            build_conversion(cs, make_split(cs, epsilon))
+            converted = True
+        except ValueError as err:
+            message = str(err)
+            bound = re.search(r"is infeasible: .* \(feasible range is eps < (\S+)\)$", message)
+            assert bound and math.isfinite(float(bound[1])), message
+            converted = False
+        assert converted == (np.linalg.eigvalsh(scaled)[0] - 1e-10 > 0.0)
+
+
+def test_nu_keeps_its_digits_however_small_the_overlaps_are():
+    # a pair's G - diag G has eigenvalues +/- |G_01|, which lambda_min(G) - 1 resolves only to 1e-16
+    for theta in (math.pi / 2 - 1e-12, math.pi / 3, 2.5):
+        cs = gcnot_classical_pair(theta)
+        assert cs.nu == pytest.approx(-abs(cs.gram.entries[0, 1]), rel=1e-15)
+    assert orthonormal_set(3).nu == 0.0
 
 
 # ------------------------------------------------------------------ make_split
