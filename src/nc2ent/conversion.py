@@ -190,31 +190,46 @@ def feasible_split(nu, mu, boundary_ok: bool = False):
     return margin >= 0.0 if boundary_ok else margin > 0.0
 
 
-def _epsilon_bound(nu: float, floor: float) -> float:
-    """The eps at which 1 + (1+eps) nu meets floor; inf only for nu >= 0 (G = I exactly)."""
-    return (1.0 - floor) / -nu - 1.0 if nu < 0.0 else math.inf
+def _epsilon_bound(nu: float, boundary_ok: bool = False) -> float:
+    """The eps at which 1 + (1+eps) nu meets the floor, (1 - floor)/-nu - 1, moved down
+    to where check_split's own decision agrees. That decision reads eps only through
+    s = fl(1 + eps), so the closed form's s steps down to the largest s that feasible_split
+    accepts, and the bound is the largest eps that rounds to an s no larger. Every eps
+    from 0 to the bound is then accepted, and every refused eps lies above it. inf only
+    for nu >= 0 (G = I exactly)."""
+    if nu >= 0.0:
+        return math.inf
+    top = (1.0 - (-PSD_TOL if boundary_ok else INDEPENDENCE_TOL)) / -nu
+    while top > 1.0 and not feasible_split(nu, 1.0 / top, boundary_ok):
+        top = math.nextafter(top, 0.0)
+    bound = top - 1.0
+    while 1.0 + bound > top:
+        bound = math.nextafter(bound, -math.inf)
+    return bound
 
 
 def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> float:
     """lambda_min of the scaled factor, 1 + (1+eps) nu, for an eps that
     feasible_split accepts, or a one-line ValueError for an eps that is not
-    finite, negative, zero without boundary_ok, or infeasible (naming the bound)."""
+    finite, negative, zero without boundary_ok, or infeasible (naming the bound
+    _epsilon_bound, which every refused eps exceeds)."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be {'nonnegative' if boundary_ok else 'positive'}, got {epsilon}")
     min_eig = 1.0 + (1.0 + epsilon) * nu
     if not feasible_split(nu, 1.0 / (1.0 + epsilon), boundary_ok):  # then nu < 0: the bound is finite
-        floor, relation = (-PSD_TOL, "<=") if boundary_ok else (INDEPENDENCE_TOL, "<")
         raise ValueError(f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue {min_eig:.3e} "
-                         f"(feasible range is eps {relation} {_epsilon_bound(nu, floor):.12g})")
+                         f"(feasible range is eps {'<=' if boundary_ok else '<'} "
+                         f"{_epsilon_bound(nu, boundary_ok):.12g})")
     return min_eig
 
 
 def epsilon_max(cs: ClassicalSet) -> float:
-    """Supremum of the feasible eps, (1 - 1e-10) / -nu - 1 with nu = cs.nu,
-    the bound check_split names; infinite only when G = I exactly."""
-    return _epsilon_bound(cs.nu, INDEPENDENCE_TOL)
+    """The bound check_split names, (1 - 1e-10) / -nu - 1 with nu = cs.nu, to the
+    last s = 1 + eps that check_split accepts: every eps below it is feasible.
+    Infinite only when G = I exactly."""
+    return _epsilon_bound(cs.nu)
 
 
 def default_epsilon(cs: ClassicalSet) -> float:

@@ -24,7 +24,11 @@ alone in sector j, tunnels to sum_i c D_N[i, j] S_i psi, with D_N the N-th
 symmetric power of the 2 x 2 tunneling matrix and S_i psi the splitting
 isometry's output (psi itself at (N, 0) and (0, N)), for any K and any
 symmetric psi. So run_protocol samples the (N+1)-state chain on D_N and runs
-the kernel once, on the transition that reaches the target."""
+the kernel only on the transition that reaches the target. That pass depends
+on the state, the last count's sector and (target, r, t) alone, so it runs
+once per state and last-count sector: the state keeps the post-selected
+blocks, and the reference S psi, for the latest (target, r, t), and every
+later run of a job reads them."""
 
 from __future__ import annotations
 
@@ -307,7 +311,8 @@ def _phase_factor(phase: float) -> complex:
 class ProtocolResult:
     """Trace of one protocol run: the outcome sequence, whether the target
     was reached, and the fidelity of the post-selected state against the
-    splitting isometry applied to the input."""
+    splitting isometry applied to the input. final_block is read-only: runs
+    of one state that succeed from the same last count with phase 1 share it."""
 
     succeeded: bool
     rounds: int
@@ -369,20 +374,37 @@ def _sector_image(state: SymmetricState, index: int) -> np.ndarray:
     return state.amplitudes if n_a == 0 or n_b == 0 else apply_splitting(state, n_a, n_b)
 
 
-def _last_transition(state: SymmetricState, prev: int, phase: complex, goal: int,
-                     r: complex, t: complex) -> np.ndarray:
+def _last_transition(state: SymmetricState, prev: int, goal: int, r: complex, t: complex) -> np.ndarray:
     """The kernel's one pass on the transition that reaches the target: the
-    pre-state phase S_prev psi, alone in sector prev, tunneled, counted in
-    sector goal and normalized, as a block."""
+    pre-state S_prev psi, alone in sector prev, tunneled, counted in sector
+    goal and normalized, as a read-only block."""
     k, n = state.k, state.n
     blocks = _blocks(k, n)
     amps = np.zeros(blocks[-1][2].stop, dtype=complex)
-    amps[blocks[prev][2]] = phase * _sector_image(state, prev)
+    amps[blocks[prev][2]] = _sector_image(state, prev)
     _tunnel(k, n, amps, r, t)
     weights = _sector_weights(k, n, amps)
     check_unit_vector(amps, "two-mode state", squared_norm=float(weights.sum()))
     block, _ = _post_select(k, n, amps, weights, goal)
+    block.setflags(write=False)
     return block.reshape(blocks[goal][1])
+
+
+def _shared(state: SymmetricState, cfg: ProtocolConfig) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """What every run of state under cfg's (target, r, t) shares: the reference
+    apply_splitting(psi, *target) and the map from a last count prev to
+    _last_transition's block, filled as runs reach the target. Both are kept on
+    the state as the attribute _protocol_memo, which is no dataclass field, so
+    eq and repr ignore it; only the latest (target, r, t) is kept, so a state
+    holds at most one reference and N + 1 blocks."""
+    key = (cfg.target, cfg.r, cfg.t)
+    memo = getattr(state, "_protocol_memo", None)
+    if memo is None or memo[0] != key:
+        reference = apply_splitting(state, *cfg.target)
+        reference.setflags(write=False)
+        memo = (key, reference, {})
+        object.__setattr__(state, "_protocol_memo", memo)
+    return memo[1], memo[2]
 
 
 def _run_seed(seed: int, run: int) -> int:
@@ -398,14 +420,18 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     A run walks the sector chain of the module docstring and keeps only the
     last count's sector prev and the phase of its block. Each round checks
     that the weights |c|^2 of c = phase D_N[:, prev] sum to 1 and draws a
-    count from them. On success the kernel runs once, from the pre-state
-    phase S_prev psi, and its post-selected block is the output; the fidelity
+    count from them. On success the output is the kernel's post-selected
+    block from the pre-state S_prev psi times the phase; the fidelity
     compares it with apply_splitting, which shares no code with the kernel.
-    A success in round 1 is the kernel's pass from inject(psi), bit for bit.
+    The kernel runs once per state and last count, and the reference once
+    per state, for the latest (target, r, t) (_shared); a job's runs differ
+    in their seed only, so they share both. A success in round 1 has phase 1
+    and is the kernel's pass from inject(psi), bit for bit; the block is
+    read-only, as results share it.
     """
     goal = _target_index(cfg, input_state.n)
     rng = np.random.default_rng(cfg.seed)
-    reference = apply_splitting(input_state, *cfg.target)
+    reference, passes = _shared(input_state, cfg)
 
     keys = _sector_keys(input_state.n)
     transitions = _transitions(input_state.n, cfg.r, cfg.t)
@@ -421,7 +447,12 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
         outcomes.append(keys[index])
         probs_seen.append(prob)
         if index == goal:
-            block = _last_transition(input_state, prev, phase, goal, cfg.r, cfg.t)
+            if prev not in passes:
+                passes[prev] = _last_transition(input_state, prev, goal, cfg.r, cfg.t)
+            block = passes[prev]
+            if phase != 1.0:
+                block = phase * block
+                block.setflags(write=False)
             fid = abs(np.vdot(reference, block)) ** 2
             return ProtocolResult(succeeded=True, rounds=round_no, outcomes=tuple(outcomes),
                                   probabilities=tuple(probs_seen), fidelity=float(fid), final_block=block)

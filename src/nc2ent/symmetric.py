@@ -111,7 +111,9 @@ class SuUnitary:
 
 @dataclass(frozen=True)
 class SymmetricState:
-    """Vector on Sym^N(C^K) with amplitudes indexed by occupation_basis(K, N)."""
+    """Vector on Sym^N(C^K) with amplitudes indexed by occupation_basis(K, N).
+    modesplit.run_protocol keeps what a job's runs share on the instance, outside
+    the fields (modesplit._shared)."""
 
     k: int
     n: int

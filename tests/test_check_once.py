@@ -101,8 +101,20 @@ def converted_mixture(dim: int, seed: int) -> np.ndarray:
     return conv.convert_density(sum(w * cs.states[k].projector() for w, k in zip(weights, range(terms))))
 
 
+def final_block() -> np.ndarray:
+    """The post-selected block of the first successful single-shot run on one state."""
+    psi = coherent_state(haar_random_su(2, np.random.default_rng(40)), 2)
+    for seed in range(64):
+        res = modesplit.run_protocol(psi, modesplit.ProtocolConfig(r=0.6, t=0.8, target=(1, 1), max_rounds=1,
+                                                                   seed=seed))
+        if res.succeeded:
+            return res.final_block
+    raise AssertionError("no run of 64 succeeded")
+
+
 BASIS = [linalg.basis_state(2, k) for k in range(2)]
 BUILT_MATRICES = {
+    "final block": final_block,
     "converted density": lambda: converted_mixture(3, 35),
     "isometry": lambda: conversion_of_three().isometry,
     "unitary": lambda: conversion_of_three().unitary,

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nc2ent import conversion, linalg, symmetric
 from nc2ent.conversion import (
@@ -29,6 +29,8 @@ from nc2ent.linalg import (
     schmidt_decompose,
 )
 from nc2ent.verify import measure_conversions
+
+from test_certificate import classical_set_near
 
 
 def orthonormal_set(dim: int) -> ClassicalSet:
@@ -121,6 +123,33 @@ def test_make_split_feasible_just_below_epsilon_max(lam_min):
     # and epsilon_max must agree to better than that
     cs = uniform_overlap_set(lam_min, 3)
     make_split(cs, 0.999 * epsilon_max(cs))
+
+
+def test_every_epsilon_just_below_epsilon_max_converts():
+    # near the floor, 1 + eps cannot tell eps_max (1 - 1e-9) from eps_max, so the
+    # bound must be one whose own s = 1 + eps the decision accepts
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        cs = classical_set_near(4, 1e-9, rng)
+        build_conversion(cs, make_split(cs, epsilon_max(cs) * (1.0 - 1e-9)))
+
+
+# nu near -1 puts the bound near the floor; nu near 0 puts it up to 1e17, where 1 + eps rounds in steps of 16
+NUS = st.one_of(st.floats(-16.0, -0.01).map(lambda e: -(1.0 - 10.0**e)),
+                st.floats(-17.0, -0.01).map(lambda e: -(10.0**e)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=NUS, boundary_ok=st.booleans(), scale=st.floats(1.0 - 1e-6, 1.0 + 1e-6))
+def test_check_split_accepts_every_epsilon_below_the_bound_it_names(nu, boundary_ok, scale):
+    bound = conversion._epsilon_bound(nu, boundary_ok)
+    assume(0.0 < bound < math.inf)
+    for eps in (bound, math.nextafter(bound, 0.0), bound * (1.0 - 1e-9), bound * (1.0 - 1e-15)):
+        conversion.check_split(nu, eps, boundary_ok)
+    try:
+        conversion.check_split(nu, bound * scale, boundary_ok)
+    except ValueError as err:
+        assert bound * scale > bound and f"{bound:.12g})" in str(err)
 
 
 def qr_orthonormal_set(dim: int, rng) -> ClassicalSet:

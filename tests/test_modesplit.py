@@ -1,11 +1,13 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nc2ent import modesplit
 from nc2ent.linalg import StateVector, entanglement_entropy, schmidt_decompose
 from nc2ent.modesplit import (
     ProtocolConfig,
@@ -502,3 +504,89 @@ def test_success_probability_by_round_is_the_kernel_chain():
     assert success_probability_by_round(cfg, n, 0) == []
     with pytest.raises(ValueError, match=r"target \(1, 3\) does not partition N=5"):
         success_probability_by_round(cfg, 5, 3)
+
+
+# ----------------------------------------------------- passes a job's runs share
+
+def count_passes(monkeypatch) -> list[int]:
+    """One entry per kernel pass, the tunneling of a whole two-mode vector."""
+    passes = []
+    tunnel = modesplit._tunnel
+
+    def counting(k, n, amps, r, t):
+        passes.append(n)
+        return tunnel(k, n, amps, r, t)
+
+    monkeypatch.setattr(modesplit, "_tunnel", counting)
+    return passes
+
+
+def test_single_shot_runs_of_one_state_share_one_pass(monkeypatch):
+    psi = coherent_state(haar_random_su(2, np.random.default_rng(91)), 2)
+    passes = count_passes(monkeypatch)
+    results = [run_protocol(psi, ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), max_rounds=1,
+                                                seed=_run_seed(91, run)))
+               for run in range(64)]
+    assert 0 < sum(res.succeeded for res in results) < 64
+    assert passes == [2]
+    first = next(res for res in results if res.succeeded)
+    assert all(res.final_block is first.final_block for res in results if res.succeeded)
+
+
+def test_repeat_until_success_runs_make_one_pass_per_last_count(monkeypatch):
+    # a success from last count prev reuses the pass from S_prev psi; each
+    # (target, r, t) makes at most N + 1 passes on one state
+    n = 4
+    psi = random_symmetric(3, n, np.random.default_rng(92))
+    passes = count_passes(monkeypatch)
+    for r, t, target in ((0.6, 0.8j, (1, 3)), (0.45, math.sqrt(1 - 0.45**2) * cmath.exp(0.3j), (2, 2))):
+        before, last_counts = len(passes), set()
+        for run in range(300):
+            res = run_protocol(psi, ProtocolConfig(r=r, t=t, target=target, max_rounds=20, seed=_run_seed(92, run)))
+            if res.succeeded:
+                last_counts.add(res.outcomes[-2] if res.rounds > 1 else (n, 0))
+        assert len(last_counts) >= 3
+        assert len(passes) - before == len(last_counts) <= n + 1
+
+
+def test_a_second_config_on_one_state_gives_what_a_fresh_state_gives():
+    rng = np.random.default_rng(93)
+    psi = random_symmetric(2, 5, rng)
+    first = ProtocolConfig(r=0.7, t=math.sqrt(0.51) * cmath.exp(0.9j), target=(2, 3), max_rounds=12)
+    second = ProtocolConfig(r=0.5 + 0.2j, t=math.sqrt(0.71), target=(3, 2), max_rounds=12)
+    for run in range(40):
+        run_protocol(psi, replace(first, seed=run))
+    fresh = SymmetricState(psi.k, psi.n, psi.amplitudes)
+    late = 0
+    for run in range(120):
+        cfg = replace(second, seed=run)
+        got, want = run_protocol(psi, cfg), run_protocol(fresh, cfg)
+        assert (got.succeeded, got.rounds, got.outcomes) == (want.succeeded, want.rounds, want.outcomes)
+        assert got.probabilities == want.probabilities
+        if not got.succeeded:
+            continue
+        if got.rounds == 1:
+            assert np.array_equal(got.final_block, want.final_block) and got.fidelity == want.fidelity
+        else:
+            late += 1
+            assert np.max(np.abs(got.final_block - want.final_block)) <= 1e-15
+            assert abs(got.fidelity - want.fidelity) <= 1e-15
+    assert late > 0
+    # the memo is no field: the state prints as the fresh one does
+    assert repr(psi) == repr(fresh)
+
+
+def test_a_config_change_keeps_only_the_new_configs_passes():
+    psi = random_symmetric(3, 3, np.random.default_rng(94))
+    old = ProtocolConfig(r=0.6, t=0.8, target=(1, 2), max_rounds=10)
+    new = ProtocolConfig(r=0.8, t=0.6j, target=(2, 1), max_rounds=10)
+    for run in range(100):
+        run_protocol(psi, replace(old, seed=run))
+    results = [run_protocol(psi, replace(new, seed=run)) for run in range(100)]
+    key, reference, blocks = psi._protocol_memo
+    assert key == (new.target, new.r, new.t)
+    assert np.array_equal(reference, apply_splitting(psi, *new.target))
+    assert blocks and set(blocks) <= set(range(psi.n + 1))
+    shape = (dicke_dim(3, 2), dicke_dim(3, 1))
+    assert all(block.shape == shape and not block.flags.writeable for block in blocks.values())
+    assert any(res.final_block is blocks[0] for res in results if res.succeeded and res.rounds == 1)
