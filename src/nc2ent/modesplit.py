@@ -391,12 +391,11 @@ def _last_transition(state: SymmetricState, prev: int, goal: int, r: complex, t:
 
 
 def _shared(state: SymmetricState, cfg: ProtocolConfig) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """What every run of state under cfg's (target, r, t) shares: the reference
-    apply_splitting(psi, *target) and the map from a last count prev to
-    _last_transition's block, filled as runs reach the target. Both are kept on
-    the state as the attribute _protocol_memo, which is no dataclass field, so
-    eq and repr ignore it; only the latest (target, r, t) is kept, so a state
-    holds at most one reference and N + 1 blocks."""
+    """What the runs of state under cfg's (target, r, t) share: the reference
+    apply_splitting(psi, *target), and _last_transition's block per last count
+    prev, filled as runs reach the target. The attribute _protocol_memo, no
+    dataclass field (eq and repr ignore it), holds the latest (target, r, t)
+    only: at most one reference and N + 1 blocks per state."""
     key = (cfg.target, cfg.r, cfg.t)
     memo = getattr(state, "_protocol_memo", None)
     if memo is None or memo[0] != key:
