@@ -212,7 +212,8 @@ def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> float:
     """lambda_min of the scaled factor, 1 + (1+eps) nu, for an eps that
     feasible_split accepts, or a one-line ValueError for an eps that is not
     finite, negative, zero without boundary_ok, or infeasible (naming the bound
-    _epsilon_bound, which every refused eps exceeds)."""
+    _epsilon_bound in full, so every eps below the printed number is accepted
+    and every refused eps exceeds it)."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
@@ -221,7 +222,7 @@ def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> float:
     if not feasible_split(nu, 1.0 / (1.0 + epsilon), boundary_ok):  # then nu < 0: the bound is finite
         raise ValueError(f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue {min_eig:.3e} "
                          f"(feasible range is eps {'<=' if boundary_ok else '<'} "
-                         f"{_epsilon_bound(nu, boundary_ok):.12g})")
+                         f"{_epsilon_bound(nu, boundary_ok)})")
     return min_eig
 
 

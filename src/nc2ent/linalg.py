@@ -101,11 +101,16 @@ class StateVector:
 
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
-        """Build a state from raw amplitudes, normalizing them first. The real
-        and imaginary parts are scaled by the power of two that brings
-        the largest into [0.5, 1); that is exact, so the norm of a tiny or a
-        huge finite vector neither underflows nor overflows."""
+        """Build a state from raw amplitudes, normalizing them first. Where
+        the squared norm lies in [2^-1000, 2^1000] (np.vdot decides: its BLAS
+        sum raises no floating-point warning), they are divided by their norm
+        directly. Otherwise the real and imaginary parts are first scaled by
+        the power of two that brings the largest into [0.5, 1); that is
+        exact, so the norm of a tiny or a huge finite vector neither
+        underflows nor overflows."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if 2.0**-1000 <= np.vdot(amps, amps).real <= 2.0**1000:
+            return _built(cls, amplitudes=amps / np.linalg.norm(amps))
         parts = np.stack([amps.real, amps.imag], axis=-1)
         _, exp = np.frexp(np.max(np.abs(parts), initial=0.0))
         amps = np.ldexp(parts, -exp).view(complex).reshape(-1)
@@ -320,7 +325,7 @@ def entanglement_entropy(sd: SchmidtData) -> float:
 
 def _is_integer(value) -> bool:
     """Whether value is an int or a numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, (int, np.integer)) and not isinstance(value, bool))
 
 
 def check_cut(dim_a: int, dim_b: int, dim: int) -> None:

@@ -24,7 +24,10 @@ alone in sector j, tunnels to sum_i c D_N[i, j] S_i psi, with D_N the N-th
 symmetric power of the 2 x 2 tunneling matrix and S_i psi the splitting
 isometry's output (psi itself at (N, 0) and (0, N)), for any K and any
 symmetric psi. So run_protocol samples the (N+1)-state chain on D_N and runs
-the kernel only on the transition that reaches the target. That pass depends
+the kernel only on the transition that reaches the target. The chain's
+weights |D_N[i, j]|^2 do not depend on the run: one table per (N, r, t) holds
+them, their running sums and D_N's columns, and checks once per column that
+the weights sum to 1, so a round is a lookup in it. That pass depends
 on the state, the last count's sector and (target, r, t) alone, so it runs
 once per state and last-count sector: the state keeps the post-selected
 blocks, and the reference S psi, for the latest (target, r, t), and every
@@ -33,7 +36,9 @@ later run of a job reads them."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -184,18 +189,23 @@ def _check_mode_pair(r: complex, t: complex) -> tuple[complex, complex]:
     return r, t
 
 
+_ChainRow = tuple[tuple[float, ...], tuple[float, ...], tuple[complex, ...]]  # weights, running sums, amplitudes
+
+
 @lru_cache(maxsize=16)
-def _level_rotations(n: int, r: complex, t: complex) -> tuple[np.ndarray, ...]:
+def _level_rotations(n: int, r: complex, t: complex) -> tuple[tuple[np.ndarray, ...], tuple[_ChainRow, ...]]:
     """D_m for m = 0..N: the m-th symmetric power of the single-level map
     [[r, t*], [t, -r*]], on the states (m, 0), (m-1, 1), ..., (0, m) of one
-    internal level in modes (A, B)."""
-    return _pair_powers(n, np.array([[r, t.conjugate()], [t, -r.conjugate()]]))
+    internal level in modes (A, B); and the sector chain's table on D_N
+    (_chain_table), so both are built once per (N, r, t)."""
+    rotations = _pair_powers(n, np.array([[r, t.conjugate()], [t, -r.conjugate()]]))
+    return rotations, _chain_table(rotations[n])
 
 
 def _tunnel(k: int, n: int, amps: np.ndarray, r: complex, t: complex) -> None:
     """One tunneling pass over amps, a vector in _blocks order, in place: for
     each internal level j, the rotation of levels (j_A, j_B)."""
-    rotations = _level_rotations(n, r, t)
+    rotations = _level_rotations(n, r, t)[0]
     for _, groups in _pair_groups(_two_mode_layout, k, n):
         _rotate(amps, groups, rotations)
 
@@ -206,7 +216,7 @@ def _sector_weights(k: int, n: int, amps: np.ndarray) -> np.ndarray:
     return np.add.reduceat(parts * parts, _float_starts(k, n))
 
 
-def _count_probability(n: int, weights: np.ndarray, index: int) -> float:
+def _count_probability(n: int, weights: np.ndarray | tuple[float, ...], index: int) -> float:
     """weights[index], the probability of counting sector _sector_keys(n)[index];
     a one-line ValueError if it is at most MIN_SECTOR_PROB."""
     prob = float(weights[index])
@@ -279,7 +289,7 @@ class ProtocolConfig:
         if abs(r) < 1e-12 or abs(abs(r) - 1.0) < 1e-12:
             raise ValueError("|r| must differ from 0 and 1")
         if not (isinstance(self.target, (tuple, list)) and len(self.target) == 2
-                and all(map(_is_integer, self.target))):
+                and _is_integer(self.target[0]) and _is_integer(self.target[1])):
             raise ValueError(f"target must be two integers, got {self.target!r}")
         n_x, n_y = self.target
         if n_x < 1 or n_y < 1:
@@ -322,24 +332,31 @@ class ProtocolResult:
     final_block: np.ndarray | None = field(repr=False, default=None)
 
 
-def _sample_sector(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Index of the first sector whose running sum of weights reaches a
-    uniform draw; the last sector if roundoff leaves the draw above them all."""
-    u = rng.random()
-    acc = 0.0
-    for index, weight in enumerate(weights.tolist()):
-        acc += weight
-        if u <= acc:
-            return index
-    return weights.size - 1
-
-
 def _transitions(n: int, r: complex, t: complex) -> np.ndarray:
     """D_N, the amplitudes of the sector chain: one tunneling pass takes the
     pre-state c S_j psi of sector j = _sector_keys(n)[j] to c D_N[i, j] S_i psi
     in every sector i, for any K and any symmetric psi, so |D_N[i, j]|^2 is the
     probability of counting i after j."""
-    return _level_rotations(n, r, t)[n]
+    return _level_rotations(n, r, t)[0][n]
+
+
+def _chain_table(transitions: np.ndarray) -> tuple[_ChainRow, ...]:
+    """Per last count prev, the row of the sector chain on D_N = transitions:
+    the weights |D_N[i, prev]|^2 of the next count i, their running sums
+    formed left to right, and the column D_N[:, prev], as tuples of Python
+    numbers that the runs of every job share. A phase of modulus 1 leaves the weights alone, so every run
+    reads the same rows. Each column's unit sum is checked here, once."""
+    weights = transitions.real**2 + transitions.imag**2
+    rows = []
+    for column, amplitudes in zip(weights.T.tolist(), transitions.T):
+        check_unit_vector(amplitudes, "two-mode state", squared_norm=sum(column))
+        rows.append((tuple(column), tuple(itertools.accumulate(column)), tuple(amplitudes.tolist())))
+    return tuple(rows)
+
+
+def _chain(n: int, r: complex, t: complex) -> tuple[_ChainRow, ...]:
+    """The sector chain's table of (N, r, t) (_chain_table), from the cache entry of _level_rotations."""
+    return _level_rotations(n, r, t)[1]
 
 
 def _target_index(cfg: ProtocolConfig, n: int) -> int:
@@ -351,12 +368,11 @@ def _target_index(cfg: ProtocolConfig, n: int) -> int:
 
 def success_probability_by_round(cfg: ProtocolConfig, n: int, rounds: int) -> list[float]:
     """Exact probability that a run of N particles first counts cfg.target in
-    round 1, 2, ..., rounds: the absorbing chain on |D_N|^2 from (N, 0), with
-    the weights run_protocol draws from. It holds for any K and any symmetric
-    input."""
+    round 1, 2, ..., rounds: the absorbing chain on |D_N|^2 from (N, 0), read
+    from the table run_protocol draws from (_chain). It holds for any K and
+    any symmetric input."""
     goal = _target_index(cfg, n)
-    amps = _transitions(n, cfg.r, cfg.t)
-    moves = amps.real**2 + amps.imag**2
+    moves = np.column_stack([weights for weights, _, _ in _chain(n, cfg.r, cfg.t)])
     alive = np.zeros(n + 1)
     alive[0] = 1.0
     out = []
@@ -417,9 +433,11 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     or max_rounds is exhausted.
 
     A run walks the sector chain of the module docstring and keeps only the
-    last count's sector prev and the phase of its block. Each round checks
-    that the weights |c|^2 of c = phase D_N[:, prev] sum to 1 and draws a
-    count from them. On success the output is the kernel's post-selected
+    last count's sector prev and the phase of its block. Each round draws a
+    count from the row prev of the chain's table (_chain), the weights
+    |D_N[:, prev]|^2 that a phase of modulus 1 leaves alone, by bisecting
+    their running sums; the table, its unit-sum check included, is built once
+    per (N, r, t). On success the output is the kernel's post-selected
     block from the pre-state S_prev psi times the phase; the fidelity
     compares it with apply_splitting, which shares no code with the kernel.
     The kernel runs once per state and last count, and the reference once
@@ -428,21 +446,20 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
     and is the kernel's pass from inject(psi), bit for bit; the block is
     read-only, as results share it.
     """
-    goal = _target_index(cfg, input_state.n)
+    n = input_state.n
+    goal = _target_index(cfg, n)
     rng = np.random.default_rng(cfg.seed)
     reference, passes = _shared(input_state, cfg)
 
-    keys = _sector_keys(input_state.n)
-    transitions = _transitions(input_state.n, cfg.r, cfg.t)
+    keys = _sector_keys(n)
+    chain = _chain(n, cfg.r, cfg.t)
     prev, phase = 0, complex(1.0)
     outcomes: list[tuple[int, int]] = []
     probs_seen: list[float] = []
     for round_no in range(1, cfg.max_rounds + 1):
-        column = phase * transitions[:, prev]
-        weights = column.real**2 + column.imag**2
-        check_unit_vector(column, "two-mode state", squared_norm=float(weights.sum()))
-        index = _sample_sector(weights, rng)
-        prob = _count_probability(input_state.n, weights, index)
+        weights, running, column = chain[prev]
+        index = min(bisect_left(running, rng.random()), n)  # n if roundoff leaves the draw above every sum
+        prob = _count_probability(n, weights, index)
         outcomes.append(keys[index])
         probs_seen.append(prob)
         if index == goal:
@@ -455,6 +472,7 @@ def run_protocol(input_state: SymmetricState, cfg: ProtocolConfig) -> ProtocolRe
             fid = abs(np.vdot(reference, block)) ** 2
             return ProtocolResult(succeeded=True, rounds=round_no, outcomes=tuple(outcomes),
                                   probabilities=tuple(probs_seen), fidelity=float(fid), final_block=block)
-        prev, phase = index, complex(column[index]) / math.sqrt(prob)
+        amplitude = phase * column[index]
+        prev, phase = index, amplitude / abs(amplitude)
     return ProtocolResult(succeeded=False, rounds=cfg.max_rounds, outcomes=tuple(outcomes),
                           probabilities=tuple(probs_seen), fidelity=None, final_block=None)

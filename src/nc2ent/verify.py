@@ -231,21 +231,22 @@ def measure_chain_transitions(rounds: int, rng: np.random.Generator) -> tuple[fl
     project_sector, the counted block carried by TwoModeState.single_sector),
     on a random non-coherent input with random complex r and t, each count
     drawn from the kernel's weights. Returns (worst deviation of a round's
-    sector weights from the |D_N|^2 column of the previous count, worst
-    deviation of a counted block from c S psi, c the chain's phase)."""
+    sector weights from the previous count's row of the chain's table, the
+    weights run_protocol draws from, worst deviation of a counted block from
+    c S psi, c the chain's phase)."""
     worst_weight = worst_block = 0.0
     for k, n in CHAIN_SHAPES:
         dim = symmetric.dicke_dim(k, n)
         psi = symmetric.SymmetricState.normalized(k, n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         r_mag, phase_r, phase_t = rng.uniform(0.2, 0.9), *rng.uniform(0.0, 2 * math.pi, 2)
         r, t = r_mag * cmath.exp(1j * phase_r), math.sqrt(1.0 - r_mag**2) * cmath.exp(1j * phase_t)
-        transitions, keys = modesplit._transitions(n, r, t), modesplit._sector_keys(n)
+        transitions, table, keys = modesplit._transitions(n, r, t), modesplit._chain(n, r, t), modesplit._sector_keys(n)
         state, prev, phase = modesplit.inject(psi), 0, 1.0
         for _ in range(rounds):
             state = modesplit.apply_tunneling(state, r, t)
             weights = np.array(list(modesplit.sector_probabilities(state).values()))
             column = phase * transitions[:, prev]
-            worst_weight = max(worst_weight, float(np.max(np.abs(weights - np.abs(column) ** 2))))
+            worst_weight = max(worst_weight, float(np.max(np.abs(weights - table[prev][0]))))
             prev = int(rng.choice(n + 1, p=weights / weights.sum()))
             block, _ = modesplit.project_sector(state, *keys[prev])
             phase = column[prev] / abs(column[prev])

@@ -771,7 +771,7 @@ REASONS = {
     _convert_infinite_epsilon_on_orthonormal_set: "epsilon must be finite, got inf",
     _modesplit_infinite_phase: "phase of t must be finite, got inf",
     _convert_epsilon_beyond_an_orthonormal_range: "is infeasible",
-    _witness_epsilon_past_the_psd_floor: "feasible range is eps <= 2.57142857143",
+    _witness_epsilon_past_the_psd_floor: "feasible range is eps <= 2.571428571432141)",
     _modesplit_t_off_the_unit_circle: "|r|^2 + |t|^2 must be 1",
     _modesplit_given_t_with_infinite_phase: "phase of t must be finite",
     _convert_states_not_an_object: "expected a JSON object",

@@ -117,7 +117,7 @@ ROWS = [
     # gcnot, verify, witness
     ("mu-zero", lambda: mu_to_epsilon(0.0), "mu must lie in (0, 1], got 0.0"),
     ("mu-above-one", lambda: mu_to_epsilon(1.5), "mu must lie in (0, 1], got 1.5"),
-    ("beamsplitter-vanishing-overlap", lambda: beamsplitter_params(1e-20, 1e30), "eps <= 1e+20"),
+    ("beamsplitter-vanishing-overlap", lambda: beamsplitter_params(1e-20, 1e30), "eps <= 1.000000000001e+20)"),
     ("unknown-suite", lambda: verify.run_suites(["bogus"]), "unknown suite 'bogus'; valid: all, discrete"),
     ("witness-dimension", lambda: nonclassicality_witness(swap_style_witness(3, 3, basis_state(9, 0)),
                                                           conversion_of(2)[1]),

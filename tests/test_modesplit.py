@@ -590,3 +590,62 @@ def test_a_config_change_keeps_only_the_new_configs_passes():
     shape = (dicke_dim(3, 2), dicke_dim(3, 1))
     assert all(block.shape == shape and not block.flags.writeable for block in blocks.values())
     assert any(res.final_block is blocks[0] for res in results if res.succeeded and res.rounds == 1)
+
+
+# ------------------------------------------------------ the sector chain's table
+
+def test_a_jobs_runs_build_the_chain_table_once_per_shape(monkeypatch):
+    built = []
+    table = modesplit._chain_table
+
+    def counting(transitions):
+        built.append(transitions.shape[0] - 1)
+        return table(transitions)
+
+    monkeypatch.setattr(modesplit, "_chain_table", counting)
+    modesplit._level_rotations.cache_clear()
+    rng = np.random.default_rng(95)
+    for n in (3, 5, 3):
+        psi = random_symmetric(2, n, rng)
+        base = ProtocolConfig.from_magnitudes(0.6, phase=0.7, target=(1, n - 1), max_rounds=12)
+        results = [run_protocol(psi, replace(base, seed=_run_seed(95, run))) for run in range(16)]
+        assert any(res.succeeded for res in results) and any(res.rounds > 1 for res in results)
+    assert built == [3, 5]
+
+
+def test_every_rounds_probability_is_the_table_weight_bit_for_bit():
+    # a phase of modulus 1 leaves |D_N[i, prev]|^2 alone, so every round reads the weight itself
+    n, r, t = 4, 0.6 * cmath.exp(0.4j), 0.8 * cmath.exp(1.1j)
+    amps = _transitions(n, r, t)
+    weights = amps.real**2 + amps.imag**2
+    keys = _sector_keys(n)
+    psi = random_symmetric(3, n, np.random.default_rng(96))
+    later = 0
+    for seed in range(200):
+        res = run_protocol(psi, ProtocolConfig(r=r, t=t, target=(2, 2), max_rounds=12, seed=seed))
+        prev = 0
+        for key, prob in zip(res.outcomes, res.probabilities):
+            assert prob == weights[keys.index(key), prev]
+            prev = keys.index(key)
+        later += res.rounds - 1
+    assert later > 100
+
+
+def test_success_probability_by_round_reads_the_table_the_runs_draw_from(monkeypatch):
+    n, r, t = 5, 0.5 + 0.3j, math.sqrt(0.66) * cmath.exp(-0.8j)
+    cfg = ProtocolConfig(r=r, t=t, target=(2, 3), max_rounds=8, seed=3)
+    reads = []
+    chain = modesplit._chain
+    monkeypatch.setattr(modesplit, "_chain", lambda *key: reads.append(key) or chain(*key))
+    law = success_probability_by_round(cfg, n, 8)
+    run_protocol(random_symmetric(2, n, np.random.default_rng(97)), cfg)
+    assert reads == [(n, cfg.r, cfg.t)] * 2
+    amps = _transitions(n, r, t)
+    moves = np.column_stack([weights for weights, _, _ in chain(n, r, t)])
+    assert np.array_equal(moves, amps.real**2 + amps.imag**2)
+    goal, alive, want = _sector_keys(n).index((2, 3)), np.eye(n + 1)[0], []
+    for _ in range(8):
+        alive = moves @ alive
+        want.append(float(alive[goal]))
+        alive[goal] = 0.0
+    assert law == want
