@@ -28,7 +28,6 @@ from .linalg import (
     _numerical_rank,
     _sealed,
     factor_gram,
-    gram_of,
     positive_frame,
     random_state,
 )
@@ -43,11 +42,13 @@ class ClassicalSet:
     """Ordered family of D linearly independent unit vectors spanning C^D: 1 + nu
     must exceed 1e-10, for nu = lambda_min(G - diag G), the one number every split
     decision reads. It is G's lambda_min - 1 with G read with an exact unit
-    diagonal, and it keeps its digits however small the overlaps are."""
+    diagonal, and it keeps its digits however small the overlaps are. _set_facts
+    forms the columns A, G and nu, with the set's one eigendecomposition."""
 
     states: tuple[StateVector, ...]
     gram: GramMatrix = field(init=False)
     nu: float = field(init=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -58,22 +59,25 @@ class ClassicalSet:
             raise ValueError("classical states must share one dimension")
         if len(states) != dim:
             raise ValueError(f"need exactly {dim} states in dimension {dim}, got {len(states)}")
-        gram = gram_of(list(states))
-        nu = _off_diagonal_min(gram)
-        if not 1.0 + nu > INDEPENDENCE_TOL:
-            raise ValueError(f"classical states are not linearly independent (min Gram eigenvalue {1.0 + nu:.3e})")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "nu", nu)
+        facts = _set_facts(states)
+        if not (min_eig := 1.0 + facts["nu"]) > INDEPENDENCE_TOL:
+            raise ValueError(f"classical states are not linearly independent (min Gram eigenvalue {min_eig:.3e})")
+        for name, value in dict(facts, states=states).items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.states[0].dim
 
 
-def _off_diagonal_min(gram: GramMatrix) -> float:
-    """nu = lambda_min(G - diag G), from one eigvalsh of the off-diagonal part."""
-    return float(np.linalg.eigvalsh(gram.entries - np.diag(gram.entries.diagonal()))[0])
+def _set_facts(states: tuple[StateVector, ...]) -> dict:
+    """A classical set's derived fields: its columns A, sealed (_sealed); its Gram
+    G = A^dag A; and nu = lambda_min(G - diag G), from one eigvalsh of G's
+    off-diagonal part, the only eigendecomposition a set makes."""
+    a = _sealed(np.column_stack([s.amplitudes for s in states]))
+    g = a.conj().T @ a
+    nu = float(np.linalg.eigvalsh(g - np.diag(g.diagonal()))[0])
+    return dict(columns=a, gram=_built(GramMatrix, entries=g), nu=nu)
 
 
 @dataclass(frozen=True)
@@ -208,22 +212,19 @@ def _epsilon_bound(nu: float, boundary_ok: bool = False) -> float:
     return bound
 
 
-def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> float:
-    """lambda_min of the scaled factor, 1 + (1+eps) nu, for an eps that
-    feasible_split accepts, or a one-line ValueError for an eps that is not
-    finite, negative, zero without boundary_ok, or infeasible (naming the bound
-    _epsilon_bound in full, so every eps below the printed number is accepted
-    and every refused eps exceeds it)."""
+def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> None:
+    """Return for an eps that feasible_split accepts; raise a one-line ValueError for one that
+    is not finite, negative, zero without boundary_ok, or infeasible. That refusal names the
+    scaled factor's lambda_min 1 + (1+eps) nu, formed for it alone, and _epsilon_bound in
+    full, so every eps below the printed number is accepted and every refused eps exceeds it."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
         raise ValueError(f"epsilon must be {'nonnegative' if boundary_ok else 'positive'}, got {epsilon}")
-    min_eig = 1.0 + (1.0 + epsilon) * nu
     if not feasible_split(nu, 1.0 / (1.0 + epsilon), boundary_ok):  # then nu < 0: the bound is finite
-        raise ValueError(f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue {min_eig:.3e} "
-                         f"(feasible range is eps {'<=' if boundary_ok else '<'} "
+        raise ValueError(f"epsilon={epsilon} is infeasible: scaled Gram has min eigenvalue "
+                         f"{1.0 + (1.0 + epsilon) * nu:.3e} (feasible range is eps {'<=' if boundary_ok else '<'} "
                          f"{_epsilon_bound(nu, boundary_ok)})")
-    return min_eig
 
 
 def epsilon_max(cs: ClassicalSet) -> float:
@@ -243,14 +244,13 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps))
     and the scaled factor I + (1+eps)(G - diag G), and factor both into state families.
     check_split is the only feasibility decision (with boundary_ok it admits eps = 0
-    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose
-    lambda_min is 1 + (1+eps) nu exactly; that value is kept and not re-checked. The
-    factors' entrywise product is G to a few ulps off the diagonal, and 1 on it."""
-    min_eig = check_split(cs.nu, epsilon, boundary_ok)
+    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min
+    is 1 + (1+eps) nu exactly. The factors' entrywise product is G to a few ulps off the diagonal."""
+    check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
     gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
-    gram_e = _built(GramMatrix, entries=scaled, _min_eig=min_eig)
+    gram_e = _built(GramMatrix, entries=scaled)
     return SplitSpec(gram_d=gram_d, gram_e=gram_e,
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
@@ -270,16 +270,15 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
     _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
-    a = np.column_stack([c.amplitudes for c in cs.states])
     d = np.column_stack([s.amplitudes for s in split.d_states])
     e = np.column_stack([s.amplitudes for s in split.e_states])
     b = (d[:, None, :] * e[None, :, :]).reshape(-1, cs.dim)  # column i is d_i (x) e_i
-    v = positive_frame(b) @ positive_frame(a).conj().T
-    miss = v @ a - b
+    v = positive_frame(b) @ positive_frame(cs.columns).conj().T
+    miss = v @ cs.columns - b
     if np.max(np.abs((d.conj().T @ d) * (e.conj().T @ e) - cs.gram.entries)) > UNITARY_TOL:
         raise GramMismatchError(f"conversion misses the product states by {np.max(np.abs(miss)):.3e}; the Grams differ")
     return _built(Conversion, isometry=_sealed(v), reference=cs.states[0],
-                  _classical=_sealed(a), _residuals=_sealed(np.linalg.norm(miss, axis=0)))
+                  _classical=cs.columns, _residuals=_sealed(np.linalg.norm(miss, axis=0)))
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
@@ -288,8 +287,7 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
     cut (_numerical_rank, 1e-10 times the largest) count as zero."""
     if psi.dim != cs.dim:
         raise ValueError(f"state has dimension {psi.dim}, expected {cs.dim}")
-    basis = np.column_stack([c.amplitudes for c in cs.states])
-    return _numerical_rank(np.abs(np.linalg.solve(basis, psi.amplitudes)))
+    return _numerical_rank(np.abs(np.linalg.solve(cs.columns, psi.amplitudes)))
 
 
 def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
@@ -297,10 +295,9 @@ def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
     exceeds 1e-3, far above the independence floor; that Gram becomes the set's own."""
     for _ in range(200):
         states = tuple(random_state(dim, rng) for _ in range(dim))
-        gram = gram_of(list(states))
-        nu = _off_diagonal_min(gram)
-        if 1.0 + nu > 1e-3:
-            return _built(ClassicalSet, states=states, gram=gram, nu=nu)
+        facts = _set_facts(states)
+        if 1.0 + facts["nu"] > 1e-3:
+            return _built(ClassicalSet, states=states, **facts)
     raise RuntimeError("failed to sample a well-conditioned classical set")
 
 

@@ -155,29 +155,28 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Overlap table of a normalized state family: Hermitian, PSD, unit diagonal."""
+    """Overlap table of a normalized state family: Hermitian, PSD, unit diagonal. It keeps only
+    its entries; the constructor decides PSD as _check_density does, by _positive_definite at PSD_TOL."""
 
     entries: np.ndarray
-    _min_eig: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = np.asarray(self.entries, dtype=complex)
+        g = np.array(self.entries, dtype=complex)
         check_hermitian(g, "Gram matrix", HERMITIAN_TOL)
         if not np.max(np.abs(np.diag(g) - 1.0)) <= UNIT_DIAG_TOL:
             raise ValueError("Gram matrix does not have unit diagonal")
-        min_eig = float(np.linalg.eigvalsh(g)[0])
-        if not min_eig >= -PSD_TOL:
+        if not _positive_definite(g, PSD_TOL):
             raise ValueError("Gram matrix is not positive semidefinite")
-        object.__setattr__(self, "entries", _frozen(g))
-        object.__setattr__(self, "_min_eig", min_eig)
+        g.setflags(write=False)
+        object.__setattr__(self, "entries", g)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
 
     def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue, computed once by the PSD check."""
-        return self._min_eig
+        """Smallest eigenvalue, from one eigvalsh of the entries at each call."""
+        return float(np.linalg.eigvalsh(self.entries)[0])
 
 
 @dataclass(frozen=True)
@@ -204,14 +203,6 @@ def _numerical_rank(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > RANK_RTOL * values.max()))
 
 
-def _built_gram(entries: np.ndarray) -> GramMatrix:
-    """A GramMatrix, unchecked, of a fresh array that is a Gram by construction:
-    its diagonal, |c|^2 of accepted unit vectors or the product of two accepted
-    diagonals, may be off by 2e-12, more than the caller check allows. Its one
-    eigvalsh gives lambda_min."""
-    return _built(GramMatrix, entries=entries, _min_eig=float(np.linalg.eigvalsh(entries)[0]))
-
-
 def gram_of(states: list[StateVector]) -> GramMatrix:
     """Gram matrix of a state family: G_ij = <state_i|state_j>."""
     if not states:
@@ -220,7 +211,7 @@ def gram_of(states: list[StateVector]) -> GramMatrix:
     if any(s.dim != dim for s in states):
         raise ValueError("all states must share one dimension")
     mat = np.column_stack([s.amplitudes for s in states])
-    return _built_gram(mat.conj().T @ mat)
+    return _built(GramMatrix, entries=mat.conj().T @ mat)
 
 
 def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
@@ -228,7 +219,7 @@ def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
     theorem, and the Gram of the corresponding product-state family."""
     if g1.n != g2.n:
         raise ValueError(f"size mismatch: {g1.n} vs {g2.n}")
-    return _built_gram(g1.entries * g2.entries)
+    return _built(GramMatrix, entries=g1.entries * g2.entries)
 
 
 def factor_gram(g: GramMatrix) -> list[StateVector]:
