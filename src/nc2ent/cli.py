@@ -299,9 +299,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
         state = symmetric.SymmetricState.normalized(k, n, _pairs_to_array(doc["amplitudes"]))
     else:
         state = symmetric.coherent_state(symmetric.SuUnitary(np.eye(k)), n)
-    cfg_fields = dict(target=(n_x, n_y), max_rounds=max_rounds)  # a given t is served as t e^{i phase}
-    base_cfg = (modesplit.ProtocolConfig.from_magnitudes(r_mag, phase, **cfg_fields) if t_mag is None else
-                modesplit.ProtocolConfig(r=complex(r_mag), t=t_mag * modesplit._phase_factor(phase), **cfg_fields))
+    base_cfg = modesplit.ProtocolConfig.from_magnitudes(r_mag, phase, t_mag, target=(n_x, n_y), max_rounds=max_rounds)
 
     successes = 0
     total_rounds = 0

@@ -18,6 +18,7 @@ from .linalg import (
     GramMatrix,
     GramMismatchError,
     PSD_TOL,
+    UNIT_ROUNDOFF,
     UNITARY_TOL,
     StateVector,
     _built,
@@ -34,7 +35,6 @@ from .linalg import (
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
 EPS_CAP = 1e6              # beyond this default_epsilon takes 1.0, not half the range
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class ClassicalSet:
     """Ordered family of D linearly independent unit vectors spanning C^D: 1 + nu
     must exceed 1e-10, for nu = lambda_min(G - diag G), the one number every split
     decision reads. It is G's lambda_min - 1 with G read with an exact unit
-    diagonal, and it keeps its digits however small the overlaps are. _set_facts
-    forms the columns A, G and nu, with the set's one eigendecomposition."""
+    diagonal, and it keeps its digits however small the overlaps are. The columns A
+    are formed once, sealed, and G and nu with them, by one eigendecomposition (_set_facts)."""
 
     states: tuple[StateVector, ...]
     gram: GramMatrix = field(init=False)
@@ -71,9 +71,8 @@ class ClassicalSet:
 
 
 def _set_facts(states: tuple[StateVector, ...]) -> dict:
-    """A classical set's derived fields: its columns A, sealed (_sealed); its Gram
-    G = A^dag A; and nu = lambda_min(G - diag G), from one eigvalsh of G's
-    off-diagonal part, the only eigendecomposition a set makes."""
+    """A set's derived fields: its columns A, _sealed; G = A^dag A; and nu from one eigvalsh
+    of G - diag G, which also gives lambda_min(G) = 1 + nu, so G stores no eigenvalue."""
     a = _sealed(np.column_stack([s.amplitudes for s in states]))
     g = a.conj().T @ a
     nu = float(np.linalg.eigvalsh(g - np.diag(g.diagonal()))[0])
@@ -213,10 +212,10 @@ def _epsilon_bound(nu: float, boundary_ok: bool = False) -> float:
 
 
 def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> None:
-    """Return for an eps that feasible_split accepts; raise a one-line ValueError for one that
-    is not finite, negative, zero without boundary_ok, or infeasible. That refusal names the
-    scaled factor's lambda_min 1 + (1+eps) nu, formed for it alone, and _epsilon_bound in
-    full, so every eps below the printed number is accepted and every refused eps exceeds it."""
+    """Return for an eps that feasible_split accepts; raise a one-line ValueError for one that is not
+    finite, negative, zero without boundary_ok, or infeasible, naming the scaled factor's lambda_min
+    1 + (1+eps) nu (formed for it alone) and _epsilon_bound in full: every eps below the printed number
+    is accepted, every refused one exceeds it. The lower bound depends on D; build_conversion decides it."""
     if not math.isfinite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if epsilon < 0.0 or (epsilon == 0.0 and not boundary_ok):
@@ -244,12 +243,13 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps))
     and the scaled factor I + (1+eps)(G - diag G), and factor both into state families.
     check_split is the only feasibility decision (with boundary_ok it admits eps = 0
-    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min
-    is 1 + (1+eps) nu exactly. The factors' entrywise product is G to a few ulps off the diagonal."""
+    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min is
+    1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few ulps off the diagonal."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
-    gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
+    mu = 1.0 / (1.0 + epsilon) if 1.0 + epsilon > 1.0 or epsilon == 0.0 else math.nextafter(1.0, 0.0)
+    gram_d = uniform_overlap_gram(mu, cs.dim)  # mu < 1 for every eps > 0: only eps = 0 gives G_d = J
     gram_e = _built(GramMatrix, entries=scaled)
     return SplitSpec(gram_d=gram_d, gram_e=gram_e,
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
@@ -266,9 +266,15 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     isometry to roundoff however small lambda_min(G) is; its misses |V c_i - d_i (x) e_i|
     are kept as the certificate's residuals. The ancilla's reference state is the first
     classical state. The peak, about five D^2 x D arrays, is refused past
-    MAX_DENSE_BYTES (D >= 343) before B is formed."""
+    MAX_DENSE_BYTES (D >= 343) before B is formed. A split with mu < 1 and eps below
+    4 D^2 u (u the unit roundoff) is refused, naming that bound: G_d's lambda_min 1 - mu
+    is then not above twice factor_gram's clamp, the d_i collapse and ranks come out wrong."""
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
+    floor = 4.0 * cs.dim**2 * UNIT_ROUNDOFF  # every eps from it on gives a mu at most 1/(1+floor)
+    if 1.0 / (1.0 + floor) < (mu := split.gram_d.entries[0, -1].real) < 1.0:
+        raise ValueError(f"split is unresolved at D={cs.dim}: G_d has lambda_min {1.0 - mu:.3e}, within "
+                         f"eigh's error (feasible range is eps >= {floor})")
     _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
     d = np.column_stack([s.amplitudes for s in split.d_states])
     e = np.column_stack([s.amplitudes for s in split.e_states])
@@ -291,8 +297,8 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
 
 
 def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
-    """Random classical set, resampled until 1 + nu, its Gram's min eigenvalue,
-    exceeds 1e-3, far above the independence floor; that Gram becomes the set's own."""
+    """Random classical set, resampled until 1 + nu, its Gram's min eigenvalue, exceeds
+    1e-3, far above the independence floor; each draw makes one eigendecomposition."""
     for _ in range(200):
         states = tuple(random_state(dim, rng) for _ in range(dim))
         facts = _set_facts(states)

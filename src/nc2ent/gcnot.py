@@ -5,6 +5,7 @@ identification with an optical beamsplitter acting on coherent states."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -192,10 +193,11 @@ def cnot_equivalence_probe(theta: float) -> CnotProbeReport:
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """Overlap of two optical coherent states:
-    exp(-(|alpha|^2 + |beta|^2 - 2 conj(alpha) beta) / 2)."""
+    """Overlap of two optical coherent states, exp(-(|alpha|^2 + |beta|^2 - 2 conj(alpha) beta) / 2), formed as
+    exp(-|alpha - beta|^2 / 2) e^{i Im(conj(alpha) beta)}: amplitudes far apart give 0, never an OverflowError."""
     alpha, beta = complex(alpha), complex(beta)
-    return complex(np.exp(-0.5 * (abs(alpha) ** 2 + abs(beta) ** 2 - 2.0 * np.conj(alpha) * beta)))
+    gap = math.hypot((alpha - beta).real, (alpha - beta).imag)
+    return cmath.rect(math.exp(-0.5 * gap * gap), (alpha.conjugate() * beta).imag)
 
 
 def beamsplitter_params(overlap: float, epsilon: float) -> tuple[float, float]:

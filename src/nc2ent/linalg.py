@@ -13,8 +13,8 @@ import numpy as np
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 UNIT_DIAG_TOL = 1e-12
-EIG_ZERO_TOL = 1e-12     # eigenvalues below this are clamped to zero in factorizations
-PSD_TOL = NORM_TOL       # the one PSD floor; factor_gram's clamp above it moves a column norm < NORM_TOL/2
+PSD_TOL = NORM_TOL       # the one PSD floor; GramMatrix decides it with _positive_definite, as _check_density does
+UNIT_ROUNDOFF = np.finfo(float).eps / 2  # factor_gram's clamp and the small-eps floor scale with it
 
 # Operation tolerances.
 RANK_RTOL = 1e-10        # values at or below RANK_RTOL * largest are zero: the one rank cut, _numerical_rank
@@ -228,15 +228,16 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
     C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
     principal square root V sqrt(L) V^dag: it need not be Hermitian, and
     where eigenvalues repeat it depends on the eigenvectors LAPACK picks.
-    Eigenvalues below 1e-12 are clamped to zero; that G is PSD
-    (lambda_min >= -PSD_TOL) was decided where G was built (the GramMatrix
-    constructor, or make_split's closed form). The clamp moves a column's
-    norm by less than 5e-13. The columns go through the checked StateVector
-    constructor, which therefore rejects a column only of a caller Gram
-    whose diagonal is also off by nearly UNIT_DIAG_TOL.
+    Eigenvalues at or below eigh's resolution n u lambda_max (u the unit
+    roundoff), which it cannot tell from zero, are clamped to zero; a larger
+    one keeps its column direction however small it is. That G is PSD was
+    decided where G was built (the GramMatrix constructor, or make_split's
+    closed form). The clamp moves a column's squared norm by at most PSD_TOL or
+    the resolution. The columns go through the checked StateVector constructor,
+    which rejects a column only of a caller Gram whose diagonal is also off.
     """
     w, v = np.linalg.eigh(g.entries)
-    w = np.where(w < EIG_ZERO_TOL, 0.0, w)
+    w = np.where(w > g.n * UNIT_ROUNDOFF * w[-1], w, 0.0)
     c = np.sqrt(w)[:, None] * v.conj().T
     return [StateVector(c[:, i]) for i in range(g.n)]
 

@@ -179,13 +179,14 @@ def inject(state: SymmetricState) -> TwoModeState:
 
 
 def _check_mode_pair(r: complex, t: complex) -> tuple[complex, complex]:
-    """|r|^2 + |t|^2, the squared column norm of [[r, t*], [t, -r*]], must be
-    1 within PARTICLE_UNITARY_TOL, as for an SU(K) label."""
+    """|r|^2 + |t|^2, the squared column norm of [[r, t*], [t, -r*]], must be 1 within
+    PARTICLE_UNITARY_TOL, as for an SU(K) label; summed from products, it is inf where ** would overflow."""
     r, t = complex(r), complex(t)
     if not (cmath.isfinite(r) and cmath.isfinite(t)):
         raise ValueError(f"tunneling amplitudes must be finite, got r={r!r}, t={t!r}")
-    if abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) > PARTICLE_UNITARY_TOL:
-        raise ValueError(f"|r|^2 + |t|^2 must be 1, got {abs(r)**2 + abs(t)**2!r}")
+    total = r.real * r.real + r.imag * r.imag + t.real * t.real + t.imag * t.imag
+    if abs(total - 1.0) > PARTICLE_UNITARY_TOL:
+        raise ValueError(f"|r|^2 + |t|^2 must be 1, got {total!r}")
     return r, t
 
 
@@ -305,9 +306,12 @@ class ProtocolConfig:
         object.__setattr__(self, "target", (int(n_x), int(n_y)))
 
     @classmethod
-    def from_magnitudes(cls, r_mag: float, phase: float = 0.0, **kwargs) -> "ProtocolConfig":
-        """Convention used by the CLI: real r, t = |t| e^{i phase} with |t| = sqrt(1 - r^2)."""
-        return cls(r=complex(r_mag), t=math.sqrt(max(1.0 - r_mag**2, 0.0)) * _phase_factor(phase), **kwargs)
+    def from_magnitudes(cls, r_mag: float, phase: float = 0.0, t_mag: float | None = None,
+                        **kwargs) -> "ProtocolConfig":
+        """The CLI's convention: real r, t = |t| e^{i phase} with |t| = t_mag, or sqrt(1 - r^2) if None."""
+        if t_mag is None:  # 0 for |r| > 1, where r^2 could overflow
+            t_mag = math.sqrt(max(1.0 - r_mag**2, 0.0)) if not abs(r_mag) > 1.0 else 0.0
+        return cls(r=complex(r_mag), t=t_mag * _phase_factor(phase), **kwargs)
 
 
 def _phase_factor(phase: float) -> complex:

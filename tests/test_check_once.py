@@ -62,6 +62,44 @@ def test_built_grams_are_not_checked_again(monkeypatch):
     assert calls == []
 
 
+def count_eigendecompositions(monkeypatch) -> list[str]:
+    """Record the name of every np.linalg eigen-solver call."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+def test_a_classical_set_is_built_with_one_eigendecomposition(monkeypatch):
+    # nu = lambda_min(G - diag G) is the set's one eigenvalue; a built Gram stores none
+    rng = np.random.default_rng(41)
+    states = [random_state(4, rng) for _ in range(4)]
+    calls = count_eigendecompositions(monkeypatch)
+    cs = conversion.ClassicalSet(tuple(states))
+    assert calls == ["eigvalsh"]
+    calls.clear()
+    linalg.hadamard(linalg.gram_of(states), cs.gram)
+    assert calls == []
+    for seed in range(8):  # each first draw is accepted, so one draw is made
+        calls.clear()
+        random_classical_set(3, np.random.default_rng(seed))
+        assert calls == ["eigvalsh"]
+
+
+def test_a_classical_sets_columns_are_sealed_and_are_its_conversions():
+    cs = random_classical_set(4, np.random.default_rng(42))
+    assert np.array_equal(cs.columns, np.column_stack([c.amplitudes for c in cs.states]))
+    assert build_conversion(cs, make_split(cs, default_epsilon(cs)))._classical is cs.columns
+    base = cs.columns
+    while isinstance(base, np.ndarray):  # immutable bytes all the way down
+        with pytest.raises(ValueError):
+            base.setflags(write=True)
+        base = base.base
+
+
 def refuse(name):
     def refusing(*args, **kwargs):
         raise AssertionError(f"{name} was called")

@@ -721,6 +721,25 @@ def _verify_negative_seed(tmp_path):
     return ["verify", "--suite", "discrete", "--seed", "-1"]
 
 
+def _modesplit_huge_r(tmp_path):
+    return ["modesplit", "--r", "1e200", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_huge_t(tmp_path):
+    return ["modesplit", "--r", "0.6", "--t", "1e200", "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_config_huge_r(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"r": 1e308}))
+    return ["modesplit", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _convert_epsilon_below_the_resolution(tmp_path):
+    states = write_state_set(tmp_path / "pair.json", [[1.0, 0.0], [0.6, 0.8]])
+    return ["convert", "--states", states, "--input", "1,1", "--epsilon", "1e-16"]
+
+
 def huge_pair_file(tmp_path):
     """A pair whose amplitudes are 1e200: |row| = 1.414e200, finite, while its sum of squares overflows."""
     return write_state_set(tmp_path / "huge.json", [[1e200, 1e200], [1e200, -1e200]])
@@ -795,6 +814,10 @@ REASONS = {
     _modesplit_config_negative_seed: "cfg.json: key 'seed' must be a nonnegative integer, got -1",
     _verify_negative_seed: "'--seed'",
     _convert_huge_amplitudes_without_normalize: "state 0 has norm 1.414213562373095e+200; pass --normalize",
+    _modesplit_huge_r: "|r|^2 + |t|^2 must be 1, got inf",
+    _modesplit_huge_t: "|r|^2 + |t|^2 must be 1, got inf",
+    _modesplit_config_huge_r: "|r|^2 + |t|^2 must be 1, got inf",
+    _convert_epsilon_below_the_resolution: "split is unresolved at D=2",
     **OUT_ROWS,
 }
 # text a row's error must not give: the rejection names the bound it was decided by
@@ -857,6 +880,10 @@ WRONG_REASONS = {
     _modesplit_config_negative_seed,
     _verify_negative_seed,
     _convert_huge_amplitudes_without_normalize,
+    _modesplit_huge_r,
+    _modesplit_huge_t,
+    _modesplit_config_huge_r,
+    _convert_epsilon_below_the_resolution,
     *OUT_ROWS,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
@@ -874,6 +901,19 @@ def test_nan_input_error_names_the_amplitude(runner, tmp_path):
     result = runner.invoke(main, _convert_nan_input(tmp_path))
     assert result.exit_code != 0
     assert "non-finite amplitude (nan+0j)" in result.output
+
+
+def test_convert_keeps_the_second_schmidt_coefficient_at_a_small_epsilon(runner, tmp_path):
+    # G_d's lambda_min is about 1e-13, below the old fixed clamp of 1e-12: the output
+    # kept only its first coefficient; the second is |a_0 a_1| sqrt(det G_d det G_e)
+    states = write_state_set(tmp_path / "pair.json", [[1.0, 0.0], [0.6, 0.8]])
+    result = runner.invoke(main, ["convert", "--states", states, "--input", "1,1", "--epsilon", "1e-13"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["classical_rank"] == doc["schmidt_rank"] == 2
+    a1 = math.sqrt(0.5) / 0.8
+    expected = abs((math.sqrt(0.5) - 0.6 * a1) * a1) * math.sqrt(2e-13) * 0.8
+    assert doc["schmidt_coefficients"][1] == pytest.approx(expected, rel=2e-3)
 
 
 def test_convert_normalizes_huge_amplitudes(runner, tmp_path):

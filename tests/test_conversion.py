@@ -269,6 +269,49 @@ def test_make_split_factors_reproduce_the_classical_gram(dim, near_floor, log_la
 
 # ------------------------------------------------------------ build_conversion
 
+def superpositions_of_random_sets(seed: int) -> list:
+    """(set, (psi, classical rank)): 20 random sets for each D in 3, 4, 8 and one
+    random superposition of each support 2..D, 240 inputs in all."""
+    rng = np.random.default_rng(seed)
+    sets = [random_classical_set(dim, rng) for dim in (3, 4, 8) for _ in range(20)]
+    return [(cs, random_superposition(cs, support, rng)) for cs in sets for support in range(2, cs.dim + 1)]
+
+
+def test_a_small_epsilon_keeps_the_classical_rank_or_is_refused_with_its_floor():
+    # G_d's lambda_min eps/(1+eps) once fell below a fixed clamp of 1e-12, and every
+    # output became a product; now each conversion is right or refused with the least eps it takes
+    inputs = superpositions_of_random_sets(0)
+    assert len(inputs) == 240
+    for epsilon in (1e-12, 1e-13, 1e-15, 8e-16, 5e-16, 3e-16, 1e-16, 1e-20):
+        conversions = {}
+        for cs, (psi, rank) in inputs:
+            if id(cs) not in conversions:
+                try:
+                    conversions[id(cs)] = build_conversion(cs, make_split(cs, epsilon))
+                except ValueError as err:
+                    floor = re.fullmatch(r"split is unresolved at D=\d+: .* \(feasible range is eps >= (\S+)\)",
+                                         str(err))
+                    assert floor and epsilon < float(floor[1]) and epsilon < 1e-13, str(err)
+                    conversions[id(cs)] = None
+            if conversions[id(cs)] is not None:
+                assert schmidt_decompose(conversions[id(cs)].convert(psi), cs.dim, cs.dim).rank == rank
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_every_epsilon_from_the_printed_floor_converts(dim):
+    cs = random_classical_set(dim, np.random.default_rng(dim))
+    with pytest.raises(ValueError, match="split is unresolved") as err:
+        build_conversion(cs, make_split(cs, 1e-17))
+    floor = float(re.search(r"eps >= (\S+)\)$", str(err.value))[1])
+    psi, rank = random_superposition(cs, dim, np.random.default_rng(0))
+    for epsilon in (floor, floor * (1.0 + 1e-9), 2.0 * floor):
+        conv = build_conversion(cs, make_split(cs, epsilon))
+        assert schmidt_decompose(conv.convert(psi), dim, dim).rank == rank == dim
+    # the boundary split eps = 0 is G_d = J exactly: every output is a product
+    conv = build_conversion(cs, make_split(cs, 0.0, boundary_ok=True))
+    assert schmidt_decompose(conv.convert(psi), dim, dim).rank == 1
+
+
 def test_conversion_maps_classical_to_factor_products():
     rng = np.random.default_rng(23)
     cs = random_classical_set(3, rng)

@@ -34,6 +34,11 @@ def split_of_another_size():
     return build_conversion(cs2, make_split(cs3, default_epsilon(cs3)))
 
 
+def split_below_the_resolution():
+    cs = conversion_of(3)[0]
+    return build_conversion(cs, make_split(cs, 1e-15))
+
+
 def sectors_with_a_flattened_block():
     sectors = dict(inject(identity_coherent(2, 2)).sectors)
     sectors[(2, 0)] = sectors[(2, 0)].reshape(-1)
@@ -48,6 +53,7 @@ ROWS = [
     ("density-shape", lambda: conversion_of(2)[1].convert_density(np.eye(3) / 3),
      "density operator has shape (3, 3), expected square dim 2"),
     ("split-size", split_of_another_size, "split size does not match the classical set"),
+    ("split-below-the-resolution", split_below_the_resolution, "split is unresolved at D=3"),
     ("classical-rank-dimension", lambda: classical_rank(basis_state(3, 0), conversion_of(2)[0]),
      "state has dimension 3, expected 2"),
     ("superposition-support-zero",
@@ -99,6 +105,13 @@ ROWS = [
      "seed must be None or a nonnegative integer, got -1"),
     ("seed-bool", lambda: ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), seed=True),
      "seed must be None or a nonnegative integer, got True"),
+    ("huge-r", lambda: ProtocolConfig(r=1e200, t=0.5, target=(1, 1)), "|r|^2 + |t|^2 must be 1, got inf"),
+    ("huge-complex-t", lambda: ProtocolConfig(r=0.6, t=complex(1.5e308, 1.5e308), target=(1, 1)),
+     "|r|^2 + |t|^2 must be 1, got inf"),
+    ("huge-r-magnitude", lambda: ProtocolConfig.from_magnitudes(1e200, target=(1, 1)),
+     "|r|^2 + |t|^2 must be 1, got inf"),
+    ("huge-given-t-magnitude", lambda: ProtocolConfig.from_magnitudes(0.6, 0.0, 1e200, target=(1, 1)),
+     "|r|^2 + |t|^2 must be 1, got inf"),
     # symmetric
     ("negative-particle-number", lambda: dicke_dim(2, -1), "particle number must be nonnegative, got -1"),
     ("particle-number-bool", lambda: coherent_state(SuUnitary(np.eye(2)), True),

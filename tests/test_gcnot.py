@@ -341,6 +341,13 @@ def test_coherent_overlap_frozen_value():
     assert abs(coherent_overlap(0.0, math.sqrt(2.0)) - math.exp(-1.0)) < 1e-14
 
 
+def test_coherent_overlap_of_amplitudes_far_apart_is_zero():
+    # |alpha|^2 overflows a float power here, while the overlap's modulus is exp(-|alpha - beta|^2 / 2)
+    for alpha, beta in ((1e200, 0.0), (0.0, -1e200j), (1e200, 1e200j), (1e308, -1e308)):
+        assert coherent_overlap(alpha, beta) == 0.0
+    assert coherent_overlap(1e200, 1e200) == 1.0
+
+
 def test_coherent_overlap_bounded_by_one():
     rng = np.random.default_rng(42)
     for _ in range(1000):

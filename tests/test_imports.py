@@ -1,8 +1,9 @@
 """Every module of the package except its __init__ (which re-exports) uses
 each name it imports, and the package reads every module-level private name
-it defines; a name left behind by a change fails here."""
+and every ALL_CAPS constant it defines; a name left behind by a change fails here."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -46,8 +47,8 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (_name, not dunder) that some module in
+def dead_names(sources: dict[str, str], wanted) -> list[str]:
+    """Module-level names for which wanted(name) holds, that some module in
     sources defines and that no module reads, as a Name or an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {node.id if isinstance(node, ast.Name) else node.attr
@@ -63,9 +64,18 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                 names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
             else:
                 names = []
-            dead += [f"{module}.{name}" for name in names
-                     if name.startswith("_") and not name.startswith("__") and name not in read]
+            dead += [f"{module}.{name}" for name in names if wanted(name) and name not in read]
     return dead
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (_name, not dunder) that no module reads."""
+    return dead_names(sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def dead_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level ALL_CAPS constants (NAME_TOL, not _NAME) that no module reads."""
+    return dead_names(sources, lambda name: re.fullmatch(r"[A-Z][A-Z0-9_]*", name) is not None)
 
 
 def test_the_gate_sees_a_dead_private_helper():
@@ -77,3 +87,15 @@ def test_the_gate_sees_a_dead_private_helper():
 def test_package_reads_every_private_name():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def test_the_gate_sees_an_unread_constant():
+    sources = {"a": "CUT = 1e-12\nLEFT_BEHIND = 1e-12\nSHARED = 2\n_PRIVATE = 3\nlower = 4\n\n"
+                    "def f(x):\n    return x > CUT\n",
+               "b": "from . import a\n\ndef g():\n    return a.SHARED\n"}
+    assert dead_constants(sources) == ["a.LEFT_BEHIND"]
+
+
+def test_package_reads_every_constant():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_constants(sources) == []
