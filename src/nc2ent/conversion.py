@@ -42,8 +42,8 @@ class ClassicalSet:
     """Ordered family of D linearly independent unit vectors spanning C^D: 1 + nu
     must exceed 1e-10, for nu = lambda_min(G - diag G), the one number every split
     decision reads. It is G's lambda_min - 1 with G read with an exact unit
-    diagonal, and it keeps its digits however small the overlaps are. The columns A
-    are formed once, sealed, and G and nu with them, by one eigendecomposition (_set_facts)."""
+    diagonal, and it keeps its digits however small the overlaps are. Its columns A are formed
+    once and sealed (columns); G and nu come with them from one eigendecomposition (_set_facts)."""
 
     states: tuple[StateVector, ...]
     gram: GramMatrix = field(init=False)
@@ -244,7 +244,7 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     and the scaled factor I + (1+eps)(G - diag G), and factor both into state families.
     check_split is the only feasibility decision (with boundary_ok it admits eps = 0
     and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min is
-    1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few ulps off the diagonal."""
+    1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few ulps off the diagonal, 1 on it."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
