@@ -25,6 +25,7 @@ from .linalg import (
     _built_density,
     _check_dense,
     _check_density,
+    _eigh_resolution,
     _frame_unitary,
     _numerical_rank,
     _sealed,
@@ -35,6 +36,7 @@ from .linalg import (
 
 INDEPENDENCE_TOL = 1e-10   # min Gram eigenvalue required for linear independence
 EPS_CAP = 1e6              # beyond this default_epsilon takes 1.0, not half the range
+RESOLUTION_MARGIN = 2.0    # G_d's lambda_min must reach this many eigh resolutions; 1.33 was the most still clamped
 
 
 @dataclass(frozen=True)
@@ -233,10 +235,18 @@ def epsilon_max(cs: ClassicalSet) -> float:
     return _epsilon_bound(cs.nu)
 
 
+def _epsilon_floor(dim: int) -> float:
+    """The least eps whose G_d build_conversion resolves: 1 - mu = eps/(1+eps) reaches RESOLUTION_MARGIN times
+    _eigh_resolution(D, 1 + (D-1) mu) = r (D+eps)/(1+eps), r = m D u, from eps = r D/(1 - r) on."""
+    r = RESOLUTION_MARGIN * _eigh_resolution(dim, 1.0)
+    return r * dim / (1.0 - r)
+
+
 def default_epsilon(cs: ClassicalSet) -> float:
-    """Interior default: half the feasible range, or 1.0 when the range exceeds EPS_CAP."""
-    emax = epsilon_max(cs)
-    return 1.0 if emax > EPS_CAP else emax / 2.0
+    """Interior default: half the feasible range, or 1.0 when the range exceeds EPS_CAP. Where half lies
+    below _epsilon_floor and epsilon_max above it, the midpoint of the two, so the default converts."""
+    emax, floor = epsilon_max(cs), _epsilon_floor(cs.dim)
+    return 1.0 if emax > EPS_CAP else (floor + emax) / 2.0 if emax / 2.0 < floor < emax else emax / 2.0
 
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:
@@ -267,11 +277,11 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     are kept as the certificate's residuals. The ancilla's reference state is the first
     classical state. The peak, about five D^2 x D arrays, is refused past
     MAX_DENSE_BYTES (D >= 343) before B is formed. A split with mu < 1 and eps below
-    4 D^2 u (u the unit roundoff) is refused, naming that bound: G_d's lambda_min 1 - mu
-    is then not above twice factor_gram's clamp, the d_i collapse and ranks come out wrong."""
+    _epsilon_floor is refused, naming that bound: G_d's lambda_min 1 - mu is then within
+    RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
-    floor = 4.0 * cs.dim**2 * UNIT_ROUNDOFF  # every eps from it on gives a mu at most 1/(1+floor)
+    floor = _epsilon_floor(cs.dim)  # every eps from it on gives a mu at most 1/(1+floor)
     if 1.0 / (1.0 + floor) < (mu := split.gram_d.entries[0, -1].real) < 1.0:
         raise ValueError(f"split is unresolved at D={cs.dim}: G_d has lambda_min {1.0 - mu:.3e}, within "
                          f"eigh's error (feasible range is eps >= {floor})")

@@ -194,10 +194,13 @@ def cnot_equivalence_probe(theta: float) -> CnotProbeReport:
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
     """Overlap of two optical coherent states, exp(-(|alpha|^2 + |beta|^2 - 2 conj(alpha) beta) / 2), formed as
-    exp(-|alpha - beta|^2 / 2) e^{i Im(conj(alpha) beta)}: amplitudes far apart give 0, never an OverflowError."""
-    alpha, beta = complex(alpha), complex(beta)
-    gap = math.hypot((alpha - beta).real, (alpha - beta).imag)
-    return cmath.rect(math.exp(-0.5 * gap * gap), (alpha.conjugate() * beta).imag)
+    exp(-|g|^2 / 2) e^{i Im(conj(alpha) g)}, g = beta - alpha: amplitudes far apart give 0 and equal ones 1,
+    however large; a phase past float range where the modulus is not 0 raises a one-line ValueError."""
+    alpha, gap = complex(alpha), complex(beta) - complex(alpha)  # |g|^2 from products: inf, never an OverflowError
+    modulus, phase = math.exp(-0.5 * (gap.real * gap.real + gap.imag * gap.imag)), (alpha.conjugate() * gap).imag
+    if modulus and not math.isfinite(phase):
+        raise ValueError(f"coherent overlap of {alpha} and {complex(beta)} has a phase past float range")
+    return cmath.rect(modulus, phase) if modulus else 0j
 
 
 def beamsplitter_params(overlap: float, epsilon: float) -> tuple[float, float]:

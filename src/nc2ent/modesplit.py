@@ -308,17 +308,13 @@ class ProtocolConfig:
     @classmethod
     def from_magnitudes(cls, r_mag: float, phase: float = 0.0, t_mag: float | None = None,
                         **kwargs) -> "ProtocolConfig":
-        """The CLI's convention: real r, t = |t| e^{i phase} with |t| = t_mag, or sqrt(1 - r^2) if None."""
+        """The CLI's convention: real r, t = |t| e^{i phase} with |t| = t_mag, or sqrt(1 - r^2) if None;
+        a one-line ValueError unless phase is finite."""
         if t_mag is None:  # 0 for |r| > 1, where r^2 could overflow
             t_mag = math.sqrt(max(1.0 - r_mag**2, 0.0)) if not abs(r_mag) > 1.0 else 0.0
-        return cls(r=complex(r_mag), t=t_mag * _phase_factor(phase), **kwargs)
-
-
-def _phase_factor(phase: float) -> complex:
-    """e^{i phase}, the CLI's phase of t; a one-line ValueError unless phase is finite."""
-    if not math.isfinite(phase):
-        raise ValueError(f"phase of t must be finite, got {phase!r}")
-    return complex(math.cos(phase), math.sin(phase))
+        if not math.isfinite(phase):
+            raise ValueError(f"phase of t must be finite, got {phase!r}")
+        return cls(r=complex(r_mag), t=t_mag * complex(math.cos(phase), math.sin(phase)), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,20 @@ def test_default_epsilon_feasible_near_independence_floor(dim, lam_min):
     assert np.max(np.abs(product - cs.gram.entries)) < 1e-10
 
 
+@pytest.mark.parametrize("lam_min", [1.1e-10, 1.06e-10])
+def test_default_epsilon_converts_a_large_set_near_independence_floor(lam_min):
+    # at D = 128 the default eps is near 4.8e-12, a few of eigh's resolutions D^2 u = 1.8e-12;
+    # at 1.06e-10 half of epsilon_max lies below twice that, so the default must move up inside the range
+    # (the conversion's own Gram check passes; its map misses the products by up to 1/sqrt(lam_min) roundoffs)
+    cs = uniform_overlap_set(lam_min, 128)
+    split = make_split(cs, default_epsilon(cs))
+    build_conversion(cs, split)
+    mu = split.gram_d.entries[0, -1].real
+    d = np.column_stack([s.amplitudes for s in split.d_states])
+    resolved = np.linalg.eigvalsh(d.conj().T @ d)[:-1] / (1.0 - mu)  # G_d's D - 1 eigenvalues 1 - mu
+    assert np.all(np.abs(resolved - 1.0) < 0.5)
+
+
 @pytest.mark.parametrize("lam_min", [1e-7, 5e-8])
 def test_make_split_feasible_just_below_epsilon_max(lam_min):
     # 0.999 eps_max leaves about 1e-3 lam_min above the floor, so the floor

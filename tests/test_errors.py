@@ -10,7 +10,7 @@ import pytest
 from nc2ent import verify
 from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, default_epsilon, make_split,
                                random_classical_set, random_superposition)
-from nc2ent.gcnot import beamsplitter_params, mu_to_epsilon
+from nc2ent.gcnot import beamsplitter_params, coherent_overlap, mu_to_epsilon
 from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, gram_of, schmidt_decompose,
                            synthesize_unitary)
 from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector
@@ -131,6 +131,8 @@ ROWS = [
     ("mu-zero", lambda: mu_to_epsilon(0.0), "mu must lie in (0, 1], got 0.0"),
     ("mu-above-one", lambda: mu_to_epsilon(1.5), "mu must lie in (0, 1], got 1.5"),
     ("beamsplitter-vanishing-overlap", lambda: beamsplitter_params(1e-20, 1e30), "eps <= 1.000000000001e+20)"),
+    ("coherent-overlap-phase-past-float-range", lambda: coherent_overlap(1e308, 1e308 + 10j),
+     "has a phase past float range"),
     ("unknown-suite", lambda: verify.run_suites(["bogus"]), "unknown suite 'bogus'; valid: all, discrete"),
     ("witness-dimension", lambda: nonclassicality_witness(swap_style_witness(3, 3, basis_state(9, 0)),
                                                           conversion_of(2)[1]),

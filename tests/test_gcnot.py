@@ -346,6 +346,11 @@ def test_coherent_overlap_of_amplitudes_far_apart_is_zero():
     for alpha, beta in ((1e200, 0.0), (0.0, -1e200j), (1e200, 1e200j), (1e308, -1e308)):
         assert coherent_overlap(alpha, beta) == 0.0
     assert coherent_overlap(1e200, 1e200) == 1.0
+    # Im(conj(alpha) beta) of huge complex amplitudes is inf - inf; that of conj(alpha) (beta - alpha) is exact
+    assert coherent_overlap(1e200 * (1 + 1j), 1e200 * (1 + 1j)) == 1.0
+    assert coherent_overlap(-1e300j, -1e300j) == 1.0
+    # and amplitudes one apart keep their modulus exp(-1/2), which |alpha|^2 + |beta|^2 - 2 conj(alpha) beta loses
+    assert abs(abs(coherent_overlap(1e15 * (1 + 1j), 1e15 * (1 + 1j) + 1.0)) - math.exp(-0.5)) < 1e-15
 
 
 def test_coherent_overlap_bounded_by_one():
