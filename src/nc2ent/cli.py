@@ -2,10 +2,12 @@
 sweep data, mode-splitting Monte-Carlo, witness pipelines, and the
 verification suites.
 
-File formats (all versioned with a "schema": 1 field):
+File formats (all versioned with a "schema": 1 field, which an input file may
+omit; another schema, or a key the file's kind does not list, is refused):
   state set   JSON {"schema": 1, "dimension": D, "states": [[[re, im], ...], ...],
                     "labels": [...]?}
   symmetric   JSON {"schema": 1, "K": k, "N": n, "amplitudes": [[re, im], ...]}
+  config      JSON {"schema": 1, "r": r, "t": t, "phase": p, "target": [nx, ny], "max_rounds": m, "seed": s}
   sweep       CSV with header theta,mu,epsilon,ebits
   run traces  JSON lines, one object per protocol run
 """
@@ -31,9 +33,12 @@ from .verify import SUITES, TOLERANCES, run_suites
 STATE_NORM_TOL = 1e-9
 SWEEP_MAX_CELLS = 2**20  # largest (theta, mu) grid a sweep evaluates
 SWEEP_BLOCK_CELLS = 2**15  # cells a sweep evaluates and writes at a time
-FIELD_TYPES = {"dimension": int, "K": int, "N": int, "max_rounds": int, "seed": int, "states": list,
-               "amplitudes": list, "target": (str, list), "r": (int, float), "phase": (int, float),
-               "t": (int, float, type(None))}  # JSON field -> the types json.load may give it
+FILE_KEYS = {  # input file kind -> its keys, each with the types json.load may give it
+    "state set": {"schema": int, "dimension": int, "states": list, "labels": list},
+    "symmetric state": {"schema": int, "K": int, "N": int, "amplitudes": list},
+    "protocol config": {"schema": int, "r": (int, float), "t": (int, float, type(None)), "phase": (int, float),
+                        "target": (str, list), "max_rounds": int, "seed": int},
+}
 
 
 def _complex_pairs(values: np.ndarray) -> list[list[float]]:
@@ -50,10 +55,10 @@ def _pairs_to_array(pairs) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _read_json(path: str, *keys: str) -> dict:
-    """Parse a JSON object from a file, naming the file when the text is not
-    JSON, when one of the required keys is missing, or when a known field
-    (FIELD_TYPES) has the wrong type."""
+def _read_json(path: str, kind: str, *keys: str) -> dict:
+    """Parse a JSON object of one input file kind (FILE_KEYS) from a file, naming the
+    file when the text is not JSON, when one of the required keys is missing, when a
+    key is not one of the kind's or has the wrong type, or when schema is not 1."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -65,14 +70,18 @@ def _read_json(path: str, *keys: str) -> dict:
         if key not in doc:
             raise click.ClickException(f"{path}: missing key {key!r}")
     for key, value in doc.items():
-        if key in FIELD_TYPES and (isinstance(value, bool) or not isinstance(value, FIELD_TYPES[key])):
+        if key not in FILE_KEYS[kind]:
+            raise ValueError(f"{path}: unknown key {key!r} in a {kind} file")
+        if isinstance(value, bool) or not isinstance(value, FILE_KEYS[kind][key]):
             raise ValueError(f"{path}: key {key!r} has the wrong type ({type(value).__name__})")
+    if doc.get("schema", 1) != 1:
+        raise ValueError(f"{path}: key 'schema' must be 1, got {doc['schema']}")
     return doc
 
 
 def load_state_set(path: str, normalize: bool = False) -> conversion.ClassicalSet:
     """Read a classical state set from a JSON state-set file."""
-    doc = _read_json(path, "dimension", "states")
+    doc = _read_json(path, "state set", "dimension", "states")
     dim = doc["dimension"]
     if dim < 1:
         raise click.ClickException(f"{path}: key 'dimension' must be a positive integer, got {dim}")
@@ -181,7 +190,7 @@ def cmd_convert(states_path, epsilon, input_text, input_file, normalize, out):
     if input_text is not None:
         psi = _parse_vector(input_text, cs.dim, "--input")
     else:
-        rows = _read_json(input_file, "states")["states"]
+        rows = _read_json(input_file, "state set", "states")["states"]
         if not rows:
             raise click.ClickException(f"{input_file}: no states")
         psi = linalg.StateVector.normalized(_pairs_to_array(rows[0]))
@@ -277,7 +286,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     probability of each round and the entanglement entropy of the split input."""
     _check_out(out)
     if config_file is not None:
-        cfg_doc = _read_json(config_file)
+        cfg_doc = _read_json(config_file, "protocol config")
         r_mag = float(cfg_doc.get("r", r_mag))
         t_mag = cfg_doc.get("t", t_mag)
         phase = float(cfg_doc.get("phase", phase))
@@ -293,7 +302,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
     except ValueError:
         raise click.ClickException(f"target must look like NX:NY, got {target!r}")
     if input_file is not None:
-        doc = _read_json(input_file, "K", "N", "amplitudes")
+        doc = _read_json(input_file, "symmetric state", "K", "N", "amplitudes")
         if (doc["K"], doc["N"]) != (k, n):
             raise click.ClickException("input file sector does not match --levels/--particles")
         state = symmetric.SymmetricState.normalized(k, n, _pairs_to_array(doc["amplitudes"]))

@@ -83,11 +83,12 @@ def _set_facts(states: tuple[StateVector, ...]) -> dict:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """One way of splitting the classical overlaps between two subsystems:
-    gram_d has constant off-diagonal 1/(1+eps), gram_e carries the classical
-    overlaps scaled by (1+eps), and their entrywise product reproduces the
-    classical Gram."""
+    """One way of splitting the classical overlaps between two subsystems at the
+    eps make_split was called with: gram_d has constant off-diagonal 1/(1+eps),
+    gram_e carries the classical overlaps scaled by (1+eps), and their entrywise
+    product reproduces the classical Gram."""
 
+    epsilon: float
     gram_d: GramMatrix
     gram_e: GramMatrix
     d_states: tuple[StateVector, ...]
@@ -199,18 +200,15 @@ def _epsilon_bound(nu: float, boundary_ok: bool = False) -> float:
     """The eps at which 1 + (1+eps) nu meets the floor, (1 - floor)/-nu - 1, moved down
     to where check_split's own decision agrees. That decision reads eps only through
     s = fl(1 + eps), so the closed form's s steps down to the largest s that feasible_split
-    accepts, and the bound is the largest eps that rounds to an s no larger. Every eps
-    from 0 to the bound is then accepted, and every refused eps lies above it. inf only
-    for nu >= 0 (G = I exactly)."""
+    accepts, top, and the bound is top - 1, which 1 + bound reproduces (below 2^53 exactly;
+    above it round-to-nearest gives back at most top). Every eps from 0 to the bound is
+    then accepted, and every refused eps lies above it. inf only for nu >= 0 (G = I exactly)."""
     if nu >= 0.0:
         return math.inf
     top = (1.0 - (-PSD_TOL if boundary_ok else INDEPENDENCE_TOL)) / -nu
     while top > 1.0 and not feasible_split(nu, 1.0 / top, boundary_ok):
         top = math.nextafter(top, 0.0)
-    bound = top - 1.0
-    while 1.0 + bound > top:
-        bound = math.nextafter(bound, -math.inf)
-    return bound
+    return top - 1.0
 
 
 def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> None:
@@ -250,18 +248,17 @@ def default_epsilon(cs: ClassicalSet) -> float:
 
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:
-    """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps))
-    and the scaled factor I + (1+eps)(G - diag G), and factor both into state families.
-    check_split is the only feasibility decision (with boundary_ok it admits eps = 0
+    """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps), J where 1 + eps
+    rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor both into state families
+    of a split that carries eps. check_split is the only feasibility decision (with boundary_ok it admits eps = 0
     and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min is
     1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few ulps off the diagonal, 1 on it."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
-    mu = 1.0 / (1.0 + epsilon) if 1.0 + epsilon > 1.0 or epsilon == 0.0 else math.nextafter(1.0, 0.0)
-    gram_d = uniform_overlap_gram(mu, cs.dim)  # mu < 1 for every eps > 0: only eps = 0 gives G_d = J
+    gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
     gram_e = _built(GramMatrix, entries=scaled)
-    return SplitSpec(gram_d=gram_d, gram_e=gram_e,
+    return SplitSpec(epsilon=epsilon, gram_d=gram_d, gram_e=gram_e,
                      d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
 
 
@@ -276,14 +273,13 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     isometry to roundoff however small lambda_min(G) is; its misses |V c_i - d_i (x) e_i|
     are kept as the certificate's residuals. The ancilla's reference state is the first
     classical state. The peak, about five D^2 x D arrays, is refused past
-    MAX_DENSE_BYTES (D >= 343) before B is formed. A split with mu < 1 and eps below
-    _epsilon_floor is refused, naming that bound: G_d's lambda_min 1 - mu is then within
-    RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
+    MAX_DENSE_BYTES (D >= 343) before B is formed. A split whose split.epsilon lies in
+    (0, _epsilon_floor) is refused, naming that bound: G_d's lambda_min eps/(1+eps) is then
+    within RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
     if len(split.d_states) != cs.dim:
         raise ValueError("split size does not match the classical set")
-    floor = _epsilon_floor(cs.dim)  # every eps from it on gives a mu at most 1/(1+floor)
-    if 1.0 / (1.0 + floor) < (mu := split.gram_d.entries[0, -1].real) < 1.0:
-        raise ValueError(f"split is unresolved at D={cs.dim}: G_d has lambda_min {1.0 - mu:.3e}, within "
+    if 0.0 < (eps := split.epsilon) < (floor := _epsilon_floor(cs.dim)):
+        raise ValueError(f"split is unresolved at D={cs.dim}: G_d has lambda_min {eps / (1.0 + eps):.3e}, within "
                          f"eigh's error (feasible range is eps >= {floor})")
     _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
     d = np.column_stack([s.amplitudes for s in split.d_states])

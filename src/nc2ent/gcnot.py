@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conversion import INDEPENDENCE_TOL, ClassicalSet, check_split, feasible_split
-from .linalg import StateVector, basis_state
+from .linalg import StateVector, _is_integer, basis_state
 
 MU_FLOOR = 1e-9            # smallest mu used in sweeps; mu -> 0 is the eps -> inf limit
 MAXIMAL_EBITS = 1.0 - 1e-6  # threshold separating the unique optimum from near-misses
@@ -159,6 +159,8 @@ def maximal_input_count(theta: float, epsilon: float,
     point per input direction, up to phase) and count how many convert to at
     least MAXIMAL_EBITS = 1 - 1e-6 ebits at the given parameters. Returns the
     count, the angles that reached it, and all sampled entropies."""
+    if not (_is_integer(n_points) and n_points >= 1):
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
     params = GcnotParams(theta=theta, epsilon=epsilon)
     angles = np.arange(n_points) * math.pi / n_points
     entropies = _pair_ebits(theta, params.mu, (np.cos(angles), np.sin(angles)))

@@ -140,6 +140,8 @@ class StateVector:
 
 def basis_state(dim: int, k: int) -> StateVector:
     """Standard basis vector |k> in the given dimension."""
+    if not _is_integer(k):
+        raise ValueError(f"basis index k must be an integer, got {k!r}")
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
     amps = np.zeros(dim, dtype=complex)
@@ -344,18 +346,12 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
     """Whether a Cholesky factorisation of m + shift I succeeds: exactly when
     lambda_min(m) > -shift, up to a backward error of about n * 1e-16 * ||m||.
     Only the lower triangle of m is read, as eigvalsh reads it; the
-    factorisation costs a quarter of the flops of the eigenvalues. The shift
-    is made on m's own diagonal, which is then restored from a saved copy, so
-    m keeps its bits (subtracting the shift back would round); m must be a
-    writable array that no caller sees."""
-    diagonal = m.diagonal().copy()
-    m.flat[::m.shape[0] + 1] += shift
+    factorisation costs a quarter of the flops of the eigenvalues. It factors
+    its own shifted copy and writes nothing, so m may be any array, read-only or a view."""
     try:
-        np.linalg.cholesky(m)
+        np.linalg.cholesky(m + shift * np.eye(m.shape[0]))
     except np.linalg.LinAlgError:
         return False
-    finally:
-        m.flat[::m.shape[0] + 1] = diagonal
     return True
 
 
@@ -397,12 +393,12 @@ def _attached_bound(rho, dim_a: int, dim_b: int) -> float | None:
 def _check_density(rho) -> np.ndarray:
     """Return rho as a complex array, or raise a one-line ValueError unless it
     is a nonempty square, finite, Hermitian (within 1e-10), unit-trace operator
-    with lambda_min(rho) >= -1e-10, which _positive_definite(rho, 1e-10) decides."""
+    with lambda_min(rho) >= -1e-10, which _positive_definite(rho, 1e-10) decides, writing nothing."""
     rho = np.asarray(rho, dtype=complex)
     check_hermitian(rho, "density operator", DENSITY_TOL)
     if not abs(np.trace(rho) - 1.0) <= DENSITY_TOL:
         raise ValueError("density operator does not have unit trace")
-    if not _positive_definite(rho.copy(), DENSITY_TOL):
+    if not _positive_definite(rho, DENSITY_TOL):
         raise ValueError("density operator is not positive semidefinite")
     return rho
 
@@ -429,15 +425,13 @@ def negativity(rho, dim_a: int, dim_b: int) -> float:
     convert_density built carries its certificate, a bound beta on
     -lambda_min(rho^T_B) at the cut D x D (_attached_bound); at that cut,
     beta <= s decides without forming rho^T_B. Otherwise the Peres PPT test
-    runs: when a Cholesky factorisation of rho^T_B + s I succeeds, every
-    eigenvalue exceeds -s up to the backward error of about n * 1e-16. Where
-    neither decides, N comes from the one eigendecomposition of rho^T_B."""
+    runs: when a Cholesky factorisation of rho^T_B + s I succeeds, every eigenvalue
+    exceeds -s up to the backward error of about n * 1e-16; it writes nothing, so rho^T_B
+    may be a view of rho. Where neither decides, N comes from one eigendecomposition of rho^T_B."""
     beta = _attached_bound(rho, dim_a, dim_b)
     if beta is not None and beta <= DENSITY_TOL / (dim_a * dim_b):
         return 0.0
     pt = partial_transpose(rho, dim_a, dim_b)
-    if 1 in (dim_a, dim_b):  # then rho^T_B is a view of rho, not a fresh array
-        pt = pt.copy()
     if _positive_definite(pt, DENSITY_TOL / pt.shape[0]):
         return 0.0
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))

@@ -371,6 +371,8 @@ def success_probability_by_round(cfg: ProtocolConfig, n: int, rounds: int) -> li
     round 1, 2, ..., rounds: the absorbing chain on |D_N|^2 from (N, 0), read
     from the table run_protocol draws from (_chain). It holds for any K and
     any symmetric input."""
+    if not (_is_integer(rounds) and rounds >= 0):
+        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     goal = _target_index(cfg, n)
     moves = np.column_stack([weights for weights, _, _ in _chain(n, cfg.r, cfg.t)])
     alive = np.zeros(n + 1)

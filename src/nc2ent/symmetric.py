@@ -160,6 +160,8 @@ def overlap(u: SuUnitary, v: SuUnitary, n: int) -> complex:
     """Coherent-state overlap <U;N|V;N> = <0|U^dag V|0>^N."""
     if u.k != v.k:
         raise ValueError("unitaries act on different level counts")
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"particle number N must be a nonnegative integer, got {n!r}")
     single = complex(np.vdot(u.reference_column(), v.reference_column()))
     return single**n
 
@@ -341,6 +343,8 @@ def apply_unitary(u: SuUnitary, state: SymmetricState) -> SymmetricState:
 
 def _check_split(k: int, n: int, n_x: int, n_y: int) -> None:
     _check_caps(k, n)
+    if not (_is_integer(n_x) and _is_integer(n_y)):
+        raise ValueError(f"split counts N_X and N_Y must be integers, got ({n_x!r}, {n_y!r})")
     if n_x < 1 or n_y < 1 or n_x + n_y != n:
         raise ValueError(f"invalid split ({n_x}, {n_y}) of N={n}")
 

@@ -740,6 +740,43 @@ def _convert_epsilon_below_the_resolution(tmp_path):
     return ["convert", "--states", states, "--input", "1,1", "--epsilon", "1e-16"]
 
 
+def _convert_states_of_another_schema(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"schema": 7, "dimension": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_states_with_a_misspelt_key(tmp_path):
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps({"schema": 1, "dimension": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                "lables": ["a", "b"]}))
+    return ["convert", "--states", str(path), "--input", "1,0"]
+
+
+def _convert_input_file_with_a_symmetric_key(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": 1, "states": [[[1, 0], [0, 0]]], "amplitudes": [[1, 0], [0, 0]]}))
+    return ["convert", "--states", gcnot_file(tmp_path), "--input-file", str(path)]
+
+
+def _modesplit_config_with_a_misspelt_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_round": 5}))
+    return ["modesplit", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_config_of_another_schema(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 2, "r": 0.6}))
+    return ["modesplit", "--config", str(path), "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
+def _modesplit_input_file_with_a_state_set_key(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": 1, "K": 2, "N": 2, "dimension": 3, "amplitudes": [[1, 0], [0, 0], [0, 0]]}))
+    return ["modesplit", "--input-file", str(path), "--runs", "2", "--out", str(tmp_path / "x.jsonl")]
+
+
 def huge_pair_file(tmp_path):
     """A pair whose amplitudes are 1e200: |row| = 1.414e200, finite, while its sum of squares overflows."""
     return write_state_set(tmp_path / "huge.json", [[1e200, 1e200], [1e200, -1e200]])
@@ -818,6 +855,12 @@ REASONS = {
     _modesplit_huge_t: "|r|^2 + |t|^2 must be 1, got inf",
     _modesplit_config_huge_r: "|r|^2 + |t|^2 must be 1, got inf",
     _convert_epsilon_below_the_resolution: "split is unresolved at D=2",
+    _convert_states_of_another_schema: "schema.json: key 'schema' must be 1, got 7",
+    _convert_states_with_a_misspelt_key: "misspelt.json: unknown key 'lables' in a state set file",
+    _convert_input_file_with_a_symmetric_key: "input.json: unknown key 'amplitudes' in a state set file",
+    _modesplit_config_with_a_misspelt_key: "cfg.json: unknown key 'max_round' in a protocol config file",
+    _modesplit_config_of_another_schema: "cfg.json: key 'schema' must be 1, got 2",
+    _modesplit_input_file_with_a_state_set_key: "input.json: unknown key 'dimension' in a symmetric state file",
     **OUT_ROWS,
 }
 # text a row's error must not give: the rejection names the bound it was decided by
@@ -884,6 +927,12 @@ WRONG_REASONS = {
     _modesplit_huge_t,
     _modesplit_config_huge_r,
     _convert_epsilon_below_the_resolution,
+    _convert_states_of_another_schema,
+    _convert_states_with_a_misspelt_key,
+    _convert_input_file_with_a_symmetric_key,
+    _modesplit_config_with_a_misspelt_key,
+    _modesplit_config_of_another_schema,
+    _modesplit_input_file_with_a_state_set_key,
     *OUT_ROWS,
 ])
 def test_bad_input_gives_one_line_error(runner, tmp_path, make_args):
@@ -951,6 +1000,53 @@ def test_convert_and_witness_answer_or_give_one_line_near_the_floor(dim, log_lam
             else:
                 lines = result.output.strip().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+
+def columns_with_min_eigenvalue(dim: int, lam_min: float, rng) -> np.ndarray:
+    """Unit columns whose Gram I + t (G_0 - diag G_0), G_0 the Gram of random unit
+    columns, has lambda_min = lam_min to roundoff; the columns are its eigenbasis factor."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z /= np.linalg.norm(z, axis=0)
+    off = z.conj().T @ z
+    np.fill_diagonal(off, 0.0)
+    w, v = np.linalg.eigh(np.eye(dim) + (1.0 - lam_min) / -np.linalg.eigvalsh(off)[0] * off)
+    return np.sqrt(np.maximum(w, 0.0))[:, None] * v.conj().T
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(2, 16), log_lam=st.floats(-11.0, -6.0),
+       log_scales=st.one_of(st.just([0.0] * 16), st.lists(st.floats(-200.0, 200.0), min_size=16, max_size=16)),
+       normalize=st.booleans(), epsilon=st.sampled_from(EPSILONS), unknown_key=st.sampled_from([False] * 3 + [True]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cli_fuzz_gate_convert_and_witness(dim, log_lam, log_scales, normalize, epsilon, unknown_key, seed):
+    # every invocation exits 0 with JSON, or nonzero with one error line and no exception;
+    # a state file with a key its kind does not list is refused, naming the key
+    columns = columns_with_min_eigenvalue(dim, 10.0**log_lam, np.random.default_rng(seed))
+    rows = list(columns.T * 10.0 ** np.array(log_scales[:dim])[:, None])  # row i scaled by 10^log_scales[i]
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        states = write_state_set(Path("states.json"), rows)
+        if epsilon.startswith("emax"):
+            try:
+                emax = conversion.epsilon_max(load_state_set(states, normalize=True))
+            except ValueError:  # a dependent set: the commands refuse it whatever eps is
+                emax = 1.0
+            epsilon = repr(emax * (1.0 - 1e-12 if epsilon == "emax-" else 1.0 + 1e-12))
+        if unknown_key:
+            doc = json.loads(Path(states).read_text())
+            Path(states).write_text(json.dumps(dict(doc, lables=[str(i) for i in range(dim)])))
+        eps_args = [] if epsilon == "default" else ["--epsilon", epsilon]
+        ones, first = ",".join(["1"] * dim), ",".join(["1"] + ["0"] * (dim - 1))
+        for args in (["convert", "--input", ones], ["witness", "--target-state", ones, "--test-state", first]):
+            result = runner.invoke(main, args + ["--states", states] + ["--normalize"] * normalize + eps_args)
+            assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+            if result.exit_code == 0:
+                assert json.loads(result.stdout)["command"] == args[0] and not result.stderr
+                assert not unknown_key
+            else:
+                lines = result.output.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+                assert not unknown_key or "unknown key 'lables'" in lines[0], lines[0]
 
 
 def test_modesplit_rejected_target_keeps_earlier_trace(runner, tmp_path):

@@ -326,6 +326,43 @@ def test_every_epsilon_from_the_printed_floor_converts(dim):
     assert schmidt_decompose(conv.convert(psi), dim, dim).rank == 1
 
 
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_every_epsilon_below_the_printed_floor_is_refused(dim):
+    # the floats just below the floor round to the floor's own mu = 1/(1+eps), so the
+    # decision must read the split's eps, not G_d
+    cs = random_classical_set(dim, np.random.default_rng(dim))
+    floor = conversion._epsilon_floor(dim)
+    for epsilon in (math.nextafter(floor, 0.0), floor * (1.0 - 1e-15), floor * (1.0 - 1e-9)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"split is unresolved at D={dim}: G_d has lambda_min {epsilon / (1.0 + epsilon):.3e}, within "
+                f"eigh's error (feasible range is eps >= {floor})")):
+            build_conversion(cs, make_split(cs, epsilon))
+    psi, rank = random_superposition(cs, dim, np.random.default_rng(0))
+    conv = build_conversion(cs, make_split(cs, floor))
+    assert schmidt_decompose(conv.convert(psi), dim, dim).rank == rank == dim
+
+
+def test_a_split_carries_its_epsilon_and_forms_mu_as_written():
+    # 1 + 1e-17 rounds to 1, so G_d is J exactly; the split is still refused on its own eps
+    cs = random_classical_set(3, np.random.default_rng(3))
+    split = make_split(cs, 1e-17)
+    assert split.epsilon == 1e-17
+    assert np.array_equal(split.gram_d.entries, np.ones((3, 3)))
+    with pytest.raises(ValueError, match=re.escape("split is unresolved at D=3: G_d has lambda_min 1.000e-17")):
+        build_conversion(cs, split)
+    assert make_split(cs, 0.0, boundary_ok=True).epsilon == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_nu=st.floats(-20.0, 0.0, exclude_max=True), boundary_ok=st.booleans())
+def test_check_split_accepts_the_bound_it_names_for_nu_down_to_minus_1e_minus_20(log_nu, boundary_ok):
+    # nu near 0 puts top = (1 - floor)/-nu past 2^53, where top - 1 is rounded
+    nu = -(10.0**log_nu)
+    bound = conversion._epsilon_bound(nu, boundary_ok)
+    assume(bound > 0.0)  # 1 + nu at the floor leaves no positive eps
+    conversion.check_split(nu, bound, boundary_ok)
+
+
 def test_conversion_maps_classical_to_factor_products():
     rng = np.random.default_rng(23)
     cs = random_classical_set(3, rng)

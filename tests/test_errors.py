@@ -10,11 +10,12 @@ import pytest
 from nc2ent import verify
 from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, default_epsilon, make_split,
                                random_classical_set, random_superposition)
-from nc2ent.gcnot import beamsplitter_params, coherent_overlap, mu_to_epsilon
+from nc2ent.gcnot import beamsplitter_params, coherent_overlap, maximal_input_count, mu_to_epsilon
 from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, gram_of, schmidt_decompose,
                            synthesize_unitary)
-from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector
-from nc2ent.symmetric import SuUnitary, SymmetricState, apply_unitary, coherent_state, dicke_dim, overlap
+from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector, success_probability_by_round
+from nc2ent.symmetric import (SuUnitary, SymmetricState, apply_splitting, apply_unitary, coherent_state, dicke_dim,
+                              overlap)
 from nc2ent.witness import nonclassicality_witness, swap_style_witness
 
 BALANCED = 1.0 / math.sqrt(2.0)
@@ -65,6 +66,7 @@ ROWS = [
     ("overlap-dimension", lambda: basis_state(2, 0).overlap(basis_state(3, 0)), "dimension mismatch: 2 vs 3"),
     ("basis-index-above", lambda: basis_state(2, 2), "basis index 2 out of range for dimension 2"),
     ("basis-index-negative", lambda: basis_state(2, -1), "basis index -1 out of range for dimension 2"),
+    ("basis-index-bool", lambda: basis_state(2, True), "basis index k must be an integer, got True"),
     ("cut-bool", lambda: schmidt_decompose(basis_state(4, 0), True, 4),
      "cut Truex4 needs two positive integer factors"),
     ("gram-unit-diagonal", lambda: GramMatrix([[1.0, 0.0], [0.0, 0.5]]), "Gram matrix does not have unit diagonal"),
@@ -112,6 +114,9 @@ ROWS = [
      "|r|^2 + |t|^2 must be 1, got inf"),
     ("huge-given-t-magnitude", lambda: ProtocolConfig.from_magnitudes(0.6, 0.0, 1e200, target=(1, 1)),
      "|r|^2 + |t|^2 must be 1, got inf"),
+    ("negative-round-count",
+     lambda: success_probability_by_round(ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1)), 2, -1),
+     "rounds must be a nonnegative integer, got -1"),
     # symmetric
     ("negative-particle-number", lambda: dicke_dim(2, -1), "particle number must be nonnegative, got -1"),
     ("particle-number-bool", lambda: coherent_state(SuUnitary(np.eye(2)), True),
@@ -125,11 +130,22 @@ ROWS = [
      "symmetric states live in different sectors"),
     ("coherent-overlap-levels", lambda: overlap(SuUnitary(np.eye(2)), SuUnitary(np.eye(3)), 2),
      "unitaries act on different level counts"),
+    ("coherent-overlap-negative-power", lambda: overlap(SuUnitary(np.eye(2)), SuUnitary(np.eye(2)), -1),
+     "particle number N must be a nonnegative integer, got -1"),
+    ("coherent-overlap-negative-power-of-orthogonal-states",
+     lambda: overlap(SuUnitary(np.eye(2)), SuUnitary(np.eye(2)[::-1]), -1),
+     "particle number N must be a nonnegative integer, got -1"),
+    ("split-counts-float", lambda: apply_splitting(identity_coherent(2, 3), 1.5, 1.5),
+     "split counts N_X and N_Y must be integers, got (1.5, 1.5)"),
     ("apply-unitary-levels", lambda: apply_unitary(SuUnitary(np.eye(3)), identity_coherent(2, 2)),
      "level-count mismatch"),
     # gcnot, verify, witness
     ("mu-zero", lambda: mu_to_epsilon(0.0), "mu must lie in (0, 1], got 0.0"),
     ("mu-above-one", lambda: mu_to_epsilon(1.5), "mu must lie in (0, 1], got 1.5"),
+    ("probe-points-zero", lambda: maximal_input_count(2.0, 0.5, n_points=0),
+     "n_points must be a positive integer, got 0"),
+    ("probe-points-negative", lambda: maximal_input_count(2.0, 0.5, n_points=-3),
+     "n_points must be a positive integer, got -3"),
     ("beamsplitter-vanishing-overlap", lambda: beamsplitter_params(1e-20, 1e30), "eps <= 1.000000000001e+20)"),
     ("coherent-overlap-phase-past-float-range", lambda: coherent_overlap(1e308, 1e308 + 10j),
      "has a phase past float range"),

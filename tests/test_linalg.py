@@ -21,6 +21,7 @@ from nc2ent.linalg import (
     GramMismatchError,
     StateVector,
     _numerical_rank,
+    _positive_definite,
     basis_state,
     entanglement_entropy,
     factor_gram,
@@ -463,6 +464,17 @@ def test_density_psd_decision_at_its_tolerance(check, lam_min):
         assert str(err.value) == "density operator is not positive semidefinite"
     else:
         check(rho, 2, 2)
+
+
+@pytest.mark.parametrize("lam_min, expected", [(-2 * DENSITY_TOL, False), (-DENSITY_TOL / 2, True)])
+def test_positive_definite_reads_a_read_only_array_and_writes_nothing(lam_min, expected):
+    m = density_with_min_eig(4, lam_min, 1, np.random.default_rng(41))
+    m.setflags(write=False)
+    names = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+    bits, flags = m.tobytes(), [m.flags[name] for name in names]
+    assert _positive_definite(m, DENSITY_TOL) is expected
+    assert m.tobytes() == bits
+    assert [m.flags[name] for name in names] == flags
 
 
 @settings(max_examples=200, deadline=None)
