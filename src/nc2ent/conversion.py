@@ -134,10 +134,14 @@ class Conversion:
         that carries one fact, _separability_bound's beta at the cut D x D.
         That certificate is the trust: partial_transpose and negativity do not
         check the density again, and negativity at the cut D x D returns 0.0
-        without forming rho^T_B where beta <= DENSITY_TOL / D^2."""
+        without forming rho^T_B where beta <= DENSITY_TOL / D^2. The output and its
+        sealed copy, two D^2 x D^2 arrays, are refused past MAX_DENSE_BYTES (from
+        D = 101 on) with a one-line error before either is formed."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
+        n = self.dim**2
+        _check_dense(n, 2 * n, f"converted density at D={self.dim} (V rho V^dag and its sealed copy)")
         rho = _check_density(rho)
         sigma = self.isometry @ rho @ self.isometry.conj().T
         beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)

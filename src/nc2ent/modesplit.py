@@ -269,8 +269,18 @@ def binomial_sector_amplitude(n: int, n_a: int, r: complex, t: complex) -> compl
     input loaded into mode A (inject), coherent or not, populates sector
     (N_A, N_B) after one tunneling pass: the rotation acts on the mode index
     alike for every internal level, so the sector weights are independent of
-    K and of the input."""
+    K and of the input. n must be a nonnegative integer and n_a an integer
+    in 0..n; otherwise a one-line ValueError names them."""
+    _check_particle_number(n)
+    if not (_is_integer(n_a) and 0 <= n_a <= n):
+        raise ValueError(f"sector count N_A must be an integer in 0..{n}, got {n_a!r}")
     return math.sqrt(math.comb(n, n_a)) * r**n_a * t ** (n - n_a)
+
+
+def _check_particle_number(n) -> None:
+    """A one-line ValueError naming n unless it is a nonnegative integer (a bool is not)."""
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"particle number N must be a nonnegative integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -370,7 +380,8 @@ def success_probability_by_round(cfg: ProtocolConfig, n: int, rounds: int) -> li
     """Exact probability that a run of N particles first counts cfg.target in
     round 1, 2, ..., rounds: the absorbing chain on |D_N|^2 from (N, 0), read
     from the table run_protocol draws from (_chain). It holds for any K and
-    any symmetric input."""
+    any symmetric input. N and rounds must be nonnegative integers."""
+    _check_particle_number(n)
     if not (_is_integer(rounds) and rounds >= 0):
         raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     goal = _target_index(cfg, n)

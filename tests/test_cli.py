@@ -3,6 +3,8 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from nc2ent import cli, conversion, modesplit
+from nc2ent import cli, conversion, linalg, modesplit
 from nc2ent.cli import load_state_set, main
 from nc2ent.conversion import default_epsilon
 from nc2ent.gcnot import sweep_surface
@@ -460,6 +462,50 @@ def test_witness_defaults_to_half_the_feasible_range(runner, tmp_path):
     result = runner.invoke(main, ["witness", "--states", states, "--target-state", "1,0", "--test-state", "1,0"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["epsilon"] == default_epsilon(load_state_set(states))
+
+
+def near_identity_file(tmp_path, dim, seed=128):
+    """Rows I + 0.05 Gaussian: a well-conditioned set, for --normalize."""
+    rows = np.eye(dim) + 0.05 * np.random.default_rng(seed).standard_normal((dim, dim))
+    return write_state_set(tmp_path / f"near_identity_{dim}.json", list(rows))
+
+
+def witness_args(states, dim):
+    return ["witness", "--states", states, "--normalize",
+            "--target-state", ",".join(["1", "1"] + ["0"] * (dim - 2)),
+            "--test-state", ",".join(["1"] + ["0"] * (dim - 1))]
+
+
+def test_witness_forms_no_output_space_projector(runner, tmp_path, monkeypatch):
+    dim = 16
+    projector = linalg.StateVector.projector
+
+    def refuse_output_space(self):
+        assert self.dim != dim * dim, "a D^2 x D^2 projector was formed"
+        return projector(self)
+
+    monkeypatch.setattr(linalg.StateVector, "projector", refuse_output_space)
+    result = runner.invoke(main, witness_args(near_identity_file(tmp_path, dim), dim))
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["witness_dimension"] == dim
+
+
+def test_witness_at_d128_runs_in_bounded_memory(tmp_path):
+    """The CLI in a child process; its wrapper reports the child's peak RSS (ru_maxrss, KiB on Linux)."""
+    dim = 128
+    wrapper = ("import resource, subprocess, sys\n"
+               "code = subprocess.run(sys.argv[1:]).returncode\n"
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+               "sys.exit(code)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "witness.json"
+    result = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "nc2ent.cli",
+                             *witness_args(near_identity_file(tmp_path, dim), dim), "--out", str(out)],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(out.read_text())["witness_dimension"] == dim
+    assert int(result.stdout.split()[-1]) <= 256 * 1024
 
 
 # ------------------------------------------------------------- input errors

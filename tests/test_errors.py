@@ -13,7 +13,8 @@ from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, d
 from nc2ent.gcnot import beamsplitter_params, coherent_overlap, maximal_input_count, mu_to_epsilon
 from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, gram_of, schmidt_decompose,
                            synthesize_unitary)
-from nc2ent.modesplit import ProtocolConfig, TwoModeState, inject, project_sector, success_probability_by_round
+from nc2ent.modesplit import (ProtocolConfig, TwoModeState, binomial_sector_amplitude, inject, project_sector,
+                              success_probability_by_round)
 from nc2ent.symmetric import (SuUnitary, SymmetricState, apply_splitting, apply_unitary, coherent_state, dicke_dim,
                               overlap)
 from nc2ent.witness import nonclassicality_witness, swap_style_witness
@@ -117,6 +118,22 @@ ROWS = [
     ("negative-round-count",
      lambda: success_probability_by_round(ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1)), 2, -1),
      "rounds must be a nonnegative integer, got -1"),
+    ("round-particle-number-float",
+     lambda: success_probability_by_round(ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1)), 2.0, 1),
+     "particle number N must be a nonnegative integer, got 2.0"),
+    ("round-particle-number-negative",
+     lambda: success_probability_by_round(ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1)), -2, 1),
+     "particle number N must be a nonnegative integer, got -2"),
+    ("sector-particle-number-float", lambda: binomial_sector_amplitude(2.5, 1, 0.6, 0.8),
+     "particle number N must be a nonnegative integer, got 2.5"),
+    ("sector-particle-number-bool", lambda: binomial_sector_amplitude(True, 1, 0.6, 0.8),
+     "particle number N must be a nonnegative integer, got True"),
+    ("sector-particle-number-negative", lambda: binomial_sector_amplitude(-1, 0, 0.6, 0.8),
+     "particle number N must be a nonnegative integer, got -1"),
+    ("sector-count-float", lambda: binomial_sector_amplitude(2, 1.5, 0.6, 0.8),
+     "sector count N_A must be an integer in 0..2, got 1.5"),
+    ("sector-count-above-n", lambda: binomial_sector_amplitude(2, 3, 0.6, 0.0),
+     "sector count N_A must be an integer in 0..2, got 3"),
     # symmetric
     ("negative-particle-number", lambda: dicke_dim(2, -1), "particle number must be nonnegative, got -1"),
     ("particle-number-bool", lambda: coherent_state(SuUnitary(np.eye(2)), True),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nc2ent import linalg
 from nc2ent.conversion import build_conversion, default_epsilon, make_split, random_classical_set
 from nc2ent.gcnot import gcnot_classical_pair, mu_to_epsilon
-from nc2ent.linalg import StateVector, basis_state, random_state, schmidt_decompose
+from nc2ent.linalg import UNIT_ROUNDOFF, StateVector, basis_state, random_state, schmidt_decompose
 from nc2ent.witness import (
     Witness,
     detect,
@@ -148,4 +149,80 @@ def test_library_witnesses_are_hermitian_without_the_check(dim_a, dim_b, d, seed
 def test_detect_rejects_non_finite_state(entry):
     with pytest.raises(ValueError, match="non-finite entry") as err:
         detect(Witness(np.eye(2)), [[entry, 0.0], [0.0, 1.0]])
+    assert "\n" not in str(err.value)
+
+
+# ------------------------------------------------------ closed-form compression
+
+def random_density(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_compression_matches_the_dense_route(d, seed):
+    """The swap witness compresses as lambda_1^2 I - |x><x|, x = V^dag phi; the dense route is
+    V^dag W V = lambda_1^2 V^dag V - |x><x|. Exactly, they differ by lambda_1^2 (V^dag V - I).
+    In floating point, with n = D^2 and gamma = sqrt(2) (n + 2) u the complex inner-product
+    bound, delta = max|V^dag V - I| (computed, itself within gamma (1 + delta)) and
+    |W| <= lambda_1^2 I + |phi||phi|^dag entrywise: the two products V^dag W and (V^dag W) V
+    miss by at most 2 gamma (1 + lambda_1^2)(1 + delta) <= 4 gamma (1 + delta); x misses
+    V^dag phi by gamma sqrt(1 + delta), so |x><x| misses by 2 gamma (1 + delta); the
+    one-rounding steps (diagonal shift, the Hermitian mean, the complex products) stay
+    within gamma. So |closed - dense| <= lambda_1^2 delta + 8 gamma (1 + delta)."""
+    rng = np.random.default_rng(seed)
+    cs = random_classical_set(d, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    phi = conv.convert(random_state(d, rng))
+    w = swap_style_witness(d, d, phi)
+    w_tilde = nonclassicality_witness(w, conv).operator
+    v = conv.isometry
+    dense = v.conj().T @ w.operator @ v
+    delta = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
+    gamma = math.sqrt(2.0) * (d * d + 2) * UNIT_ROUNDOFF
+    lam1_sq = float(schmidt_decompose(phi, d, d).coefficients[0]) ** 2
+    assert np.max(np.abs(w_tilde - dense)) <= lam1_sq * delta + 8.0 * gamma * (1.0 + delta)
+    rho = random_density(d, rng)
+    expected = float(np.sum(w.operator * conv.convert_density(rho).T).real)  # Tr(W V rho V^dag)
+    assert abs(detect(Witness(w_tilde), rho)[0] - expected) <= 1e-12
+    assert np.array_equal(w_tilde, w_tilde.conj().T)
+    assert not w_tilde.flags.writeable
+
+
+def test_swap_witness_forms_its_operator_only_when_read(monkeypatch):
+    formed = []
+    projector = StateVector.projector
+    monkeypatch.setattr(StateVector, "projector", lambda self: formed.append(self.dim) or projector(self))
+    _, conv = gcnot_setup()
+    w = swap_style_witness(2, 2, conv.convert(basis_state(2, 0)))
+    assert w.dim == 4 and isinstance(w, Witness)
+    nonclassicality_witness(w, conv)
+    assert formed == []
+    op = w.operator
+    assert w.operator is op and not op.flags.writeable and formed == [4]
+
+
+# ------------------------------------------------------------- dense guards
+
+def test_swap_witness_operator_is_refused_past_the_dense_cap(monkeypatch):
+    formed = []
+    projector = StateVector.projector
+    monkeypatch.setattr(StateVector, "projector", lambda self: formed.append(self.dim) or projector(self))
+    w = swap_style_witness(4, 4, random_state(16, np.random.default_rng(94)))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 16 * 16 - 1)
+    with pytest.raises(ValueError, match="dense swap witness operator on C\\^16 of 16 x 16") as err:
+        w.operator
+    assert "\n" not in str(err.value)
+    assert formed == []
+
+
+def test_convert_density_is_refused_past_the_dense_cap(monkeypatch):
+    rng = np.random.default_rng(95)
+    cs = random_classical_set(4, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 16 * 32 - 1)
+    with pytest.raises(ValueError, match="dense converted density at D=4 .* of 16 x 32") as err:
+        conv.convert_density(random_density(4, rng))
     assert "\n" not in str(err.value)
