@@ -51,6 +51,7 @@ from .symmetric import (
     apply_splitting,
     dicke_dim,
     _check_caps,
+    _check_particle_number,
     _occupation_pairs,
     _occupation_ranks,
     _pair_groups,
@@ -275,12 +276,6 @@ def binomial_sector_amplitude(n: int, n_a: int, r: complex, t: complex) -> compl
     if not (_is_integer(n_a) and 0 <= n_a <= n):
         raise ValueError(f"sector count N_A must be an integer in 0..{n}, got {n_a!r}")
     return math.sqrt(math.comb(n, n_a)) * r**n_a * t ** (n - n_a)
-
-
-def _check_particle_number(n) -> None:
-    """A one-line ValueError naming n unless it is a nonnegative integer (a bool is not)."""
-    if not (_is_integer(n) and n >= 0):
-        raise ValueError(f"particle number N must be a nonnegative integer, got {n!r}")
 
 
 @dataclass(frozen=True)

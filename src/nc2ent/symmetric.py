@@ -20,6 +20,12 @@ MAX_LEVELS = 6
 PARTICLE_UNITARY_TOL = NORM_TOL / (MAX_LEVELS * MAX_PARTICLES)
 
 
+def _check_particle_number(n) -> None:
+    """A one-line ValueError naming n unless it is a nonnegative integer (a bool is not)."""
+    if not (_is_integer(n) and n >= 0):
+        raise ValueError(f"particle number N must be a nonnegative integer, got {n!r}")
+
+
 def _check_caps(k: int, n: int) -> None:
     """Raise a one-line ValueError unless K and N are integers (not bools)
     within the desk-scale caps."""
@@ -160,8 +166,7 @@ def overlap(u: SuUnitary, v: SuUnitary, n: int) -> complex:
     """Coherent-state overlap <U;N|V;N> = <0|U^dag V|0>^N."""
     if u.k != v.k:
         raise ValueError("unitaries act on different level counts")
-    if not (_is_integer(n) and n >= 0):
-        raise ValueError(f"particle number N must be a nonnegative integer, got {n!r}")
+    _check_particle_number(n)
     single = complex(np.vdot(u.reference_column(), v.reference_column()))
     return single**n
 

@@ -160,7 +160,7 @@ def random_density(d, rng):
     return rho / np.trace(rho).real
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(d=st.integers(2, 16), seed=st.integers(0, 2**32 - 1))
 def test_closed_form_compression_matches_the_dense_route(d, seed):
     """The swap witness compresses as lambda_1^2 I - |x><x|, x = V^dag phi; the dense route is
