@@ -191,10 +191,16 @@ def test_closed_form_compression_matches_the_dense_route(d, seed):
     assert not w_tilde.flags.writeable
 
 
-def test_swap_witness_forms_its_operator_only_when_read(monkeypatch):
-    formed = []
+@pytest.fixture
+def formed(monkeypatch):
+    """The dimension of every state whose StateVector.projector is formed, in call order."""
+    dims = []
     projector = StateVector.projector
-    monkeypatch.setattr(StateVector, "projector", lambda self: formed.append(self.dim) or projector(self))
+    monkeypatch.setattr(StateVector, "projector", lambda self: dims.append(self.dim) or projector(self))
+    return dims
+
+
+def test_swap_witness_forms_its_operator_only_when_read(formed):
     _, conv = gcnot_setup()
     w = swap_style_witness(2, 2, conv.convert(basis_state(2, 0)))
     assert w.dim == 4 and isinstance(w, Witness)
@@ -206,10 +212,7 @@ def test_swap_witness_forms_its_operator_only_when_read(monkeypatch):
 
 # ------------------------------------------------------------- dense guards
 
-def test_swap_witness_operator_is_refused_past_the_dense_cap(monkeypatch):
-    formed = []
-    projector = StateVector.projector
-    monkeypatch.setattr(StateVector, "projector", lambda self: formed.append(self.dim) or projector(self))
+def test_swap_witness_operator_is_refused_past_the_dense_cap(formed, monkeypatch):
     w = swap_style_witness(4, 4, random_state(16, np.random.default_rng(94)))
     monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 16 * 16 - 1)
     with pytest.raises(ValueError, match="dense swap witness operator on C\\^16 of 16 x 16") as err:
