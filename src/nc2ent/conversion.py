@@ -26,10 +26,10 @@ from .linalg import (
     _check_dense,
     _check_density,
     _eigh_resolution,
+    _factor_columns,
     _frame_unitary,
     _numerical_rank,
     _sealed,
-    factor_gram,
     positive_frame,
     random_state,
 )
@@ -39,18 +39,18 @@ EPS_CAP = 1e6              # beyond this default_epsilon takes 1.0, not half the
 RESOLUTION_MARGIN = 2.0    # G_d's lambda_min must reach this many eigh resolutions; 1.33 was the most still clamped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalSet:
-    """Ordered family of D linearly independent unit vectors spanning C^D: 1 + nu
-    must exceed 1e-10, for nu = lambda_min(G - diag G), the one number every split
-    decision reads. It is G's lambda_min - 1 with G read with an exact unit
+    """Ordered family of D linearly independent unit vectors spanning C^D, refused unless some eps > 0 is
+    feasible (_epsilon_bound(nu) > 0, which asks 1 + nu > 1e-10), for nu = lambda_min(G - diag G), the one
+    number every split decision reads. It is G's lambda_min - 1 with G read with an exact unit
     diagonal, and it keeps its digits however small the overlaps are. Its columns A are formed
     once and sealed (columns); G and nu come with them from one eigendecomposition (_set_facts)."""
 
     states: tuple[StateVector, ...]
     gram: GramMatrix = field(init=False)
     nu: float = field(init=False)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -62,8 +62,9 @@ class ClassicalSet:
         if len(states) != dim:
             raise ValueError(f"need exactly {dim} states in dimension {dim}, got {len(states)}")
         facts = _set_facts(states)
-        if not (min_eig := 1.0 + facts["nu"]) > INDEPENDENCE_TOL:
-            raise ValueError(f"classical states are not linearly independent (min Gram eigenvalue {min_eig:.3e})")
+        if not _epsilon_bound(facts["nu"]) > 0.0:
+            raise ValueError(f"classical states are not linearly independent: min Gram eigenvalue "
+                             f"{1.0 + facts['nu']!r} leaves no eps > 0 above the {INDEPENDENCE_TOL:g} floor")
         for name, value in dict(facts, states=states).items():
             object.__setattr__(self, name, value)
 
@@ -81,34 +82,38 @@ def _set_facts(states: tuple[StateVector, ...]) -> dict:
     return dict(columns=a, gram=_built(GramMatrix, entries=g), nu=nu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
     """One way of splitting the classical overlaps between two subsystems at the
     eps make_split was called with: gram_d has constant off-diagonal 1/(1+eps),
     gram_e carries the classical overlaps scaled by (1+eps), and their entrywise
-    product reproduces the classical Gram."""
+    product reproduces the classical Gram. d_columns and e_columns are their sealed factors, whose columns
+    are the unit vectors d_i and e_i; d_states and e_states are those columns as states, built when read."""
 
     epsilon: float
     gram_d: GramMatrix
     gram_e: GramMatrix
-    d_states: tuple[StateVector, ...]
-    e_states: tuple[StateVector, ...]
+    d_columns: np.ndarray = field(repr=False)
+    e_columns: np.ndarray = field(repr=False)
+    d_states = cached_property(lambda self: tuple(_built(StateVector, amplitudes=c) for c in self.d_columns.T))
+    e_states = cached_property(lambda self: tuple(_built(StateVector, amplitudes=c) for c in self.e_columns.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conversion:
     """Conversion isometry V: C^D -> C^D (x) C^D, together with the reference
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
     unitary; one such unitary, like V a read-only array, is completed on demand.
     Nothing is checked here: convert relies on V being an isometry, as
-    build_conversion, the one constructor, makes it. It also keeps the
-    classical states A (columns) and the residuals |V c_i - d_i (x) e_i|, from
-    which convert_density certifies how far V rho V^dag is from separable."""
+    build_conversion, the one constructor, makes it. It also keeps the classical states A (columns),
+    the residuals |V c_i - d_i (x) e_i| and V's terms of the bound (_isometry_terms), from which
+    convert_density certifies how far V rho V^dag is from separable."""
 
     isometry: np.ndarray
     reference: StateVector
-    _classical: np.ndarray = field(repr=False, compare=False)
-    _residuals: np.ndarray = field(repr=False, compare=False)
+    _classical: np.ndarray = field(repr=False)
+    _residuals: np.ndarray = field(repr=False)
+    _isometry_terms: tuple[float, float, float] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -143,15 +148,25 @@ class Conversion:
         n = self.dim**2
         _check_dense(n, 2 * n, f"converted density at D={self.dim} (V rho V^dag and its sealed copy)")
         rho = _check_density(rho)
-        sigma = self.isometry @ rho @ self.isometry.conj().T
-        beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)
-        return _built_density(sigma, self.dim, beta)
+        beta = _separability_bound(self, rho)
+        return _built_density(self.isometry @ rho @ self.isometry.conj().T, self.dim, beta)
 
 
-def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> float:
+def _isometry_terms(v: np.ndarray) -> tuple[float, float, float]:
+    """The terms of _separability_bound that depend on V alone, once per conversion:
+    |V|_F, the bound |V|^2 <= 1 + |V^dag V - I|_F with its roundoff allowance, and its root."""
+    dim = v.shape[1]
+    v_frob = float(np.linalg.norm(v))
+    gram = v.conj().T @ v
+    gram.flat[::dim + 1] -= 1.0
+    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * UNIT_ROUNDOFF * v_frob**2
+    return v_frob, v_sq, math.sqrt(v_sq)
+
+
+def _separability_bound(conv: Conversion, rho: np.ndarray) -> float:
     """beta with lambda_min(H) >= -beta, for H the Hermitian matrix that
     eigvalsh and Cholesky read (one triangle) of fl(V rho V^dag)^T_B at the
-    cut D x D, from D x D data and one D x D product of V.
+    cut D x D, from D x D data and V's terms, which build_conversion computed once (_isometry_terms).
 
     For w >= 0, T = sum_i w_i |d_i e_i><d_i e_i| is separable with T^T_B PSD,
     and H - T^T_B is the one-triangle Hermitian part of Y^T_B with
@@ -166,17 +181,12 @@ def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho
     of A^-1 rho A^-dag, from two solves. |V|^2 <= 1 + |V^dag V - I|_F, and
     every computed term carries its first-order roundoff allowance (complex
     inner products of length m within sqrt(2) (m + 2) u, u the unit roundoff)."""
-    dim = a.shape[0]
-    gamma = math.sqrt(2.0) * (dim + 2) * UNIT_ROUNDOFF
-    v_frob = float(np.linalg.norm(v))
-    gram = v.conj().T @ v
-    gram.flat[::dim + 1] -= 1.0
-    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * UNIT_ROUNDOFF * v_frob**2
-    v_norm = math.sqrt(v_sq)
+    a, (v_frob, v_sq, v_norm) = conv._classical, conv._isometry_terms
+    gamma = math.sqrt(2.0) * (a.shape[0] + 2) * UNIT_ROUNDOFF
     x = np.linalg.solve(a, np.linalg.solve(a, rho).conj().T)
     w = np.maximum(x.diagonal().real, 0.0)
     mixture_miss = float(np.linalg.norm(rho - (a * w) @ a.conj().T)) + 2.0 * gamma * float(w.sum())
-    product_miss = float(w @ (residuals + gamma * v_frob + 4.0 * UNIT_ROUNDOFF))
+    product_miss = float(w @ (conv._residuals + gamma * v_frob + 4.0 * UNIT_ROUNDOFF))
     rounding = 2.0 * gamma * v_norm * v_frob * float(np.linalg.norm(rho))
     return math.sqrt(2.0) * (v_sq * mixture_miss + rounding) + (v_norm + 1.0) * product_miss
 
@@ -253,17 +263,18 @@ def default_epsilon(cs: ClassicalSet) -> float:
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:
     """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps), J where 1 + eps
-    rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor both into state families
-    of a split that carries eps. check_split is the only feasibility decision (with boundary_ok it admits eps = 0
-    and lambda_min down to -PSD_TOL). It reads the matrix that is factored, whose lambda_min is
-    1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few ulps off the diagonal, 1 on it."""
+    rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor each once into the column
+    matrix of factor_gram's columns (_factor_columns) of a split that carries eps. check_split is the
+    only feasibility decision (with boundary_ok it admits eps = 0 and lambda_min down to -PSD_TOL). It
+    reads the matrix that is factored, whose lambda_min is 1 + (1+eps) nu exactly, built unchecked. The
+    factors' product is G to a few ulps off the diagonal, 1 on it."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
     gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
     gram_e = _built(GramMatrix, entries=scaled)
     return SplitSpec(epsilon=epsilon, gram_d=gram_d, gram_e=gram_e,
-                     d_states=tuple(factor_gram(gram_d)), e_states=tuple(factor_gram(gram_e)))
+                     d_columns=_factor_columns(gram_d), e_columns=_factor_columns(gram_e))
 
 
 def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
@@ -276,25 +287,25 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     from G raises GramMismatchError, naming how far V misses the products. V is an
     isometry to roundoff however small lambda_min(G) is; its misses |V c_i - d_i (x) e_i|
     are kept as the certificate's residuals. The ancilla's reference state is the first
-    classical state. The peak, about five D^2 x D arrays, is refused past
-    MAX_DENSE_BYTES (D >= 343) before B is formed. A split whose split.epsilon lies in
+    classical state. It reads the split's column matrices, builds no state, and computes V's terms
+    of the certificate's bound once (_isometry_terms). The peak, about five D^2 x D arrays, is refused
+    past MAX_DENSE_BYTES (D >= 343) before B is formed. A split whose split.epsilon lies in
     (0, _epsilon_floor) is refused, naming that bound: G_d's lambda_min eps/(1+eps) is then
     within RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
-    if len(split.d_states) != cs.dim:
+    if len(split.d_columns) != cs.dim:
         raise ValueError("split size does not match the classical set")
     if 0.0 < (eps := split.epsilon) < (floor := _epsilon_floor(cs.dim)):
         raise ValueError(f"split is unresolved at D={cs.dim}: G_d has lambda_min {eps / (1.0 + eps):.3e}, within "
                          f"eigh's error (feasible range is eps >= {floor})")
     _check_dense(cs.dim**2, 5 * cs.dim, f"conversion working set at D={cs.dim} (five D^2 x D arrays)")
-    d = np.column_stack([s.amplitudes for s in split.d_states])
-    e = np.column_stack([s.amplitudes for s in split.e_states])
+    d, e = split.d_columns, split.e_columns
     b = (d[:, None, :] * e[None, :, :]).reshape(-1, cs.dim)  # column i is d_i (x) e_i
     v = positive_frame(b) @ positive_frame(cs.columns).conj().T
     miss = v @ cs.columns - b
     if np.max(np.abs((d.conj().T @ d) * (e.conj().T @ e) - cs.gram.entries)) > UNITARY_TOL:
         raise GramMismatchError(f"conversion misses the product states by {np.max(np.abs(miss)):.3e}; the Grams differ")
-    return _built(Conversion, isometry=_sealed(v), reference=cs.states[0],
-                  _classical=cs.columns, _residuals=_sealed(np.linalg.norm(miss, axis=0)))
+    return _built(Conversion, isometry=_sealed(v), reference=cs.states[0], _classical=cs.columns,
+                  _residuals=_sealed(np.linalg.norm(miss, axis=0)), _isometry_terms=_isometry_terms(v))
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:

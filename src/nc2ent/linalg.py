@@ -83,7 +83,7 @@ def check_hermitian(m: np.ndarray, noun: str, tol: float) -> None:
         raise ValueError(f"{noun} is not Hermitian within tolerance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit vector in a finite-dimensional complex space.
 
@@ -155,7 +155,7 @@ def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector.normalized(z)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Overlap table of a normalized state family: Hermitian, PSD, unit diagonal. It keeps only
     its entries; the constructor decides PSD as _check_density does, by _positive_definite at PSD_TOL."""
@@ -181,7 +181,7 @@ class GramMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt spectrum of a bipartite pure state across a declared cut, built by
     :func:`schmidt_decompose` from one values-only SVD of the coefficient
@@ -225,7 +225,12 @@ def hadamard(g1: GramMatrix, g2: GramMatrix) -> GramMatrix:
 
 
 def factor_gram(g: GramMatrix) -> list[StateVector]:
-    """Factor G = C^dag C and return the columns of C as unit vectors.
+    """Factor G = C^dag C and return the columns of C as unit vectors, views of _factor_columns(g)."""
+    return [_built(StateVector, amplitudes=column) for column in _factor_columns(g).T]
+
+
+def _factor_columns(g: GramMatrix) -> np.ndarray:
+    """C of G = C^dag C, a sealed read-only n x n array whose columns are contiguous.
 
     C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
     principal square root V sqrt(L) V^dag: it need not be Hermitian, and
@@ -234,13 +239,15 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
     clamped to zero; a larger one keeps its column direction however small it is. That G
     is PSD was decided where G was built (the GramMatrix constructor, or make_split's
     closed form). The clamp moves a column's squared norm by at most PSD_TOL or the
-    resolution. The columns go through the checked StateVector constructor, which
-    rejects a column only of a caller Gram whose diagonal is also off.
+    resolution. Each column goes through check_unit_vector, with the squared norms summed
+    in one pass; it rejects a column only of a caller Gram whose diagonal is also off.
     """
     w, v = np.linalg.eigh(g.entries)
     w = np.where(w > _eigh_resolution(g.n, w[-1]), w, 0.0)
-    c = np.sqrt(w)[:, None] * v.conj().T
-    return [StateVector(c[:, i]) for i in range(g.n)]
+    rows = _sealed(v.conj() * np.sqrt(w))  # row i is column i of C, with the bits of sqrt(L) V^dag
+    for row, squared_norm in zip(rows, np.square(rows.view(float)).sum(axis=1)):
+        check_unit_vector(row, "state vector", squared_norm)
+    return rows.T
 
 
 def _eigh_resolution(n: int, lam_max: float) -> float:
@@ -310,9 +317,15 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
 
 def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
     """Schmidt spectrum of psi across the dim_a x dim_b cut: the singular values
-    of the reshaped coefficient matrix, from one SVD that forms no vectors."""
+    of the reshaped coefficient matrix, from one SVD that forms no vectors.
+    psi keeps its latest (cut, SchmidtData) outside its fields, so one state and
+    cut take one SVD; the memo is trusted only while psi's amplitudes are read-only."""
     check_cut(dim_a, dim_b, psi.dim)
-    return SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False))
+    memo = getattr(psi, "_schmidt_memo", (None, None))
+    if memo[0] != (dim_a, dim_b) or psi.amplitudes.flags.writeable:
+        memo = ((dim_a, dim_b), SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False)))
+        object.__setattr__(psi, "_schmidt_memo", memo)
+    return memo[1]
 
 
 def entanglement_entropy(sd: SchmidtData) -> float:

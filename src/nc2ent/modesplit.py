@@ -106,7 +106,7 @@ def _split(k: int, n: int, joined: np.ndarray) -> dict[tuple[int, int], np.ndarr
     return {key: joined[part].reshape(shape) for key, shape, part in _blocks(k, n)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeState:
     """State of N particles with K internal levels shared between two spatial
     modes. The amplitudes are one read-only vector, the raveled sector blocks
@@ -116,7 +116,7 @@ class TwoModeState:
     k: int
     n: int
     sectors: dict[tuple[int, int], np.ndarray]
-    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    amplitudes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_caps(self.k, self.n)
@@ -322,7 +322,7 @@ class ProtocolConfig:
         return cls(r=complex(r_mag), t=t_mag * complex(math.cos(phase), math.sin(phase)), **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
     """Trace of one protocol run: the outcome sequence, whether the target
     was reached, and the fidelity of the post-selected state against the
@@ -418,7 +418,7 @@ def _shared(state: SymmetricState, cfg: ProtocolConfig) -> tuple[np.ndarray, dic
     """What the runs of state under cfg's (target, r, t) share: the reference
     apply_splitting(psi, *target), and _last_transition's block per last count
     prev, filled as runs reach the target. The attribute _protocol_memo, no
-    dataclass field (eq and repr ignore it), holds the latest (target, r, t)
+    dataclass field (repr ignores it), holds the latest (target, r, t)
     only: at most one reference and N + 1 blocks per state."""
     key = (cfg.target, cfg.r, cfg.t)
     memo = getattr(state, "_protocol_memo", None)

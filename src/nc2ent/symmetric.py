@@ -88,7 +88,7 @@ def _occupation_pairs(k: int, n_x: int, n_y: int) -> tuple[np.ndarray, np.ndarra
     return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuUnitary:
     """Unitary single-particle transformation on K internal levels, within
     PARTICLE_UNITARY_TOL. A global phase is irrelevant to the coherent states
@@ -115,7 +115,7 @@ class SuUnitary:
         return self.matrix[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Vector on Sym^N(C^K) with amplitudes indexed by occupation_basis(K, N).
     modesplit.run_protocol keeps what a job's runs share on the instance, outside

@@ -19,7 +19,7 @@ from .linalg import (HERMITIAN_TOL, StateVector, _built, _check_dense, _frozen, 
 DETECT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Hermitian observable that is non-negative on every product (resp.
     classical) state and negative on at least one state it detects."""

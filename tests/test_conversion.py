@@ -392,6 +392,82 @@ def test_build_conversion_makes_no_product_state_one_at_a_time(monkeypatch):
     assert np.array_equal(conv.isometry, positive_frame(b) @ positive_frame(a).conj().T)
 
 
+def eigenbasis_factor(g) -> np.ndarray:
+    """sqrt(L) V^dag of G = V L V^dag, eigenvalues at or below eigh's resolution clamped: factor_gram's formula."""
+    w, v = np.linalg.eigh(g.entries)
+    w = np.where(w > linalg._eigh_resolution(g.n, w[-1]), w, 0.0)
+    return np.sqrt(w)[:, None] * v.conj().T
+
+
+def separability_bound_with_v(v, a, residuals, rho) -> float:
+    """_separability_bound's beta with V's terms formed from V at the call, as convert_density formed them."""
+    dim, u = a.shape[0], linalg.UNIT_ROUNDOFF
+    gamma = math.sqrt(2.0) * (dim + 2) * u
+    v_frob = float(np.linalg.norm(v))
+    gram = v.conj().T @ v
+    gram.flat[::dim + 1] -= 1.0
+    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * u * v_frob**2
+    v_norm = math.sqrt(v_sq)
+    x = np.linalg.solve(a, np.linalg.solve(a, rho).conj().T)
+    w = np.maximum(x.diagonal().real, 0.0)
+    mixture_miss = float(np.linalg.norm(rho - (a * w) @ a.conj().T)) + 2.0 * gamma * float(w.sum())
+    product_miss = float(w @ (residuals + gamma * v_frob + 4.0 * u))
+    rounding = 2.0 * gamma * v_norm * v_frob * float(np.linalg.norm(rho))
+    return math.sqrt(2.0) * (v_sq * mixture_miss + rounding) + (v_norm + 1.0) * product_miss
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 16), share=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_split_factors_isometry_and_certificate_keep_their_formulas_bits(dim, share, seed):
+    rng = np.random.default_rng(seed)
+    cs = random_classical_set(dim, rng)
+    split = make_split(cs, share * min(epsilon_max(cs), 10.0))
+    d, e = eigenbasis_factor(split.gram_d), eigenbasis_factor(split.gram_e)
+    for columns, gram, factor in ((split.d_columns, split.gram_d, d), (split.e_columns, split.gram_e, e)):
+        assert np.array_equal(columns, np.column_stack([s.amplitudes for s in factor_gram(gram)]))
+        assert np.array_equal(columns, factor) and not columns.flags.writeable
+    conv = build_conversion(cs, split)
+    b = (d[:, None, :] * e[None, :, :]).reshape(-1, dim)
+    v = positive_frame(b) @ positive_frame(cs.columns).conj().T
+    assert np.array_equal(conv.isometry, v)
+    assert np.array_equal(conv._residuals, np.linalg.norm(v @ cs.columns - b, axis=0))
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    sigma = conv.convert_density(rho)
+    assert np.array_equal(sigma, v @ rho @ v.conj().T)
+    beta = separability_bound_with_v(v, cs.columns, conv._residuals, rho)
+    assert linalg._attached_bound(sigma, dim, dim) == beta
+
+
+def test_a_split_and_its_conversion_build_no_state_per_column(monkeypatch):
+    built, built_raw, post_init = [], linalg._built, StateVector.__post_init__
+
+    def recording(cls, **fields):
+        built.append(cls)
+        return built_raw(cls, **fields)
+
+    def checked(self):
+        built.append(StateVector)
+        post_init(self)
+
+    cs = random_classical_set(8, np.random.default_rng(37))
+    for module in (linalg, conversion):
+        monkeypatch.setattr(module, "_built", recording)
+    monkeypatch.setattr(StateVector, "__post_init__", checked)
+    split = make_split(cs, default_epsilon(cs))
+    build_conversion(cs, split)
+    assert StateVector not in built
+    d_states = split.d_states  # built when first read, D states each
+    assert built.count(StateVector) == 8
+    e_states = split.e_states
+    assert built.count(StateVector) == 16
+    for states, gram in ((d_states, split.gram_d), (e_states, split.gram_e)):
+        factor = eigenbasis_factor(gram)
+        assert len(states) == 8 and all(np.array_equal(s.amplitudes, factor[:, i]) for i, s in enumerate(states))
+    assert split.d_states is d_states and split.e_states is e_states and built.count(StateVector) == 16
+
+
 def test_conversion_unitarity():
     rng = np.random.default_rng(24)
     for dim in (2, 3, 5):

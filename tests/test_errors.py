@@ -9,15 +9,15 @@ import pytest
 
 from nc2ent import verify
 from nc2ent.conversion import (ClassicalSet, build_conversion, classical_rank, default_epsilon, make_split,
-                               random_classical_set, random_superposition)
+                               random_classical_set, random_superposition, uniform_overlap_gram)
 from nc2ent.gcnot import beamsplitter_params, coherent_overlap, maximal_input_count, mu_to_epsilon
-from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, gram_of, schmidt_decompose,
-                           synthesize_unitary)
+from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_state, factor_gram, gram_of,
+                           schmidt_decompose, synthesize_unitary)
 from nc2ent.modesplit import (ProtocolConfig, TwoModeState, binomial_sector_amplitude, inject, project_sector,
-                              success_probability_by_round)
+                              run_protocol, success_probability_by_round)
 from nc2ent.symmetric import (SuUnitary, SymmetricState, apply_splitting, apply_unitary, coherent_state, dicke_dim,
                               overlap)
-from nc2ent.witness import nonclassicality_witness, swap_style_witness
+from nc2ent.witness import Witness, nonclassicality_witness, swap_style_witness
 
 BALANCED = 1.0 / math.sqrt(2.0)
 
@@ -52,6 +52,9 @@ ROWS = [
     ("empty-classical-set", lambda: ClassicalSet(()), "classical set must be nonempty"),
     ("mixed-dimensions", lambda: ClassicalSet((basis_state(2, 0), basis_state(3, 0))),
      "classical states must share one dimension"),
+    ("set-without-epsilon",  # 1 + nu just above the floor: eps = 0 is feasible, no eps > 0 is
+     lambda: ClassicalSet(tuple(factor_gram(uniform_overlap_gram(1.0 - 1.00000001e-10, 2)))),
+     "leaves no eps > 0 above the 1e-10 floor"),
     ("density-shape", lambda: conversion_of(2)[1].convert_density(np.eye(3) / 3),
      "density operator has shape (3, 3), expected square dim 2"),
     ("split-size", split_of_another_size, "split size does not match the classical set"),
@@ -202,3 +205,36 @@ def test_public_symmetric_state_constructor():
     assert state.dim == 3 == dicke_dim(2, 2)
     assert not state.amplitudes.flags.writeable
     assert state.overlap(state) == pytest.approx(1.0, abs=1e-15)
+
+
+BASIS = (basis_state(2, 0), basis_state(2, 1))
+# each builder makes a fresh value from the same data
+ARRAY_VALUES = [
+    ("state-vector", lambda: StateVector([0.6, 0.8])),
+    ("gram-matrix", lambda: GramMatrix(np.eye(2))),
+    ("schmidt-data", lambda: schmidt_decompose(StateVector([1.0, 0.0, 0.0, 0.0]), 2, 2)),
+    ("witness", lambda: Witness(np.eye(2))),
+    ("swap-witness", lambda: swap_style_witness(2, 2, basis_state(4, 0))),
+    ("su-unitary", lambda: SuUnitary(np.eye(2))),
+    ("symmetric-state", lambda: SymmetricState(2, 1, [1, 0])),
+    ("classical-set", lambda: ClassicalSet(BASIS)),
+    ("split-spec", lambda: make_split(ClassicalSet(BASIS), 1.0)),
+    ("conversion", lambda: conversion_of(2)[1]),
+    ("two-mode-state", lambda: inject(identity_coherent(2, 1))),
+    ("protocol-result",
+     lambda: run_protocol(identity_coherent(2, 2), ProtocolConfig(r=BALANCED, t=BALANCED, target=(1, 1), seed=0))),
+]
+
+
+@pytest.mark.parametrize("build", [row[1] for row in ARRAY_VALUES], ids=[row[0] for row in ARRAY_VALUES])
+def test_value_types_that_hold_arrays_compare_by_identity(build):
+    value, twin = build(), build()
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert len({value, twin, value}) == 2
+
+
+def test_the_schmidt_memo_takes_no_part_in_equality():
+    psi, twin = StateVector([0.6, 0.0, 0.0, 0.8]), StateVector([0.6, 0.0, 0.0, 0.8])
+    schmidt_decompose(psi, 2, 2)
+    assert psi == psi and psi != twin and repr(psi) == repr(twin)

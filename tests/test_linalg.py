@@ -380,6 +380,28 @@ def test_schmidt_dimension_mismatch():
         schmidt_decompose(bell_state(), 3, 2)
 
 
+def test_one_state_and_cut_take_one_svd(monkeypatch):
+    calls, svd = [], np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    psi = random_state(16, np.random.default_rng(36))
+    first = schmidt_decompose(psi, 4, 4)
+    assert schmidt_decompose(psi, 4, 4) is first and calls == [(4, 4)]
+    assert schmidt_decompose(psi, 2, 8) is not first and calls == [(4, 4), (2, 8)]
+    assert schmidt_decompose(psi, 4, 4) is not first and len(calls) == 3  # the latest cut only
+    # a state whose amplitudes were made writable again is decomposed at every call
+    changed = StateVector(psi.amplitudes)
+    schmidt_decompose(changed, 4, 4)
+    changed.amplitudes.setflags(write=True)
+    changed.amplitudes[:] = basis_state(16, 0).amplitudes
+    assert schmidt_decompose(changed, 4, 4).rank == 1
+    assert schmidt_decompose(changed, 4, 4).rank == 1 and len(calls) == 6
+
+
 # ------------------------------------------------------- entanglement_entropy
 
 def test_entropy_rank_one_is_zero():
