@@ -42,7 +42,7 @@ RESOLUTION_MARGIN = 2.0    # G_d's lambda_min must reach this many eigh resoluti
 @dataclass(frozen=True, eq=False)
 class ClassicalSet:
     """Ordered family of D linearly independent unit vectors spanning C^D, refused unless some eps > 0 is
-    feasible (_epsilon_bound(nu) > 0, which asks 1 + nu > 1e-10), for nu = lambda_min(G - diag G), the one
+    feasible (_admits_epsilon, which asks 1 + nu > 1e-10), for nu = lambda_min(G - diag G), the one
     number every split decision reads. It is G's lambda_min - 1 with G read with an exact unit
     diagonal, and it keeps its digits however small the overlaps are. Its columns A are formed
     once and sealed (columns); G and nu come with them from one eigendecomposition (_set_facts)."""
@@ -62,7 +62,7 @@ class ClassicalSet:
         if len(states) != dim:
             raise ValueError(f"need exactly {dim} states in dimension {dim}, got {len(states)}")
         facts = _set_facts(states)
-        if not _epsilon_bound(facts["nu"]) > 0.0:
+        if not _admits_epsilon(facts["nu"]):
             raise ValueError(f"classical states are not linearly independent: min Gram eigenvalue "
                              f"{1.0 + facts['nu']!r} leaves no eps > 0 above the {INDEPENDENCE_TOL:g} floor")
         for name, value in dict(facts, states=states).items():
@@ -105,15 +105,14 @@ class Conversion:
     state of the ancilla. V is the action on C^D (x) |ref> of any conversion
     unitary; one such unitary, like V a read-only array, is completed on demand.
     Nothing is checked here: convert relies on V being an isometry, as
-    build_conversion, the one constructor, makes it. It also keeps the classical states A (columns),
-    the residuals |V c_i - d_i (x) e_i| and V's terms of the bound (_isometry_terms), from which
-    convert_density certifies how far V rho V^dag is from separable."""
+    build_conversion, the one constructor, makes it. It also keeps the
+    classical states A (columns) and the residuals |V c_i - d_i (x) e_i|, from
+    which convert_density certifies how far V rho V^dag is from separable."""
 
     isometry: np.ndarray
     reference: StateVector
     _classical: np.ndarray = field(repr=False)
     _residuals: np.ndarray = field(repr=False)
-    _isometry_terms: tuple[float, float, float] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -130,7 +129,7 @@ class Conversion:
         """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
         if psi.dim != self.dim:
             raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
-        return _built(StateVector, amplitudes=self.isometry @ psi.amplitudes)
+        return _built(StateVector, amplitudes=_sealed(self.isometry @ psi.amplitudes))
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space, which
@@ -148,25 +147,15 @@ class Conversion:
         n = self.dim**2
         _check_dense(n, 2 * n, f"converted density at D={self.dim} (V rho V^dag and its sealed copy)")
         rho = _check_density(rho)
-        beta = _separability_bound(self, rho)
-        return _built_density(self.isometry @ rho @ self.isometry.conj().T, self.dim, beta)
+        sigma = self.isometry @ rho @ self.isometry.conj().T
+        beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)
+        return _built_density(sigma, self.dim, beta)
 
 
-def _isometry_terms(v: np.ndarray) -> tuple[float, float, float]:
-    """The terms of _separability_bound that depend on V alone, once per conversion:
-    |V|_F, the bound |V|^2 <= 1 + |V^dag V - I|_F with its roundoff allowance, and its root."""
-    dim = v.shape[1]
-    v_frob = float(np.linalg.norm(v))
-    gram = v.conj().T @ v
-    gram.flat[::dim + 1] -= 1.0
-    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * UNIT_ROUNDOFF * v_frob**2
-    return v_frob, v_sq, math.sqrt(v_sq)
-
-
-def _separability_bound(conv: Conversion, rho: np.ndarray) -> float:
+def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho: np.ndarray) -> float:
     """beta with lambda_min(H) >= -beta, for H the Hermitian matrix that
     eigvalsh and Cholesky read (one triangle) of fl(V rho V^dag)^T_B at the
-    cut D x D, from D x D data and V's terms, which build_conversion computed once (_isometry_terms).
+    cut D x D, from D x D data and one D x D product of V.
 
     For w >= 0, T = sum_i w_i |d_i e_i><d_i e_i| is separable with T^T_B PSD,
     and H - T^T_B is the one-triangle Hermitian part of Y^T_B with
@@ -181,12 +170,17 @@ def _separability_bound(conv: Conversion, rho: np.ndarray) -> float:
     of A^-1 rho A^-dag, from two solves. |V|^2 <= 1 + |V^dag V - I|_F, and
     every computed term carries its first-order roundoff allowance (complex
     inner products of length m within sqrt(2) (m + 2) u, u the unit roundoff)."""
-    a, (v_frob, v_sq, v_norm) = conv._classical, conv._isometry_terms
-    gamma = math.sqrt(2.0) * (a.shape[0] + 2) * UNIT_ROUNDOFF
+    dim = a.shape[0]
+    gamma = math.sqrt(2.0) * (dim + 2) * UNIT_ROUNDOFF
+    v_frob = float(np.linalg.norm(v))
+    gram = v.conj().T @ v
+    gram.flat[::dim + 1] -= 1.0
+    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * UNIT_ROUNDOFF * v_frob**2
+    v_norm = math.sqrt(v_sq)
     x = np.linalg.solve(a, np.linalg.solve(a, rho).conj().T)
     w = np.maximum(x.diagonal().real, 0.0)
     mixture_miss = float(np.linalg.norm(rho - (a * w) @ a.conj().T)) + 2.0 * gamma * float(w.sum())
-    product_miss = float(w @ (conv._residuals + gamma * v_frob + 4.0 * UNIT_ROUNDOFF))
+    product_miss = float(w @ (residuals + gamma * v_frob + 4.0 * UNIT_ROUNDOFF))
     rounding = 2.0 * gamma * v_norm * v_frob * float(np.linalg.norm(rho))
     return math.sqrt(2.0) * (v_sq * mixture_miss + rounding) + (v_norm + 1.0) * product_miss
 
@@ -223,6 +217,12 @@ def _epsilon_bound(nu: float, boundary_ok: bool = False) -> float:
     while top > 1.0 and not feasible_split(nu, 1.0 / top, boundary_ok):
         top = math.nextafter(top, 0.0)
     return top - 1.0
+
+
+def _admits_epsilon(nu):
+    """The one independence decision, elementwise: some eps > 0 is feasible for nu, _epsilon_bound(nu) > 0.
+    feasible_split only gains as s = fl(1 + eps) falls, so it is decided at the least s above 1."""
+    return feasible_split(nu, 1.0 / math.nextafter(1.0, 2.0))
 
 
 def check_split(nu: float, epsilon: float, boundary_ok: bool = False) -> None:
@@ -263,11 +263,11 @@ def default_epsilon(cs: ClassicalSet) -> float:
 
 def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> SplitSpec:
     """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps), J where 1 + eps
-    rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor each once into the column
-    matrix of factor_gram's columns (_factor_columns) of a split that carries eps. check_split is the
-    only feasibility decision (with boundary_ok it admits eps = 0 and lambda_min down to -PSD_TOL). It
-    reads the matrix that is factored, whose lambda_min is 1 + (1+eps) nu exactly, built unchecked. The
-    factors' product is G to a few ulps off the diagonal, 1 on it."""
+    rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor each once into the column matrix
+    of factor_gram's columns (_factor_columns) of a split that carries eps. check_split is the only feasibility
+    decision (with boundary_ok it admits eps = 0 and lambda_min down to -PSD_TOL). It reads the matrix that is
+    factored, whose lambda_min is 1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few
+    ulps off the diagonal, 1 on it."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
@@ -287,11 +287,10 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     from G raises GramMismatchError, naming how far V misses the products. V is an
     isometry to roundoff however small lambda_min(G) is; its misses |V c_i - d_i (x) e_i|
     are kept as the certificate's residuals. The ancilla's reference state is the first
-    classical state. It reads the split's column matrices, builds no state, and computes V's terms
-    of the certificate's bound once (_isometry_terms). The peak, about five D^2 x D arrays, is refused
-    past MAX_DENSE_BYTES (D >= 343) before B is formed. A split whose split.epsilon lies in
-    (0, _epsilon_floor) is refused, naming that bound: G_d's lambda_min eps/(1+eps) is then
-    within RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
+    classical state. It reads the split's column matrices and builds no state. The peak, about
+    five D^2 x D arrays, is refused past MAX_DENSE_BYTES (D >= 343) before B is formed. A split whose
+    split.epsilon lies in (0, _epsilon_floor) is refused, naming that bound: G_d's lambda_min eps/(1+eps)
+    is then within RESOLUTION_MARGIN of factor_gram's clamp, the d_i may collapse and ranks come out wrong."""
     if len(split.d_columns) != cs.dim:
         raise ValueError("split size does not match the classical set")
     if 0.0 < (eps := split.epsilon) < (floor := _epsilon_floor(cs.dim)):
@@ -304,8 +303,8 @@ def build_conversion(cs: ClassicalSet, split: SplitSpec) -> Conversion:
     miss = v @ cs.columns - b
     if np.max(np.abs((d.conj().T @ d) * (e.conj().T @ e) - cs.gram.entries)) > UNITARY_TOL:
         raise GramMismatchError(f"conversion misses the product states by {np.max(np.abs(miss)):.3e}; the Grams differ")
-    return _built(Conversion, isometry=_sealed(v), reference=cs.states[0], _classical=cs.columns,
-                  _residuals=_sealed(np.linalg.norm(miss, axis=0)), _isometry_terms=_isometry_terms(v))
+    return _built(Conversion, isometry=_sealed(v), reference=cs.states[0],
+                  _classical=cs.columns, _residuals=_sealed(np.linalg.norm(miss, axis=0)))
 
 
 def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conversion import INDEPENDENCE_TOL, ClassicalSet, check_split, feasible_split
+from .conversion import INDEPENDENCE_TOL, ClassicalSet, _admits_epsilon, check_split, feasible_split
 from .linalg import StateVector, _is_integer, basis_state
 
 MU_FLOOR = 1e-9            # smallest mu used in sweeps; mu -> 0 is the eps -> inf limit
@@ -32,10 +32,10 @@ def mu_to_epsilon(mu: float) -> float:
 
 def _check_theta(theta) -> None:
     """Raise unless every theta lies strictly inside (0, pi) and keeps the
-    classical pair independent: its smallest Gram eigenvalue 1 - |cos theta|
-    must exceed INDEPENDENCE_TOL, as ClassicalSet requires."""
+    classical pair independent: its nu = -|cos theta| must leave some eps > 0,
+    decided by _admits_epsilon as ClassicalSet decides it."""
     thetas = np.ravel(np.asarray(theta, dtype=float))
-    bad = thetas[~((thetas > 0.0) & (thetas < math.pi) & (1.0 - np.abs(np.cos(thetas)) > INDEPENDENCE_TOL))]
+    bad = thetas[~((thetas > 0.0) & (thetas < math.pi) & _admits_epsilon(-np.abs(np.cos(thetas))))]
     if bad.size:
         raise ValueError(f"theta must lie in (0, pi) with 1 - |cos theta| > {INDEPENDENCE_TOL:g}, got {bad[0]}")
 

@@ -318,13 +318,15 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
 def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
     """Schmidt spectrum of psi across the dim_a x dim_b cut: the singular values
     of the reshaped coefficient matrix, from one SVD that forms no vectors.
-    psi keeps its latest (cut, SchmidtData) outside its fields, so one state and
-    cut take one SVD; the memo is trusted only while psi's amplitudes are read-only."""
+    A psi whose amplitudes are _sealed (Conversion.convert's outputs, a split's
+    factor states) keeps its latest (cut, SchmidtData) outside its fields, so such a
+    state and cut take one SVD; any other psi is decomposed at every call."""
     check_cut(dim_a, dim_b, psi.dim)
     memo = getattr(psi, "_schmidt_memo", (None, None))
-    if memo[0] != (dim_a, dim_b) or psi.amplitudes.flags.writeable:
+    if memo[0] != (dim_a, dim_b):
         memo = ((dim_a, dim_b), SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False)))
-        object.__setattr__(psi, "_schmidt_memo", memo)
+        if _is_sealed(psi.amplitudes):
+            object.__setattr__(psi, "_schmidt_memo", memo)
     return memo[1]
 
 
@@ -372,6 +374,13 @@ def _sealed(array: np.ndarray) -> np.ndarray:
     """A read-only copy of array over immutable bytes: neither it nor any view
     of it, its .base included, can be made writable."""
     return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+
+
+def _is_sealed(array: np.ndarray) -> bool:
+    """True for a view of a _sealed array, whose data no one can write: its .base chain ends in bytes."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, bytes)
 
 
 class _BuiltDensity(np.ndarray):

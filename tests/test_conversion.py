@@ -399,23 +399,6 @@ def eigenbasis_factor(g) -> np.ndarray:
     return np.sqrt(w)[:, None] * v.conj().T
 
 
-def separability_bound_with_v(v, a, residuals, rho) -> float:
-    """_separability_bound's beta with V's terms formed from V at the call, as convert_density formed them."""
-    dim, u = a.shape[0], linalg.UNIT_ROUNDOFF
-    gamma = math.sqrt(2.0) * (dim + 2) * u
-    v_frob = float(np.linalg.norm(v))
-    gram = v.conj().T @ v
-    gram.flat[::dim + 1] -= 1.0
-    v_sq = 1.0 + float(np.linalg.norm(gram)) + math.sqrt(2.0) * (dim * dim + 2) * u * v_frob**2
-    v_norm = math.sqrt(v_sq)
-    x = np.linalg.solve(a, np.linalg.solve(a, rho).conj().T)
-    w = np.maximum(x.diagonal().real, 0.0)
-    mixture_miss = float(np.linalg.norm(rho - (a * w) @ a.conj().T)) + 2.0 * gamma * float(w.sum())
-    product_miss = float(w @ (residuals + gamma * v_frob + 4.0 * u))
-    rounding = 2.0 * gamma * v_norm * v_frob * float(np.linalg.norm(rho))
-    return math.sqrt(2.0) * (v_sq * mixture_miss + rounding) + (v_norm + 1.0) * product_miss
-
-
 @settings(max_examples=30, deadline=None)
 @given(dim=st.integers(2, 16), share=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
 def test_split_factors_isometry_and_certificate_keep_their_formulas_bits(dim, share, seed):
@@ -436,7 +419,7 @@ def test_split_factors_isometry_and_certificate_keep_their_formulas_bits(dim, sh
     rho /= np.trace(rho).real
     sigma = conv.convert_density(rho)
     assert np.array_equal(sigma, v @ rho @ v.conj().T)
-    beta = separability_bound_with_v(v, cs.columns, conv._residuals, rho)
+    beta = conversion._separability_bound(v, cs.columns, conv._residuals, rho)
     assert linalg._attached_bound(sigma, dim, dim) == beta
 
 
@@ -466,6 +449,33 @@ def test_a_split_and_its_conversion_build_no_state_per_column(monkeypatch):
         factor = eigenbasis_factor(gram)
         assert len(states) == 8 and all(np.array_equal(s.amplitudes, factor[:, i]) for i, s in enumerate(states))
     assert split.d_states is d_states and split.e_states is e_states and built.count(StateVector) == 16
+
+
+def test_sealed_outputs_keep_their_spectrum_and_caller_columns_do_not(monkeypatch):
+    calls, svd = [], np.linalg.svd
+
+    def counting(m, *args, **kwargs):
+        calls.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    rng = np.random.default_rng(38)
+    cs = random_classical_set(4, rng)
+    split = make_split(cs, default_epsilon(cs))
+    conv = build_conversion(cs, split)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    out = conv.convert(random_superposition(cs, 4, rng)[0])
+    assert schmidt_decompose(out, 4, 4) is schmidt_decompose(out, 4, 4) and len(calls) == 1
+    assert schmidt_decompose(split.d_states[0], 2, 2) is schmidt_decompose(split.d_states[0], 2, 2)
+    assert len(calls) == 2
+    # a SplitSpec over a caller's writable columns: its states are read-only views of an array
+    # the caller can still write, so they are decomposed at every call
+    columns = np.array(split.d_columns)
+    caller = conversion.SplitSpec(epsilon=split.epsilon, gram_d=split.gram_d, gram_e=split.gram_e,
+                                  d_columns=columns, e_columns=np.array(split.e_columns))
+    state = caller.d_states[0]
+    assert not state.amplitudes.flags.writeable and schmidt_decompose(state, 2, 2).rank == 2
+    columns[:, 0] = basis_state(4, 0).amplitudes
+    assert schmidt_decompose(state, 2, 2).rank == 1 and len(calls) == 4
 
 
 def test_conversion_unitarity():

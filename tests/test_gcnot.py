@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from nc2ent.conversion import INDEPENDENCE_TOL, build_conversion, make_split
+from nc2ent.conversion import INDEPENDENCE_TOL, _admits_epsilon, _epsilon_bound, build_conversion, make_split
 from nc2ent.gcnot import (
     MU_FLOOR,
     GcnotParams,
@@ -392,3 +392,29 @@ def test_beamsplitter_rejects_violated_constraint():
         beamsplitter_params(0.9, 1.0)  # 1/(1+eps) = 0.5 < 0.9
     with pytest.raises(ValueError):
         beamsplitter_params(1.0, 0.1)
+
+
+def test_theta_and_classical_set_share_one_independence_decision():
+    # nu a few hundred ulps either side of -(1 - 1e-10), where _epsilon_bound(nu) crosses 0
+    floor = -(1.0 - INDEPENDENCE_TOL)
+    nus = [floor]
+    for direction in (0.0, -2.0):
+        nu = floor
+        for _ in range(300):
+            nu = math.nextafter(nu, direction)
+            nus.append(nu)
+    nus += [0.0, -0.0, 0.5, -0.5, -1.0, -2.0, math.nan]
+    expected = [_epsilon_bound(nu) > 0.0 for nu in nus]
+    assert 0 < sum(expected) < len(nus)
+    assert [bool(_admits_epsilon(nu)) for nu in nus] == expected
+    assert _admits_epsilon(np.array(nus)).tolist() == expected
+    # the angles whose -|cos theta| lands there: _check_theta refuses exactly where no eps > 0 is left
+    thetas = math.sqrt(2.0 * INDEPENDENCE_TOL) * (1.0 + np.linspace(-1e-5, 1e-5, 401))
+    decided = [_epsilon_bound(-abs(math.cos(t))) > 0.0 for t in thetas]
+    assert 0 < sum(decided) < len(thetas)
+    for theta, ok in zip(thetas, decided):
+        if ok:
+            GcnotParams(theta=float(theta), epsilon=0.0)
+        else:
+            with pytest.raises(ValueError, match="theta must lie in"):
+                gcnot_classical_pair(float(theta))

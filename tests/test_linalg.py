@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nc2ent import linalg
 from nc2ent.conversion import (
     ClassicalSet,
     build_conversion,
@@ -380,7 +381,7 @@ def test_schmidt_dimension_mismatch():
         schmidt_decompose(bell_state(), 3, 2)
 
 
-def test_one_state_and_cut_take_one_svd(monkeypatch):
+def test_one_sealed_state_and_cut_take_one_svd(monkeypatch):
     calls, svd = [], np.linalg.svd
 
     def counting(m, *args, **kwargs):
@@ -388,18 +389,23 @@ def test_one_state_and_cut_take_one_svd(monkeypatch):
         return svd(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    psi = random_state(16, np.random.default_rng(36))
+    amplitudes = random_state(16, np.random.default_rng(36)).amplitudes
+    psi = linalg._built(StateVector, amplitudes=linalg._sealed(amplitudes))  # as Conversion.convert builds
     first = schmidt_decompose(psi, 4, 4)
     assert schmidt_decompose(psi, 4, 4) is first and calls == [(4, 4)]
     assert schmidt_decompose(psi, 2, 8) is not first and calls == [(4, 4), (2, 8)]
     assert schmidt_decompose(psi, 4, 4) is not first and len(calls) == 3  # the latest cut only
-    # a state whose amplitudes were made writable again is decomposed at every call
-    changed = StateVector(psi.amplitudes)
-    schmidt_decompose(changed, 4, 4)
-    changed.amplitudes.setflags(write=True)
-    changed.amplitudes[:] = basis_state(16, 0).amplitudes
-    assert schmidt_decompose(changed, 4, 4).rank == 1
-    assert schmidt_decompose(changed, 4, 4).rank == 1 and len(calls) == 6
+    with pytest.raises(ValueError):
+        psi.amplitudes.setflags(write=True)
+    # a state that owns its amplitudes can make them writable again, write and close them:
+    # it is decomposed at every call, and the spectrum is that of what it holds now
+    owner = StateVector(amplitudes)
+    assert schmidt_decompose(owner, 4, 4).rank == 4
+    owner.amplitudes.setflags(write=True)
+    owner.amplitudes[:] = basis_state(16, 0).amplitudes
+    owner.amplitudes.setflags(write=False)
+    assert schmidt_decompose(owner, 4, 4).rank == 1
+    assert schmidt_decompose(owner, 4, 4).rank == 1 and len(calls) == 6
 
 
 # ------------------------------------------------------- entanglement_entropy
