@@ -30,6 +30,7 @@ from .linalg import (
     _frame_unitary,
     _numerical_rank,
     _sealed,
+    _sealed_matmul,
     positive_frame,
     random_state,
 )
@@ -138,16 +139,17 @@ class Conversion:
         that carries one fact, _separability_bound's beta at the cut D x D.
         That certificate is the trust: partial_transpose and negativity do not
         check the density again, and negativity at the cut D x D returns 0.0
-        without forming rho^T_B where beta <= DENSITY_TOL / D^2. The output and its
-        sealed copy, two D^2 x D^2 arrays, are refused past MAX_DENSE_BYTES (from
-        D = 101 on) with a one-line error before either is formed."""
+        without forming rho^T_B where beta <= DENSITY_TOL / D^2. The output is
+        (V rho) V^dag written once, straight into its sealed buffer (_sealed_matmul),
+        so the one D^2 x D^2 array it holds is refused past MAX_DENSE_BYTES (from
+        D = 120 on) with a one-line error before it is formed."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"density operator has shape {rho.shape}, expected square dim {self.dim}")
         n = self.dim**2
-        _check_dense(n, 2 * n, f"converted density at D={self.dim} (V rho V^dag and its sealed copy)")
+        _check_dense(n, n, f"converted density at D={self.dim} (V rho V^dag)")
         rho = _check_density(rho)
-        sigma = self.isometry @ rho @ self.isometry.conj().T
+        sigma = _sealed_matmul(self.isometry @ rho, self.isometry.conj().T)
         beta = _separability_bound(self.isometry, self._classical, self._residuals, rho)
         return _built_density(sigma, self.dim, beta)
 
@@ -190,9 +192,14 @@ def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
     positive definite iff lam < 1 (eigenvalues 1-lam and 1+(dim-1)lam)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"off-diagonal overlap must lie in [0, 1], got {lam}")
+    return GramMatrix(_uniform_overlap(lam, dim))
+
+
+def _uniform_overlap(lam: float, dim: int) -> np.ndarray:
+    """The entries of uniform_overlap_gram(lam, dim), a fresh complex array, unchecked."""
     g = np.full((dim, dim), complex(lam))
     np.fill_diagonal(g, 1.0)
-    return GramMatrix(g)
+    return g
 
 
 def feasible_split(nu, mu, boundary_ok: bool = False):
@@ -265,13 +272,14 @@ def make_split(cs: ClassicalSet, epsilon: float, boundary_ok: bool = False) -> S
     """Split the classical Gram into the constant-overlap factor (overlap 1/(1+eps), J where 1 + eps
     rounds to 1) and the scaled factor I + (1+eps)(G - diag G), and factor each once into the column matrix
     of factor_gram's columns (_factor_columns) of a split that carries eps. check_split is the only feasibility
-    decision (with boundary_ok it admits eps = 0 and lambda_min down to -PSD_TOL). It reads the matrix that is
-    factored, whose lambda_min is 1 + (1+eps) nu exactly, built unchecked. The factors' product is G to a few
-    ulps off the diagonal, 1 on it."""
+    decision (with boundary_ok it admits eps = 0 and lambda_min down to -PSD_TOL). It reads the scaled factor,
+    whose lambda_min is 1 + (1+eps) nu exactly. Both factors are built unchecked: the constant-overlap one is
+    PSD by its closed form (uniform_overlap_gram's). The factors' product is G to a few ulps off the diagonal,
+    1 on it."""
     check_split(cs.nu, epsilon, boundary_ok)
     scaled = cs.gram.entries * (1.0 + epsilon)
     np.fill_diagonal(scaled, 1.0)
-    gram_d = uniform_overlap_gram(1.0 / (1.0 + epsilon), cs.dim)
+    gram_d = _built(GramMatrix, entries=_uniform_overlap(1.0 / (1.0 + epsilon), cs.dim))
     gram_e = _built(GramMatrix, entries=scaled)
     return SplitSpec(epsilon=epsilon, gram_d=gram_d, gram_e=gram_e,
                      d_columns=_factor_columns(gram_d), e_columns=_factor_columns(gram_e))

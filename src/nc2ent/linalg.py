@@ -4,6 +4,7 @@ entanglement diagnostics (Schmidt decomposition, entropy, negativity)."""
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -372,12 +373,26 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
 
 def _sealed(array: np.ndarray) -> np.ndarray:
     """A read-only copy of array over immutable bytes: neither it nor any view
-    of it, its .base included, can be made writable."""
+    of it, its .base included, can be made writable. It copies an array that
+    already exists; _sealed_matmul seals a product as it is formed, copying nothing."""
     return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
 
 
+def _sealed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two complex matrices, with its bits, sealed as _sealed seals but written once, straight
+    into a fresh bytes object: matmul fills a view of a BytesIO's buffer, and once the view is released
+    CPython's getvalue hands back that same bytes object, so no second buffer is mapped as a copy would map
+    one. An interpreter whose getvalue copied would give a result as sealed, only slower."""
+    shape = (a.shape[0], b.shape[1])
+    buffer = io.BytesIO(bytes(16 * shape[0] * shape[1]))
+    with buffer.getbuffer() as view:
+        np.matmul(a, b, out=np.frombuffer(view, dtype=complex).reshape(shape))
+    return np.frombuffer(buffer.getvalue(), dtype=complex).reshape(shape)
+
+
 def _is_sealed(array: np.ndarray) -> bool:
-    """True for a view of a _sealed array, whose data no one can write: its .base chain ends in bytes."""
+    """True for a view of a _sealed or _sealed_matmul array, whose data no one can write:
+    its .base chain ends in bytes."""
     while isinstance(array, np.ndarray):
         array = array.base
     return isinstance(array, bytes)
@@ -393,11 +408,12 @@ class _BuiltDensity(np.ndarray):
         self._separable_within = None
 
 
-def _built_density(rho: np.ndarray, dim: int, beta: float) -> np.ndarray:
-    """V rho V^dag of a checked rho and an isometry V, a density by construction, as
-    a _sealed copy that no view can make writable again, with the certificate that
-    lambda_min(rho^T_B) >= -beta at the cut dim x dim."""
-    built = _sealed(rho).view(_BuiltDensity)
+def _built_density(sigma: np.ndarray, dim: int, beta: float) -> np.ndarray:
+    """sigma = V rho V^dag of a checked rho and an isometry V, a density by construction,
+    with the certificate that lambda_min(sigma^T_B) >= -beta at the cut dim x dim. sigma
+    must already be sealed (_sealed_matmul writes it so): it is viewed, not copied, so
+    no view of the result, .base included, can be made writable again."""
+    built = sigma.view(_BuiltDensity)
     built._separable_within = (dim, beta)
     return built
 

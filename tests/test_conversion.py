@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,37 @@ def test_split_factors_isometry_and_certificate_keep_their_formulas_bits(dim, sh
     assert np.array_equal(sigma, v @ rho @ v.conj().T)
     beta = conversion._separability_bound(v, cs.columns, conv._residuals, rho)
     assert linalg._attached_bound(sigma, dim, dim) == beta
+
+
+@pytest.mark.parametrize("dim", [1, 17, 24, 32])
+def test_a_converted_density_keeps_its_bits_and_seal_beyond_the_property_range(dim):
+    rng = np.random.default_rng(dim)
+    cs = random_classical_set(dim, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    sigma = conv.convert_density(rho)
+    v = conv.isometry
+    assert np.array_equal(sigma, (v @ rho) @ v.conj().T)
+    assert linalg._is_sealed(sigma)
+    with pytest.raises(ValueError):
+        sigma.setflags(write=True)
+
+
+def test_a_converted_density_is_written_once():
+    rng = np.random.default_rng(41)
+    cs = random_classical_set(16, rng)
+    conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
+    rho = np.diag(rng.dirichlet(np.ones(16))).astype(complex)
+    tracemalloc.start()
+    try:
+        sigma = conv.convert_density(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # V rho V^dag is written straight into its sealed buffer: no second D^2 x D^2 array is held
+    assert peak < 1.5 * sigma.nbytes
 
 
 def test_a_split_and_its_conversion_build_no_state_per_column(monkeypatch):

@@ -225,7 +225,7 @@ def test_convert_density_is_refused_past_the_dense_cap(monkeypatch):
     rng = np.random.default_rng(95)
     cs = random_classical_set(4, rng)
     conv = build_conversion(cs, make_split(cs, default_epsilon(cs)))
-    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 16 * 32 - 1)
-    with pytest.raises(ValueError, match="dense converted density at D=4 .* of 16 x 32") as err:
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 16 * 16 - 1)
+    with pytest.raises(ValueError, match="dense converted density at D=4 .* of 16 x 16") as err:
         conv.convert_density(random_density(4, rng))
     assert "\n" not in str(err.value)
