@@ -338,7 +338,7 @@ def cmd_modesplit(k, n, target, r_mag, t_mag, phase, runs, max_rounds, seed, con
                 "fidelity": res.fidelity,
             }, sort_keys=True) + "\n")
         by_round = modesplit.success_probability_by_round(base_cfg, n, len(outcomes_by_round))
-        split = linalg.StateVector(modesplit._shared(state, base_cfg)[0])  # the runs' own reference
+        split = linalg.StateVector(symmetric.apply_splitting(state, n_x, n_y))
         split_entropy = linalg.entanglement_entropy(
             linalg.schmidt_decompose(split, symmetric.dicke_dim(k, n_x), symmetric.dicke_dim(k, n_y)))
         traces.seek(0)

@@ -28,6 +28,7 @@ from .linalg import (
     _eigh_resolution,
     _factor_columns,
     _frame_unitary,
+    _is_integer,
     _numerical_rank,
     _sealed,
     _sealed_matmul,
@@ -88,7 +89,7 @@ class SplitSpec:
     """One way of splitting the classical overlaps between two subsystems at the
     eps make_split was called with: gram_d has constant off-diagonal 1/(1+eps),
     gram_e carries the classical overlaps scaled by (1+eps), and their entrywise
-    product reproduces the classical Gram. d_columns and e_columns are their sealed factors, whose columns
+    product reproduces the classical Gram. d_columns and e_columns are their read-only factors, whose columns
     are the unit vectors d_i and e_i; d_states and e_states are those columns as states, built when read."""
 
     epsilon: float
@@ -127,10 +128,10 @@ class Conversion:
         return _frame_unitary(source, self.isometry)
 
     def convert(self, psi: StateVector) -> StateVector:
-        """Apply the conversion to a pure input; output lives on C^D (x) C^D."""
+        """Apply the conversion to a pure input; the output V psi, on C^D (x) C^D, is frozen in place."""
         if psi.dim != self.dim:
             raise ValueError(f"input has dimension {psi.dim}, expected {self.dim}")
-        return _built(StateVector, amplitudes=_sealed(self.isometry @ psi.amplitudes))
+        return _built(StateVector, amplitudes=self.isometry @ psi.amplitudes)
 
     def convert_density(self, rho: np.ndarray) -> np.ndarray:
         """Apply the conversion to a density operator on the input space, which
@@ -190,6 +191,8 @@ def _separability_bound(v: np.ndarray, a: np.ndarray, residuals: np.ndarray, rho
 def uniform_overlap_gram(lam: float, dim: int) -> GramMatrix:
     """Gram matrix with unit diagonal and every off-diagonal entry lam;
     positive definite iff lam < 1 (eigenvalues 1-lam and 1+(dim-1)lam)."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValueError(f"dimension dim must be a positive integer, got {dim!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"off-diagonal overlap must lie in [0, 1], got {lam}")
     return GramMatrix(_uniform_overlap(lam, dim))
@@ -327,6 +330,8 @@ def classical_rank(psi: StateVector, cs: ClassicalSet) -> int:
 def random_classical_set(dim: int, rng: np.random.Generator) -> ClassicalSet:
     """Random classical set, resampled until 1 + nu, its Gram's min eigenvalue, exceeds
     1e-3, far above the independence floor; each draw makes one eigendecomposition."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValueError(f"dimension dim must be a positive integer, got {dim!r}")
     for _ in range(200):
         states = tuple(random_state(dim, rng) for _ in range(dim))
         facts = _set_facts(states)
@@ -339,8 +344,8 @@ def random_superposition(cs: ClassicalSet, support: int,
                          rng: np.random.Generator) -> tuple[StateVector, int]:
     """Random superposition of `support` distinct classical states; returns the
     state and its classical rank (equal to `support` for generic coefficients)."""
-    if not 1 <= support <= cs.dim:
-        raise ValueError(f"support must lie in 1..{cs.dim}")
+    if not (_is_integer(support) and 1 <= support <= cs.dim):
+        raise ValueError(f"support must lie in 1..{cs.dim} and be an integer, got {support!r}")
     idx = rng.choice(cs.dim, size=support, replace=False)
     coeffs = rng.standard_normal(support) + 1j * rng.standard_normal(support)
     vec = sum(c * cs.states[i].amplitudes for c, i in zip(coeffs, idx))

@@ -141,6 +141,8 @@ class StateVector:
 
 def basis_state(dim: int, k: int) -> StateVector:
     """Standard basis vector |k> in the given dimension."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValueError(f"dimension dim must be a positive integer, got {dim!r}")
     if not _is_integer(k):
         raise ValueError(f"basis index k must be an integer, got {k!r}")
     if not 0 <= k < dim:
@@ -231,7 +233,7 @@ def factor_gram(g: GramMatrix) -> list[StateVector]:
 
 
 def _factor_columns(g: GramMatrix) -> np.ndarray:
-    """C of G = C^dag C, a sealed read-only n x n array whose columns are contiguous.
+    """C of G = C^dag C, an n x n array whose columns are contiguous, frozen in place (read-only).
 
     C = sqrt(L) V^dag is the eigenbasis factor of G = V L V^dag, not the
     principal square root V sqrt(L) V^dag: it need not be Hermitian, and
@@ -245,7 +247,8 @@ def _factor_columns(g: GramMatrix) -> np.ndarray:
     """
     w, v = np.linalg.eigh(g.entries)
     w = np.where(w > _eigh_resolution(g.n, w[-1]), w, 0.0)
-    rows = _sealed(v.conj() * np.sqrt(w))  # row i is column i of C, with the bits of sqrt(L) V^dag
+    rows = v.conj() * np.sqrt(w)  # row i is column i of C, with the bits of sqrt(L) V^dag
+    rows.setflags(write=False)
     for row, squared_norm in zip(rows, np.square(rows.view(float)).sum(axis=1)):
         check_unit_vector(row, "state vector", squared_norm)
     return rows.T
@@ -318,17 +321,10 @@ def synthesize_unitary(from_states: list[StateVector], to_states: list[StateVect
 
 def schmidt_decompose(psi: StateVector, dim_a: int, dim_b: int) -> SchmidtData:
     """Schmidt spectrum of psi across the dim_a x dim_b cut: the singular values
-    of the reshaped coefficient matrix, from one SVD that forms no vectors.
-    A psi whose amplitudes are _sealed (Conversion.convert's outputs, a split's
-    factor states) keeps its latest (cut, SchmidtData) outside its fields, so such a
-    state and cut take one SVD; any other psi is decomposed at every call."""
+    of the reshaped coefficient matrix, from one SVD that forms no vectors, at
+    every call. Nothing is kept on psi."""
     check_cut(dim_a, dim_b, psi.dim)
-    memo = getattr(psi, "_schmidt_memo", (None, None))
-    if memo[0] != (dim_a, dim_b):
-        memo = ((dim_a, dim_b), SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False)))
-        if _is_sealed(psi.amplitudes):
-            object.__setattr__(psi, "_schmidt_memo", memo)
-    return memo[1]
+    return SchmidtData(np.linalg.svd(psi.amplitudes.reshape(dim_a, dim_b), compute_uv=False))
 
 
 def entanglement_entropy(sd: SchmidtData) -> float:
@@ -374,7 +370,10 @@ def _positive_definite(m: np.ndarray, shift: float) -> bool:
 def _sealed(array: np.ndarray) -> np.ndarray:
     """A read-only copy of array over immutable bytes: neither it nor any view
     of it, its .base included, can be made writable. It copies an array that
-    already exists; _sealed_matmul seals a product as it is formed, copying nothing."""
+    already exists; _sealed_matmul seals a product as it is formed, copying nothing.
+    Only what the separability certificate rests on is sealed: a classical set's
+    columns A, the isometry V and its residuals by this copy, and the converted
+    density sigma by _sealed_matmul. Every other array the library builds is frozen in place."""
     return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
 
 
@@ -388,14 +387,6 @@ def _sealed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with buffer.getbuffer() as view:
         np.matmul(a, b, out=np.frombuffer(view, dtype=complex).reshape(shape))
     return np.frombuffer(buffer.getvalue(), dtype=complex).reshape(shape)
-
-
-def _is_sealed(array: np.ndarray) -> bool:
-    """True for a view of a _sealed or _sealed_matmul array, whose data no one can write:
-    its .base chain ends in bytes."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    return isinstance(array, bytes)
 
 
 class _BuiltDensity(np.ndarray):

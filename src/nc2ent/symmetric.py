@@ -56,10 +56,15 @@ def _check_size(k: int, n: int, size: int) -> None:
         raise ValueError(f"expected {dicke_dim(k, n)} amplitudes for (K={k}, N={n}), got {size}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def occupation_basis(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All occupation vectors (n_0, ..., n_{K-1}) with sum N, ordered
-    lexicographically descending, so (N, 0, ..., 0) comes first."""
+    lexicographically descending, so (N, 0, ..., 0) comes first. K >= 1 and
+    N >= 0 must be integers (not bools); the cache is typed, so 2.0 or True
+    never reads the entry of 2 or 1."""
+    if not (_is_integer(k) and k >= 1):
+        raise ValueError(f"level count K must be a positive integer, got {k!r}")
+    _check_particle_number(n)
     if k == 1:
         return ((n,),)
     out = []
@@ -174,6 +179,8 @@ def overlap(u: SuUnitary, v: SuUnitary, n: int) -> complex:
 def haar_random_su(k: int, seed) -> SuUnitary:
     """Haar-distributed unitary from the QR decomposition of a complex
     Gaussian matrix with phase-corrected diagonal; deterministic per seed."""
+    if not (_is_integer(k) and k >= 2):
+        raise ValueError(f"level count K must be an integer of at least 2, got {k!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -416,8 +416,12 @@ SUITES = tuple(_RUNNERS)
 
 
 def run_suites(names, seed: int = 0, trials: int | None = None) -> dict[str, list[CheckResult]]:
+    if trials is not None and not linalg._is_integer(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed is not None and not linalg._is_integer(seed):
+        raise ValueError(f"seed must be None or an integer, got {seed!r}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     results: dict[str, list[CheckResult]] = {}

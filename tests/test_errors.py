@@ -16,7 +16,7 @@ from nc2ent.linalg import (GramMatrix, GramMismatchError, StateVector, basis_sta
 from nc2ent.modesplit import (ProtocolConfig, TwoModeState, binomial_sector_amplitude, inject, project_sector,
                               run_protocol, success_probability_by_round)
 from nc2ent.symmetric import (SuUnitary, SymmetricState, apply_splitting, apply_unitary, coherent_state, dicke_dim,
-                              overlap)
+                              haar_random_su, occupation_basis, overlap)
 from nc2ent.witness import Witness, nonclassicality_witness, swap_style_witness
 
 BALANCED = 1.0 / math.sqrt(2.0)
@@ -65,12 +65,22 @@ ROWS = [
      lambda: random_superposition(conversion_of(2)[0], 0, np.random.default_rng(0)), "support must lie in 1..2"),
     ("superposition-support-above-dim",
      lambda: random_superposition(conversion_of(2)[0], 3, np.random.default_rng(0)), "support must lie in 1..2"),
+    ("superposition-support-float", lambda: random_superposition(conversion_of(2)[0], 2.0, np.random.default_rng(0)),
+     "support must lie in 1..2 and be an integer, got 2.0"),
+    ("classical-set-dimension-float", lambda: random_classical_set(2.0, np.random.default_rng(0)),
+     "dimension dim must be a positive integer, got 2.0"),
+    ("classical-set-dimension-zero", lambda: random_classical_set(0, np.random.default_rng(0)),
+     "dimension dim must be a positive integer, got 0"),
+    ("uniform-overlap-dimension-float", lambda: uniform_overlap_gram(0.5, 2.5),
+     "dimension dim must be a positive integer, got 2.5"),
     # linalg
     ("empty-vector", lambda: StateVector([]), "state vector must have positive dimension"),
     ("overlap-dimension", lambda: basis_state(2, 0).overlap(basis_state(3, 0)), "dimension mismatch: 2 vs 3"),
     ("basis-index-above", lambda: basis_state(2, 2), "basis index 2 out of range for dimension 2"),
     ("basis-index-negative", lambda: basis_state(2, -1), "basis index -1 out of range for dimension 2"),
     ("basis-index-bool", lambda: basis_state(2, True), "basis index k must be an integer, got True"),
+    ("basis-dimension-float", lambda: basis_state(2.5, 0), "dimension dim must be a positive integer, got 2.5"),
+    ("basis-dimension-bool", lambda: basis_state(True, 0), "dimension dim must be a positive integer, got True"),
     ("cut-bool", lambda: schmidt_decompose(basis_state(4, 0), True, 4),
      "cut Truex4 needs two positive integer factors"),
     ("gram-unit-diagonal", lambda: GramMatrix([[1.0, 0.0], [0.0, 0.5]]), "Gram matrix does not have unit diagonal"),
@@ -146,6 +156,16 @@ ROWS = [
     ("level-count-float", lambda: SymmetricState(2.0, 1, [1, 0]), "level count K must be an integer, got 2.0"),
     ("level-count-bool", lambda: SymmetricState(True, 1, [1, 0]), "level count K must be an integer, got True"),
     ("one-internal-level", lambda: dicke_dim(1, 2), "need at least 2 internal levels, got 1"),
+    ("occupation-levels-zero", lambda: occupation_basis(0, 2), "level count K must be a positive integer, got 0"),
+    ("occupation-levels-negative", lambda: occupation_basis(-1, 2), "level count K must be a positive integer, got -1"),
+    ("occupation-levels-float", lambda: occupation_basis(2.0, 2), "level count K must be a positive integer, got 2.0"),
+    ("occupation-particles-negative", lambda: occupation_basis(2, -1),
+     "particle number N must be a nonnegative integer, got -1"),
+    ("occupation-particles-float", lambda: occupation_basis(2, 2.5),
+     "particle number N must be a nonnegative integer, got 2.5"),
+    ("occupation-particles-bool-after-one", lambda: (occupation_basis(2, 1), occupation_basis(2, True)),
+     "particle number N must be a nonnegative integer, got True"),
+    ("haar-levels-float", lambda: haar_random_su(2.5, 0), "level count K must be an integer of at least 2, got 2.5"),
     ("state-overlap-sectors", lambda: identity_coherent(2, 2).overlap(identity_coherent(2, 3)),
      "symmetric states live in different sectors"),
     ("coherent-overlap-levels", lambda: overlap(SuUnitary(np.eye(2)), SuUnitary(np.eye(3)), 2),
@@ -170,6 +190,8 @@ ROWS = [
     ("coherent-overlap-phase-past-float-range", lambda: coherent_overlap(1e308, 1e308 + 10j),
      "has a phase past float range"),
     ("unknown-suite", lambda: verify.run_suites(["bogus"]), "unknown suite 'bogus'; valid: all, discrete"),
+    ("suite-seed-float", lambda: verify.run_suites(["gcnot"], seed=1.5), "seed must be None or an integer, got 1.5"),
+    ("suite-trials-float", lambda: verify.run_suites(["discrete"], trials=2.5), "trials must be an integer, got 2.5"),
     ("witness-dimension", lambda: nonclassicality_witness(swap_style_witness(3, 3, basis_state(9, 0)),
                                                           conversion_of(2)[1]),
      "witness dimension 9 does not match conversion dimension 4"),

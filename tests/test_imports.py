@@ -99,3 +99,24 @@ def test_the_gate_sees_an_unread_constant():
 def test_package_reads_every_constant():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_constants(sources) == []
+
+
+def hidden_attributes(sources: dict[str, str]) -> set[str]:
+    """The private attribute names (_name) that sources set through object.__setattr__ as a string literal."""
+    return {call.args[1].value for source in sources.values() for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__" and len(call.args) == 3
+            and isinstance(call.args[1], ast.Constant) and isinstance(call.args[1].value, str)
+            and call.args[1].value.startswith("_")}
+
+
+def test_the_gate_sees_a_hidden_attribute():
+    source = ("def f(self, name, x):\n    object.__setattr__(self, '_cache', x)\n"
+              "    object.__setattr__(self, 'field', x)\n    object.__setattr__(self, name, x)\n")
+    assert hidden_attributes({"a": source}) == {"_cache"}
+
+
+def test_the_package_keeps_one_hidden_per_instance_cache():
+    """The one private attribute set on a value outside its fields is modesplit's _protocol_memo.
+    A new per-instance cache is state no field shows; it needs a measured end-to-end gain first."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert hidden_attributes(sources) == {"_protocol_memo"}

@@ -381,7 +381,7 @@ def test_schmidt_dimension_mismatch():
         schmidt_decompose(bell_state(), 3, 2)
 
 
-def test_one_sealed_state_and_cut_take_one_svd(monkeypatch):
+def test_every_state_takes_one_svd_per_call(monkeypatch):
     calls, svd = [], np.linalg.svd
 
     def counting(m, *args, **kwargs):
@@ -390,11 +390,12 @@ def test_one_sealed_state_and_cut_take_one_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     amplitudes = random_state(16, np.random.default_rng(36)).amplitudes
-    psi = linalg._built(StateVector, amplitudes=linalg._sealed(amplitudes))  # as Conversion.convert builds
+    psi = linalg._built(StateVector, amplitudes=linalg._sealed(amplitudes))  # amplitudes over immutable bytes
+    fields = dict(vars(psi))
     first = schmidt_decompose(psi, 4, 4)
-    assert schmidt_decompose(psi, 4, 4) is first and calls == [(4, 4)]
-    assert schmidt_decompose(psi, 2, 8) is not first and calls == [(4, 4), (2, 8)]
-    assert schmidt_decompose(psi, 4, 4) is not first and len(calls) == 3  # the latest cut only
+    assert schmidt_decompose(psi, 4, 4) is not first and calls == [(4, 4), (4, 4)]
+    assert schmidt_decompose(psi, 2, 8).rank == 2 and calls == [(4, 4), (4, 4), (2, 8)]
+    assert vars(psi) == fields  # nothing is kept on the state
     with pytest.raises(ValueError):
         psi.amplitudes.setflags(write=True)
     # a state that owns its amplitudes can make them writable again, write and close them:
